@@ -246,9 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function", help="path to a function JSON")
     p.add_argument("--d", type=int, required=True, help="degree cutoff")
     p.add_argument("--tau", type=float, required=True, help="influence threshold")
-    p.add_argument("--exact", action="store_true", help="exhaustive restriction enumeration")
-    p.add_argument("--mc", type=int, default=0, metavar="SAMPLES",
-                   help="Monte Carlo restriction sampling instead of exact")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true",
+                      help="exhaustive restriction enumeration (the default)")
+    mode.add_argument("--mc", type=int, default=0, metavar="SAMPLES",
+                      help="Monte Carlo restriction sampling instead of exact")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_regularity)
 

@@ -45,6 +45,7 @@ SIDE_MEM_CAP = 5 * 10**7
 TABLE_CELL_CAP = 10**6
 BLOCK_CELLS = 2 * 10**7
 ACCEPT_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 # -- parameter chain ---------------------------------------------------------
@@ -332,6 +333,21 @@ def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _exceeds_work_cap(grid_size: int, width: int, work_cap: float) -> bool:
+    """Whether grid_size ** width > work_cap, decided in log space.
+
+    Paper-grid searches reach 49,999 ** 72, far beyond float range; near
+    the boundary the exact integer power settles what rounding cannot.
+    """
+    if grid_size < 2 or work_cap < 1:
+        return min(grid_size, 1) > work_cap  # grid_size ** width for width >= 1
+    log_pairs = width * math.log(grid_size)
+    log_cap = math.log(work_cap)
+    if abs(log_pairs - log_cap) > 1e-9 * max(1.0, log_cap):
+        return log_pairs > log_cap
+    return grid_size**width > work_cap
+
+
 def brute_force_bmip(
     dist: JointDistribution,
     n: int,
@@ -378,10 +394,10 @@ def brute_force_bmip(
         "accept_floor": rho_target - corr_slack,
     }
 
-    pairs = float(len(grid)) ** (ka + kb)
-    if pairs > work_cap and not branch_and_bound:
+    over_cap = _exceeds_work_cap(len(grid), ka + kb, work_cap)
+    if over_cap and not branch_and_bound:
         raise ResourceLimitError(
-            f"{pairs:.3g} grid pairs exceed the work cap {work_cap}; "
+            f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {work_cap}; "
             "enable branch_and_bound or coarsen the grid"
         )
 
@@ -391,7 +407,7 @@ def brute_force_bmip(
     if len(G) == 0:
         return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
 
-    if pairs <= work_cap:
+    if not over_cap:
         F = _grid_assignments(grid, ka)
         feas_f = np.abs(F @ wa - center_f) <= cap_f + mean_slack + ACCEPT_TOL
         F = F[feas_f]
@@ -418,7 +434,7 @@ def brute_force_bmip(
             return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
 
     accept = best_val >= rho_target - corr_slack - ACCEPT_TOL
-    mode = "enumeration" if pairs <= work_cap else "branch_and_bound"
+    mode = "branch_and_bound" if over_cap else "enumeration"
     return BmipResult(
         accept,
         float(best_val),
@@ -490,20 +506,50 @@ class OracleResult:
 
 
 def _box_lp_max(w: np.ndarray, m: np.ndarray, cap: float, center: float = 0.0):
-    """Maximize w.g over the box [-1,1]^k with |m.g - center| <= cap."""
-    from scipy.optimize import linprog
+    """Maximize w.g over the box [-1,1]^k with |m.g - center| <= cap, row by row.
 
-    k = len(w)
-    res = linprog(
-        -w,
-        A_ub=np.vstack([m, -m]),
-        b_ub=np.array([center + cap, cap - center]),
-        bounds=[(-1.0, 1.0)] * k,
-        method="highs",
-    )
-    if not res.success:
-        raise NisimError(f"box LP failed: {res.message}")
-    return res.x, float(w @ res.x)
+    One linear constraint over a box makes this a fractional knapsack
+    (Dantzig 1957), solved in closed form: start from the unconstrained
+    optimum g = sign(w); when m.g falls outside the window, move
+    coordinates to their other bound, cheapest objective loss per unit of
+    m.g first (w_i / m_i, stable order), until m.g reaches the window's
+    near edge.  The last coordinate moved may stop at a fractional value,
+    so the maximizer is a vertex of the box-slab polytope.  ``w`` is one
+    row (returns the maximizer and its value) or a (rows, k) batch
+    (returns the maximizers and a value per row).
+    """
+    w = np.asarray(w, dtype=float)
+    m = np.asarray(m, dtype=float)
+    reach = float(np.abs(m).sum())  # m.g ranges over [-reach, reach]
+    if cap < 0 or abs(center) - cap > reach + ACCEPT_TOL * max(1.0, reach):
+        raise NisimError(
+            f"box LP infeasible: no g in [-1,1]^k has |m.g - {center:.6g}| <= {cap:.6g}"
+        )
+    rows = np.atleast_2d(w)
+    g = np.where(rows >= 0.0, 1.0, -1.0)
+    offset = g @ m - center
+    need = (np.abs(offset) - cap)[:, None]  # m.g to recover; <= 0 inside the window
+    if need.max() > 0.0:
+        pm = np.sign(offset)[:, None] * m  # every move lowers pm.g
+        sign = np.sign(pm)
+        room = 1.0 + sign * g  # distance to the other bound: 0 or 2
+        supply = np.abs(pm) * room  # pm.g recovered by a full move
+        # cost: objective lost per unit of pm.g; a coordinate without supply
+        # (room or sign 0) never moves, whatever its cost and frac
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cost = rows / pm
+            flat = np.argsort(cost, axis=1, kind="stable")
+            flat += np.arange(0, cost.size, cost.shape[1])[:, None]
+            supply = supply.take(flat)
+            before = supply.cumsum(axis=1) - supply
+            frac = (need - before) / np.maximum(supply, _TINY)
+        moved = np.empty_like(frac)
+        moved.put(flat, frac.clip(0.0, 1.0))
+        g -= sign * room * moved
+    values = np.einsum("ij,ij->i", rows, g)
+    if w.ndim == 1:
+        return g[0], float(values[0])
+    return g, values
 
 
 def oracle_max_balanced_ip(
@@ -518,9 +564,13 @@ def oracle_max_balanced_ip(
 ) -> OracleResult:
     """Alternating maximization of E[f g] over [-1,1]-valued pairs with capped means.
 
-    With one side fixed the other side is an exact box LP; alternation from
+    With one side fixed the other side is an exact box LP, solved in closed
+    form as a fractional knapsack (``_box_lp_max``).  Alternation from
     random and vertex starts certifies a lower bound only (flagged
-    heuristic), reported with a rigorous upper bound.
+    heuristic), reported with a rigorous upper bound: the maximal-correlation
+    ceiling, tightened when ka <= vertex_start_cap by the best g-side box LP
+    over all +-1 vertices f of the box (f's mean window relaxed; one
+    batched knapsack).
     """
     W, wa, wb = _tensor_weights(dist, n)
     ka, kb = W.shape
@@ -530,11 +580,11 @@ def oracle_max_balanced_ip(
     center_f, center_g = mean_centers
     rng = np.random.default_rng(seed)
 
-    starts = []
-    if 2**ka <= 2**vertex_start_cap:
+    if ka <= vertex_start_cap:
         vertices = all_assignments(2, ka) * 2.0 - 1.0
-        starts.extend(vertices)
-    starts.extend(rng.uniform(-1.0, 1.0, size=(n_random_starts, ka)))
+    else:
+        vertices = np.empty((0, ka))
+    starts = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(n_random_starts, ka))])
 
     best_val = -math.inf
     best_f = np.zeros(ka)
@@ -557,12 +607,9 @@ def oracle_max_balanced_ip(
     win_a = (max(-1.0, center_f - cap_f), min(1.0, center_f + cap_f))
     win_b = (max(-1.0, center_g - cap_g), min(1.0, center_g + cap_g))
     upper = _correlation_ceiling(rho0, win_a, win_b)
-    if 2**ka <= 2**vertex_start_cap:
-        vert_ub = -math.inf
-        for f_v in all_assignments(2, ka) * 2.0 - 1.0:
-            _, v = _box_lp_max(f_v @ W, wb, cap_g, center_g)
-            vert_ub = max(vert_ub, v)
-        upper = min(upper, vert_ub)
+    if len(vertices):
+        _, vert_vals = _box_lp_max(vertices @ W, wb, cap_g, center_g)
+        upper = min(upper, float(vert_vals.max()))
     return OracleResult(best_val, best_f, best_g, float(upper), heuristic=True)
 
 

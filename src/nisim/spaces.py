@@ -101,14 +101,17 @@ class FiniteSpace:
         return labels
 
     def __eq__(self, other) -> bool:
+        # within SUM_TOL: renormalizing on construction is not idempotent, so a
+        # space rebuilt from its own probs may differ in the last bit
         return (
             isinstance(other, FiniteSpace)
             and self.atoms == other.atoms
-            and np.array_equal(self.probs, other.probs)
+            and bool(np.all(np.abs(self.probs - other.probs) <= SUM_TOL))
         )
 
     def __hash__(self):
-        return hash((self.atoms, self.probs.tobytes()))
+        # atoms only, so spaces equal within SUM_TOL hash equal
+        return hash(self.atoms)
 
     def __repr__(self):
         return f"FiniteSpace({list(self.atoms)!r}, {self.probs.tolist()!r})"

@@ -194,6 +194,22 @@ class TestCliBasics:
         assert payload["regular_probability"]["mode"] == "monte_carlo"
         assert payload["seed"] == 7
 
+    def test_regularity_exact_and_mc_are_exclusive(self, dict_fn_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["regularity", dict_fn_path, "--d", "1", "--tau", "0.3",
+                  "--exact", "--mc", "500"])
+        assert exc.value.code == 2
+
+    def test_paper_grid_deep_decide_exits_cleanly(self, run_cli, triple_path):
+        # depth 6 at delta 0.02 weighs 49,999 ** 128 grid pairs against the cap
+        code, out, err = run_cli(
+            "decide", "--dist", triple_path, "--target", "dsbs:0.45",
+            "--delta", "0.02", "--n", "6",
+        )
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        assert json.loads(out)["reason"] == "bounded-depth"
+
     def test_simulate_threads(self, run_cli, dsbs_path, dict_fn_path):
         code, out, _ = run_cli(
             "simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,

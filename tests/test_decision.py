@@ -2,6 +2,10 @@
 and verdict soundness."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ import pytest
 from nisim import (
     ChainConstants,
     JointDistribution,
+    NisimError,
     ParameterRangeError,
+    ResourceLimitError,
     TableStrategy,
     Target2x2,
     alpha_component_graph,
@@ -28,7 +34,7 @@ from nisim import (
     tv_distance,
     uniform_triple,
 )
-from nisim.decision import _correlation_ceiling
+from nisim.decision import _box_lp_max, _correlation_ceiling, _search_one_level
 
 TRIPLE = uniform_triple()
 COARSE = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -226,6 +232,19 @@ class TestBruteForce:
                     assert tuple(res.f_values) == best_pair[0]
                     assert tuple(res.g_values) == best_pair[1]
 
+    def test_paper_grid_overflow_falls_back_to_oracle(self):
+        # 4x2 source at depth 3: ka + kb = 64 + 8 = 72, and 49,999 ** 72
+        # overflows a float; the work cap must still be judged, not crash
+        dist = random_joint(np.random.default_rng(5), 4, 2)
+        with pytest.raises(ResourceLimitError):
+            brute_force_bmip(dist, 3, 0.5, 0.02, (0.05, 0.05))
+        res = _search_one_level(
+            dist, 3, rho_target=0.5, delta=0.02, mean_caps=(0.05, 0.05), grid=None,
+            centers=(0.0, 0.0), mean_slack=0.02**2 / 5, corr_slack=0.02**2 / 4,
+            work_cap=10**8, branch_and_bound=False,
+        )
+        assert res.mode == "oracle_probe"
+
     def test_infeasible_caps(self):
         res = brute_force_bmip(
             TRIPLE, 1, 0.1, 0.3, mean_caps=(0.0, 0.0),
@@ -233,6 +252,91 @@ class TestBruteForce:
         )
         assert not res.feasible_pairs
         assert not res.accept
+
+
+def linprog_box_max(w, m, cap, center):
+    """Independent reference for the box LP: scipy's HiGHS solver."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        -w, A_ub=np.vstack([m, -m]), b_ub=[center + cap, cap - center],
+        bounds=[(-1.0, 1.0)] * len(w), method="highs",
+    )
+    return -res.fun if res.success else None
+
+
+class TestBoxLp:
+    def check_row(self, w, m, cap, center, g, value):
+        ref = linprog_box_max(w, m, cap, center)
+        assert ref is not None
+        assert value == pytest.approx(ref, abs=1e-12)
+        assert value == pytest.approx(float(w @ g), abs=1e-12)
+        assert np.all(np.abs(g) <= 1.0)
+        assert abs(m @ g - center) <= cap + 1e-12
+        # a vertex of the box-slab polytope: at most one coordinate strictly inside
+        assert np.sum(np.abs(np.abs(g) - 1.0) > 1e-12) <= 1
+
+    def test_matches_linprog_on_random_cases(self):
+        rng = np.random.default_rng(4242)
+        for trial in range(300):
+            k = int(rng.integers(1, 10))
+            w = rng.normal(size=k)
+            if trial % 3 == 0:
+                w[rng.random(k) < 0.4] = 0.0
+            m = rng.dirichlet(np.ones(k))
+            center = float(rng.uniform(-0.9, 0.9))
+            cap = 0.0 if trial % 5 == 0 else float(rng.uniform(0.0, 0.5))
+            g, value = _box_lp_max(w, m, cap, center)
+            self.check_row(w, m, cap, center, g, value)
+
+    def test_window_touching_the_edges(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            k = int(rng.integers(2, 8))
+            w, m = rng.normal(size=k), rng.dirichlet(np.ones(k))
+            for center, cap in ((0.8, 0.2), (-0.8, 0.2), (1.1, 0.1), (-1.25, 0.25)):
+                g, value = _box_lp_max(w, m, cap, center)
+                self.check_row(w, m, cap, center, g, value)
+        # the window meets the reachable range in one point, m.g = 1
+        g, _ = _box_lp_max(np.array([-1.0, 2.0]), np.array([0.5, 0.5]), 0.0, 1.0)
+        assert np.array_equal(g, [1.0, 1.0])
+
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(99)
+        m = rng.dirichlet(np.ones(6))
+        rows = rng.normal(size=(40, 6))
+        rows[::4] = 0.0
+        rows[1::4, :3] = 0.0
+        G, values = _box_lp_max(rows, m, 0.05, 0.1)
+        assert G.shape == rows.shape and values.shape == (40,)
+        for w, g, value in zip(rows, G, values):
+            self.check_row(w, m, 0.05, 0.1, g, value)
+            _, single = _box_lp_max(w, m, 0.05, 0.1)
+            assert value == pytest.approx(single, abs=1e-12)
+
+    def test_empty_window_raises(self):
+        m = np.array([0.25, 0.75])
+        w = np.array([1.0, -1.0])
+        for cap, center in ((0.1, 1.5), (0.1, -1.5), (-0.1, 0.0)):
+            assert linprog_box_max(w, m, cap, center) is None
+            with pytest.raises(NisimError):
+                _box_lp_max(w, m, cap, center)
+
+    def test_decide_path_does_not_load_scipy_optimize(self):
+        # a fresh interpreter: this suite imports scipy.optimize elsewhere
+        code = (
+            "import sys\n"
+            "from nisim import decide_gap_nis, uniform_triple\n"
+            "v = decide_gap_nis(uniform_triple(), 0.45, 0.02, 2)\n"
+            "assert v.thresholds and v.decision == 'REJECT'\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestOracle:

@@ -49,6 +49,25 @@ class TestFiniteSpace:
         with pytest.raises(InputError):
             FiniteSpace(["a", "b"], [1.5, -0.5])
 
+    def test_rebuilt_from_own_probs_is_equal(self):
+        # renormalizing is not idempotent: rebuilding a space from its own
+        # probs can move them by an ulp, which must not break equality
+        rng = np.random.default_rng(2000)
+        moved = 0
+        for _ in range(2000):
+            q = int(rng.integers(2, 7))
+            s = FiniteSpace([f"x{i}" for i in range(q)], rng.dirichlet(np.ones(q)))
+            t = FiniteSpace(s.atoms, s.probs)
+            moved += not np.array_equal(s.probs, t.probs)
+            assert t == s and hash(t) == hash(s)
+        assert moved > 0
+
+    def test_equality_tolerance_is_sum_tol(self):
+        s = FiniteSpace(["a", "b"], [0.5, 0.5])
+        assert FiniteSpace(["a", "b"], [0.5 + 4e-13, 0.5 - 4e-13]) == s
+        assert FiniteSpace(["a", "b"], [0.5 + 1e-9, 0.5 - 1e-9]) != s
+        assert FiniteSpace(["b", "a"], [0.5, 0.5]) != s
+
 
 class TestMakeDsbs:
     def test_table_at_049(self):
