@@ -10,13 +10,15 @@ witness-sum sample count w.  The final bound is n0 = h + w.  The chain is
 evaluated in log space because realistic inputs push tau and h far
 outside float range.
 
-``brute_force_bmip`` searches grid-valued strategy pairs on a tensor
-power for near-balanced means and large inner product; ``decide_gap_nis``
-wraps it with the reduction thresholds, a sound maximal-correlation
-ceiling test, and honest labeling of bounded-depth rejections.
-``decide_2x2`` extends to arbitrary binary targets via the Case I/II
-moment split, reusing the maximization machinery with the second party
-negated in Case II.
+Every 2x2 target reduces to one search for strategy pairs on a tensor
+power with means capped near two centers and large E[fg].  Each depth is
+searched one way: ``brute_force_bmip`` enumerates the value grid when it
+fits the work cap, else the alternating oracle ``oracle_max_balanced_ip``
+proposes a pair that is snapped to the grid.  One decide core adds the
+reduction thresholds, a sound maximal-correlation ceiling test, exact
+re-verification of witnesses and labeled bounded-depth rejections.
+``decide_gap_nis`` frames it for a balanced target (centers 0) and
+``decide_2x2`` for any binary target (Case II negates the second party).
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ from .regularity import (
 from .spaces import EmpiricalJoint2x2, JointDistribution, make_dsbs, tensor_power
 from .strategies import Strategy, TableStrategy
 from .rounding import estimate_strategy_stats
-from .util import all_assignments, ceil_tolerant, log10_from_ln
+from .util import all_assignments, ceil_tolerant, kron_power, log10_from_ln
 
-DEFAULT_WORK_CAP = 10**8
+WORK_CAP = 10**8
 SIDE_MEM_CAP = 5 * 10**7
 TABLE_CELL_CAP = 10**6
 BLOCK_CELLS = 2 * 10**7
 ACCEPT_TOL = 1e-12
+ORACLE_RANDOM_STARTS = 32
+ORACLE_VERTEX_START_CAP = 12  # vertex starts and bound when ka <= this
+ORACLE_MAX_ROUNDS = 60
 _TINY = np.finfo(float).tiny
 
 
@@ -305,6 +310,20 @@ class BmipResult:
     mode: str = "enumeration"
 
 
+def _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid) -> dict:
+    return {
+        "rho_target": rho_target,
+        "corr_slack": corr_slack,
+        "mean_cap_f": mean_caps[0],
+        "mean_cap_g": mean_caps[1],
+        "mean_center_f": centers[0],
+        "mean_center_g": centers[1],
+        "mean_slack": mean_slack,
+        "grid_size": int(len(grid)),
+        "accept_floor": rho_target - corr_slack,
+    }
+
+
 def _tensor_weights(dist: JointDistribution, n: int):
     qa, qb = dist.shape
     cells = (qa * qb) ** n
@@ -312,15 +331,11 @@ def _tensor_weights(dist: JointDistribution, n: int):
         raise ResourceLimitError(
             f"tensor table needs {cells} cells, above the search cap {TABLE_CELL_CAP}"
         )
-    W = dist.table
-    for _ in range(n - 1):
-        W = np.kron(W, dist.table)
-    wa = np.ones(1)
-    wb = np.ones(1)
-    for _ in range(n):
-        wa = np.kron(wa, dist.row_space.probs)
-        wb = np.kron(wb, dist.col_space.probs)
-    return W, wa, wb
+    return (
+        kron_power(dist.table, n),
+        kron_power(dist.row_space.probs, n),
+        kron_power(dist.col_space.probs, n),
+    )
 
 
 def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
@@ -333,19 +348,19 @@ def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _exceeds_work_cap(grid_size: int, width: int, work_cap: float) -> bool:
-    """Whether grid_size ** width > work_cap, decided in log space.
+def _exceeds_work_cap(grid_size: int, width: int) -> bool:
+    """Whether grid_size ** width > WORK_CAP, decided in log space.
 
     Paper-grid searches reach 49,999 ** 72, far beyond float range; near
     the boundary the exact integer power settles what rounding cannot.
     """
-    if grid_size < 2 or work_cap < 1:
-        return min(grid_size, 1) > work_cap  # grid_size ** width for width >= 1
+    if grid_size < 2:
+        return False  # grid_size ** width <= 1
     log_pairs = width * math.log(grid_size)
-    log_cap = math.log(work_cap)
-    if abs(log_pairs - log_cap) > 1e-9 * max(1.0, log_cap):
+    log_cap = math.log(WORK_CAP)
+    if abs(log_pairs - log_cap) > 1e-9 * log_cap:
         return log_pairs > log_cap
-    return grid_size**width > work_cap
+    return grid_size**width > WORK_CAP
 
 
 def brute_force_bmip(
@@ -358,15 +373,14 @@ def brute_force_bmip(
     mean_centers: tuple[float, float] = (0.0, 0.0),
     mean_slack: float | None = None,
     corr_slack: float | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
-    branch_and_bound: bool = False,
 ) -> BmipResult:
     """Maximize E[f g] over grid-valued strategy pairs with near-capped means.
 
     Accepts when the best mean-feasible pair reaches rho_target - corr_slack.
     Default slacks absorb the grid rounding error: mean slack delta^2/5 and
     correlation slack delta^2/4.  Deterministic: lexicographic enumeration,
-    first maximum kept.
+    first maximum kept.  Raises ``ResourceLimitError`` when the grid pairs
+    exceed ``WORK_CAP``.
     """
     if n < 1:
         raise ParameterRangeError(f"power must be positive, got {n}")
@@ -381,24 +395,13 @@ def brute_force_bmip(
     center_f, center_g = mean_centers
     W, wa, wb = _tensor_weights(dist, n)
     ka, kb = W.shape
-
-    thresholds = {
-        "rho_target": rho_target,
-        "corr_slack": corr_slack,
-        "mean_cap_f": cap_f,
-        "mean_cap_g": cap_g,
-        "mean_center_f": center_f,
-        "mean_center_g": center_g,
-        "mean_slack": mean_slack,
-        "grid_size": int(len(grid)),
-        "accept_floor": rho_target - corr_slack,
-    }
-
-    over_cap = _exceeds_work_cap(len(grid), ka + kb, work_cap)
-    if over_cap and not branch_and_bound:
+    thresholds = _level_thresholds(
+        rho_target, corr_slack, mean_caps, mean_centers, mean_slack, grid
+    )
+    if _exceeds_work_cap(len(grid), ka + kb):
         raise ResourceLimitError(
-            f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {work_cap}; "
-            "enable branch_and_bound or coarsen the grid"
+            f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {WORK_CAP}; "
+            "coarsen the grid"
         )
 
     G = _grid_assignments(grid, kb)
@@ -406,35 +409,27 @@ def brute_force_bmip(
     G = G[feas_g]
     if len(G) == 0:
         return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
+    F = _grid_assignments(grid, ka)
+    feas_f = np.abs(F @ wa - center_f) <= cap_f + mean_slack + ACCEPT_TOL
+    F = F[feas_f]
+    if len(F) == 0:
+        return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
 
-    if not over_cap:
-        F = _grid_assignments(grid, ka)
-        feas_f = np.abs(F @ wa - center_f) <= cap_f + mean_slack + ACCEPT_TOL
-        F = F[feas_f]
-        if len(F) == 0:
-            return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
-        C = F @ W  # (Nf, kb)
-        GT = np.ascontiguousarray(G.T)
-        best_val = -math.inf
-        best_i = best_j = -1
-        block = max(1, BLOCK_CELLS // max(1, len(G)))
-        for start in range(0, len(F), block):
-            vals = C[start : start + block] @ GT
-            i, j = np.unravel_index(np.argmax(vals), vals.shape)
-            v = float(vals[i, j])
-            if v > best_val:
-                best_val = v
-                best_i, best_j = start + int(i), int(j)
-        fv, gv = F[best_i], G[best_j]
-    else:
-        best_val, fv, gv = _bnb_f_search(
-            W, wa, grid, G, center_f, cap_f + mean_slack + ACCEPT_TOL
-        )
-        if fv is None:
-            return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
+    C = F @ W  # (Nf, kb)
+    GT = np.ascontiguousarray(G.T)
+    best_val = -math.inf
+    best_i = best_j = -1
+    block = max(1, BLOCK_CELLS // max(1, len(G)))
+    for start in range(0, len(F), block):
+        vals = C[start : start + block] @ GT
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        v = float(vals[i, j])
+        if v > best_val:
+            best_val = v
+            best_i, best_j = start + int(i), int(j)
+    fv, gv = F[best_i], G[best_j]
 
     accept = best_val >= rho_target - corr_slack - ACCEPT_TOL
-    mode = "branch_and_bound" if over_cap else "enumeration"
     return BmipResult(
         accept,
         float(best_val),
@@ -444,53 +439,7 @@ def brute_force_bmip(
         float(gv @ wb),
         thresholds,
         True,
-        mode,
     )
-
-
-def _bnb_f_search(W, wa, grid, G_feas, center_f, mean_window):
-    """Depth-first search over f assignments with box-bound pruning.
-
-    The g side is pre-filtered and fully vectorized at each leaf; pruning
-    uses the mean-feasibility interval and the bilinear bound with the g
-    mean constraint dropped.
-    """
-    ka, kb = W.shape
-    vmax = float(np.abs(grid).max())
-    gmax = float(np.abs(G_feas).max()) if len(G_feas) else 0.0
-    # suffix sums of W rows and marginal weights, for bounds on unassigned coords
-    suffix_W = np.vstack([W[i:].sum(axis=0) for i in range(ka)] + [np.zeros(kb)])
-    suffix_wa = np.concatenate([np.cumsum(wa[::-1])[::-1], [0.0]])
-
-    best = {"val": -math.inf, "f": None, "g": None}
-    f_partial = np.zeros(ka)
-
-    def recurse(i, w_vec, mean_acc):
-        free_mean = vmax * suffix_wa[i]
-        if abs(mean_acc - center_f) > mean_window + free_mean:
-            return
-        w_lo = w_vec - vmax * suffix_W[i]
-        w_hi = w_vec + vmax * suffix_W[i]
-        ub = gmax * np.maximum(np.abs(w_lo), np.abs(w_hi)).sum()
-        if ub <= best["val"]:
-            return
-        if i == ka:
-            if abs(mean_acc - center_f) > mean_window:
-                return
-            vals = G_feas @ w_vec
-            j = int(np.argmax(vals))
-            if vals[j] > best["val"]:
-                best["val"] = float(vals[j])
-                best["f"] = f_partial.copy()
-                best["g"] = G_feas[j].copy()
-            return
-        for v in grid:
-            f_partial[i] = v
-            recurse(i + 1, w_vec + v * W[i], mean_acc + v * wa[i])
-        f_partial[i] = 0.0
-
-    recurse(0, np.zeros(kb), 0.0)
-    return best["val"], best["f"], best["g"]
 
 
 # -- independent oracle ------------------------------------------------------------
@@ -557,10 +506,7 @@ def oracle_max_balanced_ip(
     n: int,
     mean_caps: tuple[float, float],
     mean_centers: tuple[float, float] = (0.0, 0.0),
-    n_random_starts: int = 32,
     seed=0,
-    vertex_start_cap: int = 12,
-    max_rounds: int = 60,
 ) -> OracleResult:
     """Alternating maximization of E[f g] over [-1,1]-valued pairs with capped means.
 
@@ -568,8 +514,8 @@ def oracle_max_balanced_ip(
     form as a fractional knapsack (``_box_lp_max``).  Alternation from
     random and vertex starts certifies a lower bound only (flagged
     heuristic), reported with a rigorous upper bound: the maximal-correlation
-    ceiling, tightened when ka <= vertex_start_cap by the best g-side box LP
-    over all +-1 vertices f of the box (f's mean window relaxed; one
+    ceiling, tightened when ka <= ORACLE_VERTEX_START_CAP by the best g-side
+    box LP over all +-1 vertices f of the box (f's mean window relaxed; one
     batched knapsack).
     """
     W, wa, wb = _tensor_weights(dist, n)
@@ -580,11 +526,11 @@ def oracle_max_balanced_ip(
     center_f, center_g = mean_centers
     rng = np.random.default_rng(seed)
 
-    if ka <= vertex_start_cap:
+    if ka <= ORACLE_VERTEX_START_CAP:
         vertices = all_assignments(2, ka) * 2.0 - 1.0
     else:
         vertices = np.empty((0, ka))
-    starts = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(n_random_starts, ka))])
+    starts = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(ORACLE_RANDOM_STARTS, ka))])
 
     best_val = -math.inf
     best_f = np.zeros(ka)
@@ -592,7 +538,7 @@ def oracle_max_balanced_ip(
     for f0 in starts:
         f = f0.astype(float)
         val = -math.inf
-        for _ in range(max_rounds):
+        for _ in range(ORACLE_MAX_ROUNDS):
             g, _ = _box_lp_max(f @ W, wb, cap_g, center_g)
             f, _ = _box_lp_max(W @ g, wa, cap_f, center_f)
             new_val = float(f @ W @ g)
@@ -604,8 +550,7 @@ def oracle_max_balanced_ip(
             best_val, best_f, best_g = val, f.copy(), g.copy()
 
     rho0 = maximal_correlation(dist).rho
-    win_a = (max(-1.0, center_f - cap_f), min(1.0, center_f + cap_f))
-    win_b = (max(-1.0, center_g - cap_g), min(1.0, center_g + cap_g))
+    win_a, win_b = [(max(-1.0, c - k), min(1.0, c + k)) for c, k in zip(mean_centers, mean_caps)]
     upper = _correlation_ceiling(rho0, win_a, win_b)
     if len(vertices):
         _, vert_vals = _box_lp_max(vertices @ W, wb, cap_g, center_g)
@@ -776,18 +721,28 @@ def _snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.where(values - lo <= hi - values, lo, hi)
 
 
-def _oracle_probe(
-    dist, n, rho_target, delta, mean_caps, grid, centers, mean_slack, corr_slack, seed=0
+def _search_one_level(
+    dist, n, rho_target, delta, mean_caps, grid, centers, mean_slack, corr_slack
 ) -> BmipResult:
-    """Cap-limited fallback: snap the alternating oracle's witness to the grid.
+    """Full grid search when it fits the work cap, oracle probe otherwise.
 
-    An ACCEPT from the probe is fully verified (grid-valued witness,
-    thresholds re-checked exactly); a non-accept carries no guarantee
-    beyond the depths the oracle explored.
+    The probe snaps the alternating oracle's pair to the grid.  An ACCEPT
+    from it is fully verified (grid-valued witness, thresholds re-checked
+    exactly); a non-accept carries no guarantee beyond the depths the
+    oracle explored.  Raises ``ResourceLimitError`` when depth n is beyond
+    the oracle too.
     """
+    try:
+        return brute_force_bmip(
+            dist, n, rho_target, delta, mean_caps,
+            grid=grid, mean_centers=centers, mean_slack=mean_slack,
+            corr_slack=corr_slack,
+        )
+    except ResourceLimitError:
+        pass
     if grid is None:
         grid = discretize_range(delta)
-    oracle = oracle_max_balanced_ip(dist, n, mean_caps, centers, seed=seed)
+    oracle = oracle_max_balanced_ip(dist, n, mean_caps, centers)
     W, wa, wb = _tensor_weights(dist, n)
     fv = _snap_to_grid(oracle.f_values, grid)
     gv = _snap_to_grid(oracle.g_values, grid)
@@ -798,18 +753,10 @@ def _oracle_probe(
         abs(mean_f - centers[0]) <= cap_f + mean_slack + ACCEPT_TOL
         and abs(mean_g - centers[1]) <= cap_g + mean_slack + ACCEPT_TOL
     )
-    thresholds = {
-        "rho_target": rho_target,
-        "corr_slack": corr_slack,
-        "mean_cap_f": cap_f,
-        "mean_cap_g": cap_g,
-        "mean_center_f": centers[0],
-        "mean_center_g": centers[1],
-        "mean_slack": mean_slack,
-        "grid_size": int(len(grid)),
-        "accept_floor": rho_target - corr_slack,
-        "oracle_upper_bound": oracle.upper_bound,
-    }
+    thresholds = dict(
+        _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid),
+        oracle_upper_bound=oracle.upper_bound,
+    )
     if not feasible:
         return BmipResult(
             False, -math.inf, None, None, None, None, thresholds, False, "oracle_probe"
@@ -818,25 +765,6 @@ def _oracle_probe(
     return BmipResult(
         accept, corr, fv, gv, mean_f, mean_g, thresholds, True, "oracle_probe"
     )
-
-
-def _search_one_level(
-    dist, n, rho_target, delta, mean_caps, grid, centers,
-    mean_slack, corr_slack, work_cap, branch_and_bound,
-) -> BmipResult:
-    """Full grid search when it fits the caps, oracle probe otherwise."""
-    try:
-        return brute_force_bmip(
-            dist, n, rho_target, delta, mean_caps,
-            grid=grid, mean_centers=centers, mean_slack=mean_slack,
-            corr_slack=corr_slack, work_cap=work_cap,
-            branch_and_bound=branch_and_bound,
-        )
-    except ResourceLimitError:
-        return _oracle_probe(
-            dist, n, rho_target, delta, mean_caps, grid, centers,
-            mean_slack, corr_slack,
-        )
 
 
 def _search_thresholds(delta: float) -> dict:
@@ -871,6 +799,101 @@ def _verify_accept(
     return f, g, achieved
 
 
+def _decide(
+    dist: JointDistribution,
+    delta: float,
+    n_search: int,
+    rho_t: float,
+    centers: tuple[float, float],
+    head: dict,
+    case: str | None,
+    constants: ChainConstants | None,
+    grid: np.ndarray | None,
+    report_n0: bool,
+) -> Verdict:
+    """The decide procedure behind both doors: pairs with means near
+    ``centers`` and E[fg] near ``rho_t``; ``head`` leads the thresholds.
+
+    ``case`` is None for the balanced door, whose ceiling windows stay
+    unclipped, and "I"/"II" for a 2x2 target; Case II searches with Bob
+    negated (``centers`` and ``rho_t`` already flipped) and flips the
+    witness back.
+    """
+    if constants is None:
+        constants = ChainConstants()
+    if not 0.0 < delta < 1.0:
+        raise ParameterRangeError(f"gap budget must lie in (0, 1), got {delta}")
+    if n_search < 1:
+        raise ParameterRangeError(f"search depth must be positive, got {n_search}")
+    label = "" if case is None else f" (case {case})"
+
+    th = _search_thresholds(delta)
+    cap = th["mean_cap"] + th["mean_slack"]
+    accept_floor = rho_t - th["corr_margin"] - th["corr_slack"]
+    rho0 = maximal_correlation(dist).rho
+    win_a, win_b = [(c - cap, c + cap) for c in centers]
+    if case is not None:
+        win_a, win_b = [(max(-1.0, lo), min(1.0, hi)) for lo, hi in (win_a, win_b)]
+    ceiling = _correlation_ceiling(rho0, win_a, win_b)
+    thresholds = dict(th, **head, accept_floor=accept_floor, ceiling=ceiling)
+
+    def verdict(**fields) -> Verdict:
+        n0 = _n0_report(dist, delta, constants) if report_n0 else None
+        return Verdict(**fields, n0_report=n0)
+
+    if ceiling < accept_floor - ACCEPT_TOL:
+        if case is None:
+            bound = f"any pair with means within {cap:.6g} has E[fg] <= {ceiling:.6g}"
+        else:
+            bound = f"means near the target admit at most E[fg] = {ceiling:.6g}"
+        return verdict(
+            decision="REJECT", sound=True, reason="maximal-correlation-ceiling",
+            thresholds=thresholds, caveat=f"sound at every n{label}: {bound} < {accept_floor:.6g}",
+        )
+
+    probe_used = False
+    n_used, cap_note = n_search, ""
+    for n in range(1, n_search + 1):
+        try:
+            result = _search_one_level(
+                dist, n, rho_t - th["corr_margin"], delta,
+                (th["mean_cap"], th["mean_cap"]), grid, centers,
+                th["mean_slack"], th["corr_slack"],
+            )
+        except ResourceLimitError as exc:
+            if n == 1:
+                raise
+            n_used, cap_note = n - 1, f" (depth {n} exceeds a search cap: {exc})"
+            break
+        probe_used = probe_used or result.mode == "oracle_probe"
+        if result.accept:
+            fv, gv = _calibrate_pair(
+                result.f_values, result.g_values, dist, n, centers, rho_t
+            )
+            f, g, achieved = _verify_accept(
+                fv, gv, dist, n, th, centers, min(result.best_value, rho_t) - 1e-9
+            )
+            search_max = result.best_value
+            if case == "II":
+                g = TableStrategy(dist.col_space, n, -g.values)
+                achieved = dict(achieved, mean_g=-achieved["mean_g"], corr_fg=-achieved["corr_fg"])
+                search_max = -search_max
+            return verdict(
+                decision="ACCEPT", sound=True, reason="witness-found",
+                thresholds=dict(thresholds, search_mode=result.mode), n_used=n,
+                witness_f=f, witness_g=g, achieved=achieved, search_max=search_max,
+            )
+
+    caveat = (
+        f"bounded-depth rejection{label}: searched n <= {n_used}; "
+        "the rejection guarantee requires searching n = n0"
+    )
+    if probe_used:
+        caveat += " (grid exceeded the work cap at some depths; oracle probe only)"
+    return verdict(
+        decision="REJECT", sound=False, reason="bounded-depth",
+        thresholds=thresholds, caveat=caveat + cap_note, n_used=n_used,
+    )
 
 
 def decide_gap_nis(
@@ -880,8 +903,6 @@ def decide_gap_nis(
     n_search: int,
     constants: ChainConstants | None = None,
     grid: np.ndarray | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
-    branch_and_bound: bool = False,
     report_n0: bool = False,
 ) -> Verdict:
     """Decide whether the source can reach a balanced target correlation rho.
@@ -890,78 +911,15 @@ def decide_gap_nis(
     randomized rounding lands within total variation 8*delta of the target.
     A REJECT is sound when the maximal-correlation ceiling rules out every
     n; otherwise it is a bounded-depth rejection, labeled as such, since
-    the guarantee of the parameter chain applies only at n = n0.
+    the guarantee of the parameter chain applies only at n = n0.  When a
+    depth beyond the first exceeds the search caps, the search stops there
+    and the rejection reports the depths actually searched in ``n_used``.
     """
-    if constants is None:
-        constants = ChainConstants()
     if not 0.0 <= rho <= 1.0:
         raise ParameterRangeError(f"target correlation must lie in [0, 1], got {rho}")
-    if not 0.0 < delta < 1.0:
-        raise ParameterRangeError(f"gap budget must lie in (0, 1), got {delta}")
-    if n_search < 1:
-        raise ParameterRangeError(f"search depth must be positive, got {n_search}")
-    th = _search_thresholds(delta)
-    cap = th["mean_cap"] + th["mean_slack"]
-    accept_floor = rho - th["corr_margin"] - th["corr_slack"]
-    rho0 = maximal_correlation(dist).rho
-
-    ceiling = _correlation_ceiling(rho0, (-cap, cap), (-cap, cap))
-    thresholds = dict(th, rho_target=rho, accept_floor=accept_floor, ceiling=ceiling)
-    if ceiling < accept_floor - ACCEPT_TOL:
-        return Verdict(
-            decision="REJECT",
-            sound=True,
-            reason="maximal-correlation-ceiling",
-            thresholds=thresholds,
-            caveat=(
-                f"sound at every n: any pair with means within {cap:.6g} has "
-                f"E[fg] <= {ceiling:.6g} < {accept_floor:.6g}"
-            ),
-            n0_report=_n0_report(dist, delta, constants) if report_n0 else None,
-        )
-
-    probe_used = False
-    for n in range(1, n_search + 1):
-        result = _search_one_level(
-            dist, n, rho - th["corr_margin"], delta,
-            (th["mean_cap"], th["mean_cap"]), grid, (0.0, 0.0),
-            th["mean_slack"], th["corr_slack"], work_cap, branch_and_bound,
-        )
-        probe_used = probe_used or result.mode == "oracle_probe"
-        if result.accept:
-            fv, gv = _calibrate_pair(
-                result.f_values, result.g_values, dist, n, (0.0, 0.0), rho
-            )
-            f, g, achieved = _verify_accept(
-                fv, gv, dist, n, th, (0.0, 0.0), min(result.best_value, rho) - 1e-9
-            )
-            return Verdict(
-                decision="ACCEPT",
-                sound=True,
-                reason="witness-found",
-                thresholds=dict(thresholds, search_mode=result.mode),
-                n_used=n,
-                witness_f=f,
-                witness_g=g,
-                achieved=achieved,
-                search_max=result.best_value,
-                n0_report=_n0_report(dist, delta, constants) if report_n0 else None,
-            )
-
-    caveat = (
-        f"bounded-depth rejection: searched n <= {n_search}; "
-        "the rejection guarantee requires searching n = n0"
-    )
-    if probe_used:
-        caveat += " (grid exceeded the work cap at some depths; oracle probe only)"
-    return Verdict(
-        decision="REJECT",
-        sound=False,
-        reason="bounded-depth",
-        thresholds=thresholds,
-        caveat=caveat,
-        n_used=n_search,
-        n0_report=_n0_report(dist, delta, constants) if report_n0 else None,
+    return _decide(
+        dist, delta, n_search, rho, (0.0, 0.0), {"rho_target": rho}, None,
+        constants, grid, report_n0,
     )
 
 
@@ -972,100 +930,20 @@ def decide_2x2(
     n_search: int,
     constants: ChainConstants | None = None,
     grid: np.ndarray | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
-    branch_and_bound: bool = False,
     report_n0: bool = False,
 ) -> Verdict:
     """Decide reachability of an arbitrary 2x2 binary target.
 
     Case I (E[UV] >= E[U]E[V]) maximizes the correlation with both means
-    pinned near the target's; Case II runs the same machinery with the
+    pinned near the target's; Case II runs the same search with the
     second party negated (the antipodal threshold form) and flips the
-    returned witness back.
+    returned witness back.  Verdicts are labeled as in ``decide_gap_nis``.
     """
-    if constants is None:
-        constants = ChainConstants()
-    if not 0.0 < delta < 1.0:
-        raise ParameterRangeError(f"gap budget must lie in (0, 1), got {delta}")
-    if n_search < 1:
-        raise ParameterRangeError(f"search depth must be positive, got {n_search}")
-    eu, ev, euv = target.mean_u, target.mean_v, target.corr_uv
     case = target.case
-    flip = case == "II"
-    centers = (eu, -ev if flip else ev)
-    rho_t = -euv if flip else euv
-
-    th = _search_thresholds(delta)
-    cap = th["mean_cap"] + th["mean_slack"]
-    accept_floor = rho_t - th["corr_margin"] - th["corr_slack"]
-    rho0 = maximal_correlation(dist).rho
-    win_a = (max(-1.0, centers[0] - cap), min(1.0, centers[0] + cap))
-    win_b = (max(-1.0, centers[1] - cap), min(1.0, centers[1] + cap))
-    ceiling = _correlation_ceiling(rho0, win_a, win_b)
-    thresholds = dict(
-        th, target=target.as_dict(), case=case, accept_floor=accept_floor, ceiling=ceiling
-    )
-
-    if ceiling < accept_floor - ACCEPT_TOL:
-        return Verdict(
-            decision="REJECT",
-            sound=True,
-            reason="maximal-correlation-ceiling",
-            thresholds=thresholds,
-            caveat=(
-                f"sound at every n (case {case}): means near the target admit "
-                f"at most E[fg] = {ceiling:.6g} < {accept_floor:.6g}"
-            ),
-            n0_report=_n0_report(dist, delta, constants) if report_n0 else None,
-        )
-
-    probe_used = False
-    for n in range(1, n_search + 1):
-        result = _search_one_level(
-            dist, n, rho_t - th["corr_margin"], delta,
-            (th["mean_cap"], th["mean_cap"]), grid, centers,
-            th["mean_slack"], th["corr_slack"], work_cap, branch_and_bound,
-        )
-        probe_used = probe_used or result.mode == "oracle_probe"
-        if result.accept:
-            fv, gv = _calibrate_pair(
-                result.f_values, result.g_values, dist, n, centers, rho_t
-            )
-            f, g, achieved = _verify_accept(
-                fv, gv, dist, n, th, centers, min(result.best_value, rho_t) - 1e-9
-            )
-            if flip:
-                g = TableStrategy(dist.col_space, n, -g.values)
-                achieved = {
-                    "mean_f": achieved["mean_f"],
-                    "mean_g": -achieved["mean_g"],
-                    "corr_fg": -achieved["corr_fg"],
-                }
-            return Verdict(
-                decision="ACCEPT",
-                sound=True,
-                reason="witness-found",
-                thresholds=dict(thresholds, search_mode=result.mode),
-                n_used=n,
-                witness_f=f,
-                witness_g=g,
-                achieved=achieved,
-                search_max=(-result.best_value if flip else result.best_value),
-                n0_report=_n0_report(dist, delta, constants) if report_n0 else None,
-            )
-
-    caveat = (
-        f"bounded-depth rejection (case {case}): searched n <= {n_search}; "
-        "the rejection guarantee requires searching n = n0"
-    )
-    if probe_used:
-        caveat += " (grid exceeded the work cap at some depths; oracle probe only)"
-    return Verdict(
-        decision="REJECT",
-        sound=False,
-        reason="bounded-depth",
-        thresholds=thresholds,
-        caveat=caveat,
-        n_used=n_search,
-        n0_report=_n0_report(dist, delta, constants) if report_n0 else None,
+    sign = -1.0 if case == "II" else 1.0
+    return _decide(
+        dist, delta, n_search, sign * target.corr_uv,
+        (target.mean_u, sign * target.mean_v),
+        {"target": target.as_dict(), "case": case}, case,
+        constants, grid, report_n0,
     )

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError, ResourceLimitError
 from .spaces import FiniteSpace
+from .util import kron_power
 
 ORTHONORMALITY_TOL = 1e-10
 GS_RESIDUAL_TOL = 1e-12
@@ -105,10 +106,7 @@ class ValueTable:
 
     def weights(self) -> np.ndarray:
         """Product-measure weights, aligned with the value order."""
-        w = np.ones(1)
-        for _ in range(self.n):
-            w = np.kron(w, self.space.probs)
-        return w
+        return kron_power(self.space.probs, self.n)
 
     def mean(self) -> float:
         return float(self.weights() @ self.values)

@@ -99,15 +99,7 @@ def smoothing_params(
         raise ParameterRangeError(f"correlation-loss budget must lie in (0, 1), got {lam}")
     if not 0.0 < eta <= 1.0:
         raise ParameterRangeError(f"tail budget must lie in (0, 1], got {eta}")
-    eps = lam / 2.0
-    gamma = 1.0 - C_smooth * (1.0 - rho) * eps / math.log(1.0 / eps)
-    gamma = min(max(gamma, 1e-12), 1.0 - 1e-15)
-    d = ceil_tolerant(math.log(eta) / (2.0 * math.log(gamma)), min_value=1)
-    met = gamma >= _mossel_gamma_floor(rho, eps) - 1e-12
-    return SmoothingParams(
-        lam=lam, epsilon=eps, gamma=gamma, eta=eta, d=d, C_smooth=C_smooth,
-        mossel_condition_met=met,
-    )
+    return _smoothing_recipe(rho, lam, math.log(eta), eta, C_smooth)
 
 
 def smoothing_params_from_log_eta(
@@ -120,12 +112,19 @@ def smoothing_params_from_log_eta(
         raise ParameterRangeError(f"need maximal correlation in [0, 1), got {rho}")
     if not 0.0 < lam < 1.0:
         raise ParameterRangeError(f"correlation-loss budget must lie in (0, 1), got {lam}")
+    eta = math.exp(ln_eta) if ln_eta > -700 else 0.0
+    return _smoothing_recipe(rho, lam, ln_eta, eta, C_smooth)
+
+
+def _smoothing_recipe(
+    rho: float, lam: float, ln_eta: float, eta: float, C_smooth: float
+) -> SmoothingParams:
+    """The recipe body behind both public forms; ``eta`` is reported as given."""
     eps = lam / 2.0
     gamma = 1.0 - C_smooth * (1.0 - rho) * eps / math.log(1.0 / eps)
     gamma = min(max(gamma, 1e-12), 1.0 - 1e-15)
     d = ceil_tolerant(ln_eta / (2.0 * math.log(gamma)), min_value=1)
     met = gamma >= _mossel_gamma_floor(rho, eps) - 1e-12
-    eta = math.exp(ln_eta) if ln_eta > -700 else 0.0
     return SmoothingParams(
         lam=lam, epsilon=eps, gamma=gamma, eta=eta, d=d, C_smooth=C_smooth,
         mossel_condition_met=met,

@@ -27,7 +27,7 @@ from .gaussian import std_normal_cdf, threshold_for_mean
 from .maxcorr import maximal_correlation
 from .spaces import EmpiricalJoint2x2, FiniteSpace, JointDistribution
 from .strategies import Strategy
-from .util import all_assignments
+from .util import all_assignments, kron_power
 
 ENUMERATION_CELL_CAP = 10**8
 MC_BATCH_CELLS = 2 * 10**7
@@ -191,14 +191,8 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
         arr = np.tensordot(arr, dist.table, axes=([0], [1]))
     u = np.asarray(arr).ravel()
     corr = float(vf @ u)
-    wa = np.ones(1)
-    for _ in range(n):
-        wa = np.kron(wa, dist.row_space.probs)
-    wb = np.ones(1)
-    for _ in range(n):
-        wb = np.kron(wb, dist.col_space.probs)
-    mean_f = float(wa @ vf)
-    mean_g = float(wb @ vg)
+    mean_f = float(kron_power(dist.row_space.probs, n) @ vf)
+    mean_g = float(kron_power(dist.col_space.probs, n) @ vg)
     joint = EmpiricalJoint2x2.from_moments(mean_f, mean_g, corr)
     return StrategyStats(mean_f, mean_g, corr, 0.0, 0.0, 0.0, joint, 0, "exact")
 

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParameterRangeError, ResourceLimitError
+from .util import kron_power
 
 SUM_TOL = 1e-12
 ATOM_SEPARATOR = "|"
@@ -317,12 +318,9 @@ def tensor_power(
         raise ResourceLimitError(
             f"tensor power needs {cells} cells, above the enumeration cap {cell_cap}"
         )
-    table = dist.table
-    t = table
-    for _ in range(n - 1):
-        t = np.kron(t, table)
     return JointDistribution(
-        dist.row_space.power_atoms(n), dist.col_space.power_atoms(n), t
+        dist.row_space.power_atoms(n), dist.col_space.power_atoms(n),
+        kron_power(dist.table, n),
     )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError
 from .spaces import FiniteSpace
+from .util import kron_power
 
 
 class Strategy:
@@ -57,10 +58,7 @@ class TableStrategy(Strategy):
         return self.values[idx @ self._places]
 
     def exact_mean(self) -> float:
-        w = np.ones(1)
-        for _ in range(self.n):
-            w = np.kron(w, self.space.probs)
-        return float(w @ self.values)
+        return float(kron_power(self.space.probs, self.n) @ self.values)
 
     def clipped(self) -> "TableStrategy":
         return TableStrategy(self.space, self.n, np.clip(self.values, -1.0, 1.0))

@@ -53,3 +53,15 @@ def wilson_interval(successes: float, n: int, z: float = 1.96) -> tuple[float, f
 
 def log10_from_ln(ln_value: float) -> float:
     return ln_value / math.log(10.0)
+
+
+def kron_power(a, n: int) -> np.ndarray:
+    """Kronecker power a (x) a (x) ... (x) a of n factors, built left to right.
+
+    ``n = 0`` gives the all-ones array of a's rank with one entry.
+    """
+    a = np.asarray(a, dtype=float)
+    out = np.ones((1,) * a.ndim)
+    for _ in range(n):
+        out = np.kron(out, a)
+    return out

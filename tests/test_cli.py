@@ -50,6 +50,24 @@ def dsbs_path(tmp_path, run_cli):
     return str(path)
 
 
+@pytest.fixture
+def dsbs_file(tmp_path, run_cli):
+    def make(rho):
+        path = tmp_path / f"dsbs_{rho}.json"
+        code, _, _ = run_cli("examples", "--name", f"dsbs:{rho}", "--out", str(path))
+        assert code == 0
+        return str(path)
+
+    return make
+
+
+@pytest.fixture
+def anti_target_path(tmp_path):
+    path = tmp_path / "anti.json"
+    path.write_text(json.dumps({"probs": [[0.0, 0.5], [0.5, 0.0]]}))
+    return str(path)
+
+
 def check_golden(name: str, text: str):
     GOLDEN_DIR.mkdir(exist_ok=True)
     path = GOLDEN_DIR / name
@@ -210,6 +228,18 @@ class TestCliBasics:
         assert "Traceback" not in out + err
         assert json.loads(out)["reason"] == "bounded-depth"
 
+    def test_decide_past_the_depth_caps_reports_depths_searched(self, run_cli, dsbs_file):
+        code, out, err = run_cli(
+            "decide", "--dist", dsbs_file("0.5"), "--target", "dsbs:0.66",
+            "--delta", "0.05", "--n", "10",
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["decision"], payload["sound"]) == ("REJECT", False)
+        assert payload["reason"] == "bounded-depth"
+        assert payload["n_used"] == 6
+        assert "search cap" in payload["caveat"]
+
     def test_simulate_threads(self, run_cli, dsbs_path, dict_fn_path):
         code, out, _ = run_cli(
             "simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,
@@ -288,6 +318,34 @@ class TestGoldenOutputs:
             "--delta", "0.5", "--n", "1",
         )
         check_golden("decide_triple_02.json", out)
+
+    def test_decide_balanced_ceiling_reject_golden(self, run_cli, dsbs_file):
+        _, out, _ = run_cli(
+            "decide", "--dist", dsbs_file("0.3"), "--target", "dsbs:0.31",
+            "--delta", "0.001", "--n", "2",
+        )
+        check_golden("decide_dsbs3_ceiling.json", out)
+
+    def test_decide_balanced_bounded_depth_golden(self, run_cli, dsbs_file):
+        _, out, _ = run_cli(
+            "decide", "--dist", dsbs_file("0.5"), "--target", "dsbs:0.66",
+            "--delta", "0.05", "--n", "2",
+        )
+        check_golden("decide_dsbs5_bounded.json", out)
+
+    def test_decide_case_two_probe_accept_golden(self, run_cli, dsbs_file, anti_target_path):
+        _, out, _ = run_cli(
+            "decide", "--dist", dsbs_file("0.5"), "--target", anti_target_path,
+            "--delta", "0.2", "--n", "1",
+        )
+        check_golden("decide_dsbs5_anti_accept.json", out)
+
+    def test_decide_case_two_ceiling_reject_golden(self, run_cli, dsbs_file, anti_target_path):
+        _, out, _ = run_cli(
+            "decide", "--dist", dsbs_file("0.5"), "--target", anti_target_path,
+            "--delta", "0.05", "--n", "1",
+        )
+        check_golden("decide_dsbs5_anti_ceiling.json", out)
 
     def test_simulate_golden(self, run_cli, dsbs_path, dict_fn_path):
         _, out, _ = run_cli(

@@ -183,18 +183,6 @@ class TestBruteForce:
             grid_slack = 0.6**2 / 5  # value grid perturbs each mean and the product
             assert res.best_value <= oracle.upper_bound + 2 * grid_slack + 1e-9
 
-    def test_branch_and_bound_matches_enumeration(self):
-        grid = np.linspace(-0.9, 0.9, 7)
-        for dist, n in ((TRIPLE, 2), (make_dsbs(0.4), 2)):
-            enum = brute_force_bmip(dist, n, 0.3, 1.0, (0.4, 0.4), grid=grid)
-            bnb = brute_force_bmip(
-                dist, n, 0.3, 1.0, (0.4, 0.4), grid=grid,
-                work_cap=1, branch_and_bound=True,
-            )
-            assert bnb.best_value == pytest.approx(enum.best_value, abs=1e-12)
-            assert np.array_equal(bnb.f_values, enum.f_values)
-            assert np.array_equal(bnb.g_values, enum.g_values)
-
     def test_matches_naive_reference_on_random_instances(self):
         # independent reference: plain nested loops over all grid pairs
         import itertools
@@ -219,18 +207,17 @@ class TestBruteForce:
                     if v > best:
                         best, best_pair = v, (f, g)
 
-            for kwargs in ({}, {"work_cap": 1, "branch_and_bound": True}):
-                res = brute_force_bmip(
-                    dist, 1, rho_target=0.0, delta=0.4, mean_caps=caps,
-                    grid=grid, mean_centers=centers, mean_slack=slack,
-                    corr_slack=0.0, **kwargs,
-                )
-                if best_pair is None:
-                    assert not res.feasible_pairs
-                else:
-                    assert res.best_value == pytest.approx(best, abs=1e-12)
-                    assert tuple(res.f_values) == best_pair[0]
-                    assert tuple(res.g_values) == best_pair[1]
+            res = brute_force_bmip(
+                dist, 1, rho_target=0.0, delta=0.4, mean_caps=caps,
+                grid=grid, mean_centers=centers, mean_slack=slack,
+                corr_slack=0.0,
+            )
+            if best_pair is None:
+                assert not res.feasible_pairs
+            else:
+                assert res.best_value == pytest.approx(best, abs=1e-12)
+                assert tuple(res.f_values) == best_pair[0]
+                assert tuple(res.g_values) == best_pair[1]
 
     def test_paper_grid_overflow_falls_back_to_oracle(self):
         # 4x2 source at depth 3: ka + kb = 64 + 8 = 72, and 49,999 ** 72
@@ -241,7 +228,6 @@ class TestBruteForce:
         res = _search_one_level(
             dist, 3, rho_target=0.5, delta=0.02, mean_caps=(0.05, 0.05), grid=None,
             centers=(0.0, 0.0), mean_slack=0.02**2 / 5, corr_slack=0.02**2 / 4,
-            work_cap=10**8, branch_and_bound=False,
         )
         assert res.mode == "oracle_probe"
 
@@ -484,6 +470,25 @@ class TestDecideGapNis:
         v = decide_gap_nis(TRIPLE, 0.6, 0.3, 1, report_n0=True)
         assert v.n0_report is not None
         assert v.n0_report["w"] == 3600
+
+    def test_depth_cap_ends_search_with_labelled_rejection(self):
+        # DSBS depth 7 needs 128 variables per side, past the oracle's 64
+        v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 10)
+        assert v.decision == "REJECT" and not v.sound
+        assert v.reason == "bounded-depth"
+        assert v.n_used == 6
+        assert "searched n <= 6" in v.caveat
+        assert "depth 7 exceeds a search cap" in v.caveat
+        assert "at most 64 variables per side" in v.caveat
+        target = Target2x2.from_table([[0.415, 0.085], [0.085, 0.415]])
+        w = decide_2x2(make_dsbs(0.5), target, 0.05, 9)
+        assert (w.reason, w.n_used) == ("bounded-depth", 6)
+        assert "(case I): searched n <= 6" in w.caveat
+
+    def test_depth_cap_at_depth_one_raises(self):
+        wide = random_joint(np.random.default_rng(8), 65, 2)
+        with pytest.raises(ResourceLimitError, match="64 variables"):
+            decide_gap_nis(wide, 0.2, 0.3, 2)
 
     def test_promise_respecting_never_accepts_beyond_ceiling(self):
         rng = np.random.default_rng(123)

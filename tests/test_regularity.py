@@ -22,7 +22,7 @@ from nisim import (
     transform,
 )
 from nisim.fourier import FourierPolynomial, restrict, sigma_decode
-from nisim.regularity import restriction_influences_at
+from nisim.regularity import restriction_influences_at, smoothing_params_from_log_eta
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments
 
@@ -74,6 +74,16 @@ class TestSmoothingParams:
             smoothing_params(0.5, 0.0, 0.1)
         with pytest.raises(ParameterRangeError):
             smoothing_params(0.5, 0.1, 1.5)
+
+    def test_log_space_form_matches(self):
+        for rho, lam, eta in ((0.5, 0.1, 0.01), (0.0, 0.3, 0.7), (0.9, 0.05, 1e-8)):
+            a = smoothing_params(rho, lam, eta)
+            b = smoothing_params_from_log_eta(rho, lam, math.log(eta))
+            assert a.eta == eta
+            assert (a.gamma, a.d, a.mossel_condition_met) == (b.gamma, b.d, b.mossel_condition_met)
+        assert smoothing_params_from_log_eta(0.5, 0.1, -2000.0).eta == 0.0
+        with pytest.raises(ParameterRangeError, match="nonpositive"):
+            smoothing_params_from_log_eta(0.5, 0.1, 0.5)
 
     def test_condition_flag_tracks_explicit_requirement(self):
         ok = smoothing_params(0.5, 0.1, 0.01)

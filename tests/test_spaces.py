@@ -20,6 +20,7 @@ from nisim import (
     uniform_triple,
 )
 from nisim.spaces import FiniteSpace
+from nisim.util import kron_power
 
 
 class TestFiniteSpace:
@@ -149,6 +150,25 @@ class TestTensorPower:
     def test_labels_joined(self):
         t2 = tensor_power(uniform_triple(), 2)
         assert t2.row_space.atoms == ("0|0", "0|1", "1|0", "1|1")
+
+
+class TestKronPower:
+    def test_zero_power_is_one(self):
+        assert np.array_equal(kron_power(np.array([0.3, 0.7]), 0), np.ones(1))
+
+    def test_bit_identical_to_left_to_right_loops(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 5):
+            p = rng.dirichlet(np.ones(3))
+            t = rng.dirichlet(np.ones(6)).reshape(2, 3)
+            w = np.ones(1)
+            for _ in range(n):
+                w = np.kron(w, p)
+            W = t
+            for _ in range(n - 1):
+                W = np.kron(W, t)
+            assert np.array_equal(kron_power(p, n), w)
+            assert np.array_equal(kron_power(t, n), W)
 
 
 class TestTvDistance:
