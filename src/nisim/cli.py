@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -87,8 +86,18 @@ def _parse_constants(text: str | None) -> ChainConstants:
         key = key.strip()
         if key not in ("C_smooth", "C_tau", "C_be"):
             raise NisimError(f"unknown constant {key!r}")
-        vals[key] = float(raw)
+        try:
+            vals[key] = float(raw)
+        except ValueError:
+            raise NisimError(f"cannot parse the value of constant {key!r}: {raw!r}") from None
     return ChainConstants(**vals)
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _polynomial_from_file(path: str):
@@ -118,10 +127,14 @@ def _cmd_fourier(args) -> None:
     out: dict = {"n": strat.n, "q": strat.space.q}
     for item in wanted:
         if item == "influences":
-            out["influences"] = influences(poly).tolist()
-            out["total_influence"] = float(np.sum(influences(poly)))
+            inf = influences(poly)
+            out["influences"] = inf.tolist()
+            out["total_influence"] = float(np.sum(inf))
         elif item.startswith("tail:"):
-            d = int(item.split(":", 1)[1])
+            try:
+                d = int(item.split(":", 1)[1])
+            except ValueError:
+                raise NisimError(f"cannot parse the degree in report item {item!r}") from None
             out[f"tail_mass_above_{d}"] = degree_tail_mass(poly, d)
         elif item == "mean":
             out["mean"] = poly.mean()
@@ -251,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exhaustive restriction enumeration (the default)")
     mode.add_argument("--mc", type=int, default=0, metavar="SAMPLES",
                       help="Monte Carlo restriction sampling instead of exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_regularity)
 
     p = sub.add_parser("n0", help="full parameter chain for a source and gap budget")
@@ -274,11 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="Alice's function JSON")
     p.add_argument("--g", required=True, help="Bob's function JSON")
     p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--target", default=None, help="dsbs:<rho> or 2x2 JSON for TV reporting")
     p.add_argument("--force-mc", action="store_true",
                    help="skip exact enumeration even when it fits")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=int, default=1,
                    help="Monte Carlo worker threads")
     p.set_defaults(func=_cmd_simulate)
 
@@ -296,10 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except NisimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (NisimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -62,6 +62,11 @@ class ChainConstants:
     C_tau: float = 1.0
     C_be: float = 1.0
 
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterRangeError(f"{name} must be positive and finite, got {value}")
+
     def as_dict(self) -> dict:
         return {"C_smooth": self.C_smooth, "C_tau": self.C_tau, "C_be": self.C_be}
 

@@ -6,6 +6,10 @@ and as sparse coefficient maps over degree sequences sigma in Z_q^n,
 relative to a fixed orthonormal basis with the constant function first.
 Degree sequences are encoded as base-q integers for canonical map keys.
 
+The functionals and the restriction routine share one decode of the map
+into keys (int64 while q^n fits, Python ints past that), values and a
+digit matrix with one row per coefficient in ``coeffs`` order.
+
 Coordinates are 0-based throughout.
 
 The noise operator is implemented spectrally (coefficient multiplier
@@ -145,6 +149,31 @@ def sigma_degree(key: int, q: int, n: int) -> int:
     return deg
 
 
+def _places(q: int, n: int) -> np.ndarray:
+    """Place value q^(n-1-i) of each coordinate i: int64 while q^n fits, else Python ints."""
+    dtype = np.int64 if q**n <= 2**63 else object
+    return np.array([q ** (n - 1 - i) for i in range(n)], dtype=dtype)
+
+
+def _decode(poly: "FourierPolynomial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, coefficients and digit matrix, one row per coefficient in ``coeffs`` order."""
+    places = _places(poly.q, poly.n)
+    size = len(poly.coeffs)
+    keys = np.fromiter(poly.coeffs, places.dtype, size)
+    values = np.fromiter(poly.coeffs.values(), float, size)
+    return keys, values, (keys[:, None] // places % poly.q).astype(np.int64)
+
+
+def _degrees(poly: "FourierPolynomial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, coefficients and |sigma| of each coefficient, in ``coeffs`` order."""
+    keys, values, digits = _decode(poly)
+    return keys, values, np.count_nonzero(digits, axis=1)
+
+
+def _polynomial(basis, n: int, keys: np.ndarray, values: np.ndarray) -> "FourierPolynomial":
+    return FourierPolynomial(basis, n, dict(zip(keys.tolist(), values.tolist())))
+
+
 # -- polynomials ---------------------------------------------------------
 
 
@@ -168,7 +197,7 @@ class FourierPolynomial:
         return sigma_degree(key, self.q, self.n)
 
     def degree(self) -> int:
-        return max((self.degree_of(k) for k in self.coeffs), default=0)
+        return int(_degrees(self)[2].max(initial=0))
 
     def mean(self) -> float:
         return self.coeffs.get(0, 0.0)
@@ -231,51 +260,46 @@ def influence(poly: FourierPolynomial, i: int) -> float:
     """Fourier mass on degree sequences with a nonzero entry at coordinate i."""
     if not 0 <= i < poly.n:
         raise ParameterRangeError(f"coordinate {i} outside [0, {poly.n})")
-    q, n = poly.q, poly.n
-    place = q ** (n - 1 - i)
-    return sum(c * c for k, c in poly.coeffs.items() if (k // place) % q != 0)
+    return float(influences(poly)[i])
 
 
 def influences(poly: FourierPolynomial) -> np.ndarray:
     """All n coordinate influences at once."""
-    out = np.zeros(poly.n)
-    q, n = poly.q, poly.n
-    for k, c in poly.coeffs.items():
-        c2 = c * c
-        key = k
-        for i in range(n - 1, -1, -1):
-            key, r = divmod(key, q)
-            if r:
-                out[i] += c2
-    return out
+    _, values, digits = _decode(poly)
+    rows, cols = np.nonzero(digits)
+    # bincount adds each coordinate's squares in coefficient order, as a loop would
+    return np.bincount(cols, weights=(values * values)[rows], minlength=poly.n).astype(float)
 
 
 def total_influence(poly: FourierPolynomial) -> float:
     """Sum over sigma of |sigma| * f_hat(sigma)^2."""
-    return sum(poly.degree_of(k) * c * c for k, c in poly.coeffs.items())
+    _, values, deg = _degrees(poly)
+    return float(deg @ (values * values))
 
 
 def degree_tail_mass(poly: FourierPolynomial, d: int) -> float:
     """Fourier mass strictly above degree d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    return sum(c * c for k, c in poly.coeffs.items() if poly.degree_of(k) > d)
+    _, values, deg = _degrees(poly)
+    return float(np.sum(values[deg > d] ** 2))
 
 
 def truncate_degree(poly: FourierPolynomial, d: int) -> FourierPolynomial:
     """Keep coefficients with |sigma| <= d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    kept = {k: c for k, c in poly.coeffs.items() if poly.degree_of(k) <= d}
-    return FourierPolynomial(poly.basis, poly.n, kept)
+    keys, values, deg = _degrees(poly)
+    kept = deg <= d
+    return _polynomial(poly.basis, poly.n, keys[kept], values[kept])
 
 
 def noise_operator(poly: FourierPolynomial, gamma: float) -> FourierPolynomial:
     """Coefficient-wise multiplier gamma^|sigma|; the mean is untouched."""
     if not 0.0 <= gamma <= 1.0:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
-    out = {k: c * gamma ** poly.degree_of(k) for k, c in poly.coeffs.items()}
-    return FourierPolynomial(poly.basis, poly.n, out)
+    keys, values, deg = _degrees(poly)
+    return _polynomial(poly.basis, poly.n, keys, values * gamma**deg)
 
 
 def noise_operator_kernel(table: ValueTable, gamma: float) -> ValueTable:
@@ -318,26 +342,39 @@ def restrict(
     for a in xi:
         if not 0 <= a < space.q:
             raise InputError(f"atom index {a} outside the space")
-    q, n = poly.q, poly.n
-    in_H = [False] * n
-    for i in H:
-        in_H[i] = True
-    chars = poly.basis.chars
-    out: dict[int, float] = {}
-    for k, c in poly.coeffs.items():
-        sigma = sigma_decode(k, q, n)
-        factor = 1.0
-        new_key = 0
-        pos = 0
-        for i, s in enumerate(sigma):
-            if in_H[i]:
-                factor *= chars[s, xi[pos]]
-                pos += 1
-            else:
-                new_key = new_key * q + s
-        if factor != 0.0:
-            out[new_key] = out.get(new_key, 0.0) + c * factor
-    return FourierPolynomial(poly.basis, n - len(H), out)
+    keys, _, columns = restriction_columns(poly, H, np.array([xi], dtype=np.int64))
+    return _polynomial(poly.basis, poly.n - len(H), keys, columns[:, 0])
+
+
+def restriction_columns(
+    poly: FourierPolynomial, H: list[int], xi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restrictions fixing the sorted coordinates ``H`` to each row of atom indices ``xi``.
+
+    Returns the surviving keys, their digit matrix and their coefficients,
+    one column per restriction.  Coefficients are grouped by surviving and
+    by restricted pattern; the character table (restricted patterns x
+    restrictions) multiplies only at nonzero digits, as ``chars[0]`` is 1,
+    and is built in blocks no larger than the columns it feeds.
+    """
+    _, values, digits = _decode(poly)
+    T = [i for i in range(poly.n) if i not in H]
+    t_digits, t_of = np.unique(digits[:, T], axis=0, return_inverse=True)
+    h_digits, h_of = np.unique(digits[:, H], axis=0, return_inverse=True)
+    grouped = np.zeros((len(t_digits), len(h_digits)))
+    grouped[t_of, h_of] = values
+    nonzero = [np.nonzero(h_digits[:, j])[0] for j in range(len(H))]
+    columns = np.empty((len(t_digits), len(xi)))
+    blocks = max(1, -(-len(h_digits) // max(len(t_digits), 1)))
+    lo = 0
+    for part in np.array_split(xi, blocks):
+        table = np.ones((len(h_digits), len(part)))
+        for j, rows in enumerate(nonzero):
+            table[rows] *= poly.basis.chars[h_digits[rows, j][:, None], part[:, j]]
+        np.matmul(grouped, table, out=columns[:, lo : lo + len(part)])
+        lo += len(part)
+    places = _places(poly.q, len(T))
+    return t_digits.astype(places.dtype) @ places, t_digits, columns
 
 
 # -- hypercontractivity ----------------------------------------------------

@@ -32,6 +32,7 @@ from .fourier import (
     hypercontractivity_constant,
     influences,
     degree_tail_mass,
+    restriction_columns,
     truncate_degree,
 )
 from .util import (
@@ -277,45 +278,6 @@ class RegularProbability:
         }
 
 
-def _restriction_coefficient_columns(
-    poly: FourierPolynomial, H: list[int], xi_atoms: np.ndarray
-) -> dict[int, np.ndarray]:
-    """For each surviving degree sequence, its coefficient at every supplied xi.
-
-    ``xi_atoms`` has shape (m, |H|); returns sigma_T key -> vector of m values.
-    """
-    q, n = poly.q, poly.n
-    chars = poly.basis.chars
-    in_H = [False] * n
-    for i in H:
-        in_H[i] = True
-    m = xi_atoms.shape[0]
-    out: dict[int, np.ndarray] = {}
-    for k, c in poly.coeffs.items():
-        key = k
-        factors = None
-        new_key = 0
-        pos = 0
-        digits = []
-        for _ in range(n):
-            key, r = divmod(key, q)
-            digits.append(r)
-        digits.reverse()
-        for i, s in enumerate(digits):
-            if in_H[i]:
-                col = chars[s, xi_atoms[:, pos]]
-                factors = col if factors is None else factors * col
-                pos += 1
-            else:
-                new_key = new_key * q + s
-        contrib = c * (factors if factors is not None else np.ones(m))
-        if new_key in out:
-            out[new_key] += contrib
-        else:
-            out[new_key] = contrib.copy() if factors is not None else contrib
-    return out
-
-
 def restriction_influences_at(
     poly: FourierPolynomial, H, xi_atoms: np.ndarray
 ) -> np.ndarray:
@@ -324,18 +286,9 @@ def restriction_influences_at(
     Returns shape (m, n - |H|), columns ordered by surviving coordinate.
     """
     H = sorted(set(int(i) for i in H))
-    q = poly.q
-    n_t = poly.n - len(H)
-    cols = _restriction_coefficient_columns(poly, H, xi_atoms)
-    out = np.zeros((xi_atoms.shape[0], n_t))
-    for key, vec in cols.items():
-        sq = vec * vec
-        k = key
-        for j in range(n_t - 1, -1, -1):
-            k, r = divmod(k, q)
-            if r:
-                out[:, j] += sq
-    return out
+    _, digits, columns = restriction_columns(poly, H, np.asarray(xi_atoms))
+    columns *= columns
+    return columns.T @ (digits != 0)
 
 
 def restriction_regular_probability(
@@ -372,6 +325,8 @@ def restriction_regular_probability(
         return RegularProbability(est, est, est, "exact", len(xi))
     if mode != "monte_carlo":
         raise InputError(f"unknown mode {mode!r}; use 'exact' or 'monte_carlo'")
+    if samples < 1:
+        raise ParameterRangeError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     xi = rng.choice(q, size=(samples, len(H)), p=space.probs)
     inf = restriction_influences_at(poly, H, xi)

@@ -1,11 +1,14 @@
 """Corpus entries and the command-line surface, including golden-file
 stability for every subcommand."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nisim import JointDistribution, maximal_correlation
 from nisim.cli import build_parser, main
@@ -69,10 +72,12 @@ def anti_target_path(tmp_path):
 
 
 def check_golden(name: str, text: str):
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    """Compare with a stored golden; NISIM_REGEN_GOLDEN=1 writes it instead."""
     path = GOLDEN_DIR / name
-    if REGEN or not path.exists():
+    if REGEN:
+        GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(text)
+    assert path.exists(), f"missing golden {name}; NISIM_REGEN_GOLDEN=1 writes it"
     assert text == path.read_text(), f"golden mismatch for {name}"
 
 
@@ -271,6 +276,51 @@ class TestCliBasics:
         assert code == 1
         assert "unknown constant" in err
 
+    def test_regularity_rejects_nonpositive_sample_count(self, run_cli, dict_fn_path):
+        code, _, err = run_cli(
+            "regularity", dict_fn_path, "--d", "2", "--tau", "0.1", "--mc", "-5",
+        )
+        assert code == 1 and "sample" in err
+
+    @pytest.mark.parametrize("item", ["tail:x", "tail:"])
+    def test_fourier_rejects_unparsable_tail_degree(self, run_cli, dict_fn_path, item):
+        code, _, err = run_cli("fourier", dict_fn_path, "--report", item)
+        assert code == 1 and item in err
+
+    def test_negative_seed_is_a_usage_error(self, dsbs_path, dict_fn_path):
+        for argv in (
+            ["simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,
+             "--samples", "100", "--force-mc", "--seed", "-1"],
+            ["regularity", dict_fn_path, "--d", "1", "--tau", "0.3", "--mc", "10",
+             "--seed", "-1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    def test_malformed_constants_rejected(self, run_cli, triple_path):
+        for text in ("C_smooth=abc", "C_tau=nan", "C_be=0"):
+            code, _, err = run_cli("n0", "--dist", triple_path, "--delta", "0.3",
+                                   "--constants", text)
+            assert code == 1 and "C_" in err
+
+    def test_directory_as_input_file(self, run_cli, tmp_path):
+        code, _, err = run_cli("maxcorr", str(tmp_path))
+        assert code == 1 and "error:" in err
+
+    def test_simulate_defaults_to_one_thread(self, run_cli, dsbs_path, dict_fn_path):
+        argv = ["simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,
+                "--samples", "5000", "--seed", "4", "--force-mc"]
+        code, default_out, _ = run_cli(*argv)
+        assert code == 0
+        assert run_cli(*argv, "--threads", "1")[1] == default_out
+
+    def test_missing_golden_fails_with_its_name(self, monkeypatch):
+        monkeypatch.setitem(globals(), "REGEN", False)
+        with pytest.raises(AssertionError, match="no_such_golden.json"):
+            check_golden("no_such_golden.json", "{}")
+        assert not (GOLDEN_DIR / "no_such_golden.json").exists()
+
     def test_help_lists_spec_flags(self):
         parser = build_parser()
         helps = []
@@ -358,3 +408,96 @@ class TestGoldenOutputs:
     def test_examples_golden(self, run_cli):
         _, out, _ = run_cli("examples", "--name", "alpha:0.25")
         check_golden("examples_alpha25.json", out)
+
+
+# -- argument-vector fuzzing --------------------------------------------------
+
+NUMBERS = ["0", "1", "2", "-1", "-5", "0.5", "nan", "inf", "abc", ""]
+DELTAS = ["0.3", "0.5", "0.7", "0", "-0.3", "1.5", "nan", "inf", "abc"]
+SEEDS = ["0", "3", "-1", "abc"]
+CONSTANTS = ["C_smooth=2", "C_tau=1,C_be=3", "C_be=abc", "C_tau=nan", "C_smooth=-1",
+             "C_nope=1", "bogus"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Input paths (every kind of file the CLI reads, a broken file, a directory, a
+    missing path) and output paths; outputs never overwrite an input."""
+    root = tmp_path_factory.mktemp("fuzz")
+    with redirect_stdout(io.StringIO()):
+        for name, spec in (("triple.json", "triple"), ("dsbs.json", "dsbs:0.49")):
+            assert main(["examples", "--name", spec, "--out", str(root / name)]) == 0
+    files = {
+        "dict.json": '{"n": 1, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]}, '
+                     '"values": [1.0, -1.0]}',
+        "tri2.json": '{"n": 2, "space": {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}, '
+                     '"values": [1, -1, 1, -1, 1, -1, 1, 1, -1]}',
+        "parity.json": '{"n": 2, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]}, '
+                       '"coeffs": {"3": 1.0}}',
+        "anti.json": json.dumps({"probs": [[0.0, 0.5], [0.5, 0.0]]}),
+        "broken.json": "{oops",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    names = ["triple.json", "dsbs.json", *files]
+    inputs = [str(root / n) for n in names] + [str(root), str(root / "missing.json")]
+    outputs = [str(root / "out.json"), str(root), str(root / "no_dir" / "out.json")]
+    return inputs, outputs
+
+
+def _argv(draw, paths):
+    """One argument vector for a drawn subcommand, flags in drawn order."""
+    inputs, outputs = paths
+    path = st.sampled_from(inputs)
+    targets = st.sampled_from(["dsbs:0.3", "dsbs:-0.3", "dsbs:0.9", "dsbs:nan", "dsbs:2",
+                               "dsbs:abc"]) | path
+    command = draw(st.sampled_from(
+        ["maxcorr", "bounds", "fourier", "regularity", "n0", "decide", "simulate", "examples"]))
+    # simulate always names its sample count, so no example falls back to 10^6 samples
+    samples = st.sampled_from(["1000", "2000"] + NUMBERS)
+    leading = {"maxcorr": [path], "fourier": [path], "regularity": [path],
+               "simulate": [st.just("--samples"), samples]}
+    options = {
+        "bounds": {"--dist": path},
+        "fourier": {"--report": st.lists(st.sampled_from(
+            ["influences", "mean", "var", "degree", "tail:0", "tail:1", "tail:-1", "tail:x",
+             "tail:", "bogus"]), min_size=1, max_size=3).map(",".join)},
+        "regularity": {"--d": st.sampled_from(["1", "2", "3", "0", "-1", "abc"]),
+                       "--tau": st.sampled_from(["0.3", "0.1", "0.9", "1.5", "0", "-0.2",
+                                                 "nan", "abc"]),
+                       "--exact": None,
+                       "--mc": st.sampled_from(["10", "500", "2000", "0", "-5", "abc"]),
+                       "--seed": st.sampled_from(SEEDS)},
+        "n0": {"--dist": path, "--delta": st.sampled_from(DELTAS),
+               "--constants": st.sampled_from(CONSTANTS)},
+        "decide": {"--dist": path, "--target": targets, "--delta": st.sampled_from(DELTAS),
+                   "--n": st.sampled_from(["1", "2", "0", "-1", "abc"]), "--report-n0": None,
+                   "--constants": st.sampled_from(CONSTANTS)},
+        "simulate": {"--dist": path, "--f": path, "--g": path,
+                     "--seed": st.sampled_from(SEEDS), "--target": targets,
+                     "--force-mc": None, "--threads": st.sampled_from(["1", "2", "0", "-1",
+                                                                        "abc"])},
+        "examples": {"--name": st.sampled_from(["triple", "dsbs:0.3", "dsbs:nan", "dsbs:2",
+                                                "alpha:0.25", "alpha:0", "alpha:nan", "nope"]),
+                     "--out": st.sampled_from(outputs), "--list": None},
+        "maxcorr": {},
+    }[command]
+    argv = [command] + [draw(arg) for arg in leading.get(command, [])]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if options else []:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(st.one_of(options[flag], st.sampled_from(NUMBERS))))
+    return argv
+
+
+class TestCliFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_argv_exits_cleanly(self, fuzz_paths, data):
+        argv = _argv(data.draw, fuzz_paths)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv

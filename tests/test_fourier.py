@@ -264,7 +264,9 @@ class TestRestriction:
         r = restrict(p, [], [])
         assert r.coeffs == p.coeffs
 
-    @pytest.mark.parametrize("q,n,H", [(2, 3, [0]), (3, 3, [1, 2]), (3, 4, [0, 2])])
+    @pytest.mark.parametrize(
+        "q,n,H", [(2, 3, [0]), (3, 3, [1, 2]), (3, 4, [0, 2]), (3, 3, []), (3, 3, [0, 1, 2])]
+    )
     def test_collapse_matches_pointwise(self, q, n, H):
         rng = np.random.default_rng(q * n)
         s = random_space(rng, q)
@@ -383,6 +385,50 @@ class TestHypercontractivity:
             for t in (math.e ** (d / 2) * 1.05, math.e ** (d / 2) * 2.0):
                 empirical = float(weights[np.abs(vt.values) > t * l2].sum())
                 assert empirical <= concentration_bound(d, s.alpha, t) + 1e-12
+
+
+class TestKeysPastInt64:
+    """q = 4, n = 40 keys reach 4^40 > 2^63; every functional matches a digit loop."""
+
+    def test_functionals_and_restriction_match_sigma_decode_loops(self):
+        rng = np.random.default_rng(40)
+        q, n = 4, 40
+        basis = build_basis(random_space(rng, q))
+        coeffs = {0: 0.3}
+        for _ in range(80):
+            digits = [0] * n
+            for i in rng.choice(n, size=int(rng.integers(1, 5)), replace=False):
+                digits[i] = int(rng.integers(1, q))
+            coeffs[sigma_encode(digits, q)] = float(rng.standard_normal())
+        p = FourierPolynomial(basis, n, coeffs)
+        assert max(p.coeffs) > 2**63
+        sigma = {k: sigma_decode(k, q, n) for k in p.coeffs}
+        deg = {k: sum(1 for s in sigma[k] if s) for k in p.coeffs}
+        sq = {k: c * c for k, c in p.coeffs.items()}
+
+        loop_inf = [sum(sq[k] for k in sq if sigma[k][i]) for i in range(n)]
+        assert np.abs(influences(p) - loop_inf).max() <= 1e-12
+        assert abs(total_influence(p) - sum(deg[k] * sq[k] for k in sq)) <= 1e-12
+        for d in range(6):
+            assert abs(degree_tail_mass(p, d) - sum(sq[k] for k in sq if deg[k] > d)) <= 1e-12
+            kept = {k: c for k, c in p.coeffs.items() if deg[k] <= d}
+            assert truncate_degree(p, d).coeffs == kept
+        noised = noise_operator(p, 0.7).coeffs
+        assert set(noised) == set(p.coeffs)
+        for k, c in p.coeffs.items():
+            assert abs(noised[k] - c * 0.7 ** deg[k]) <= 1e-12
+
+        H = sorted(int(i) for i in rng.choice(n, size=6, replace=False))
+        xi = [int(a) for a in rng.integers(q, size=6)]
+        expected: dict = {}
+        for k, c in p.coeffs.items():
+            factor = math.prod(basis.chars[sigma[k][h], a] for h, a in zip(H, xi))
+            key = sigma_encode([s for i, s in enumerate(sigma[k]) if i not in H], q)
+            expected[key] = expected.get(key, 0.0) + c * factor
+        got = restrict(p, H, xi).coeffs
+        assert max(got) > 2**63
+        for key in set(got) | set(expected):
+            assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12
 
 
 def sigma_degree_of(key, q, n):

@@ -14,6 +14,7 @@ from nisim import (
     hypercontractivity_constant,
     influence,
     influences,
+    inverse_transform,
     joint_high_influence_set,
     regularity_params,
     restriction_influence_tail_bound,
@@ -217,6 +218,22 @@ class TestRestrictionRegularProbability:
         for row, assignment in zip(batch, xi):
             r = restrict(p, H, list(assignment))
             assert np.allclose(row, influences(r), atol=1e-12)
+
+
+    @pytest.mark.parametrize("H", [[], [0, 1, 2]])
+    def test_batch_influences_with_none_or_all_restricted(self, H):
+        rng = np.random.default_rng(7)
+        space = FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+        table = ValueTable(space, 3, rng.standard_normal(27))
+        p = transform(table)
+        xi = all_assignments(3, len(H))
+        batch = restriction_influences_at(p, H, xi)
+        assert batch.shape == (len(xi), 3 - len(H))
+        full = table.values.reshape(3, 3, 3)
+        for row, assignment in zip(batch, xi):
+            restricted = inverse_transform(restrict(p, H, list(assignment)))
+            assert np.abs(restricted.values - full[tuple(assignment)].ravel()).max() < 1e-9
+            assert np.allclose(row, influences(p) if not H else [], atol=1e-12)
 
 
 class TestRestrictionInfluenceTailBound:
