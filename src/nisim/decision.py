@@ -11,12 +11,15 @@ evaluated in log space because realistic inputs push tau and h far
 outside float range.
 
 Every 2x2 target reduces to one search for strategy pairs on a tensor
-power with means capped near two centers and large E[fg].  Each depth is
-searched one way: ``brute_force_bmip`` enumerates the value grid when it
-fits the work cap, else the alternating oracle ``oracle_max_balanced_ip``
-proposes a pair that is snapped to the grid.  One decide core adds the
-reduction thresholds, a sound maximal-correlation ceiling test, exact
-re-verification of witnesses and labeled bounded-depth rejections.
+power with means capped near two centers and large E[fg].  One decide
+core computes the source's maximal correlation (for a sound ceiling
+test) and the value grid once per call and the tensor weights once per
+depth, and hands them down.  Each depth is searched one way: the grid is
+enumerated (the core of ``brute_force_bmip``) when it fits the work cap,
+else the alternation of ``oracle_max_balanced_ip`` proposes a pair that
+is snapped to the grid; the probe skips the oracle's upper bound.  The
+core adds the reduction thresholds, exact re-verification of witnesses
+and labeled bounded-depth rejections.
 ``decide_gap_nis`` frames it for a balanced target (centers 0) and
 ``decide_2x2`` for any binary target (Case II negates the second party).
 """
@@ -391,18 +394,25 @@ def brute_force_bmip(
         raise ParameterRangeError(f"power must be positive, got {n}")
     if grid is None:
         grid = discretize_range(delta)
-    grid = np.asarray(grid, dtype=float)
     if mean_slack is None:
         mean_slack = delta * delta / 5.0
     if corr_slack is None:
         corr_slack = delta * delta / 4.0
-    cap_f, cap_g = mean_caps
-    center_f, center_g = mean_centers
-    W, wa, wb = _tensor_weights(dist, n)
-    ka, kb = W.shape
-    thresholds = _level_thresholds(
-        rho_target, corr_slack, mean_caps, mean_centers, mean_slack, grid
+    return _enumerate(
+        _tensor_weights(dist, n), np.asarray(grid, dtype=float), rho_target,
+        mean_caps, mean_centers, mean_slack, corr_slack,
     )
+
+
+def _enumerate(
+    weights, grid, rho_target, mean_caps, centers, mean_slack, corr_slack
+) -> BmipResult:
+    """``brute_force_bmip`` on one depth's tensor weights ``(W, wa, wb)``."""
+    W, wa, wb = weights
+    ka, kb = W.shape
+    cap_f, cap_g = mean_caps
+    center_f, center_g = centers
+    thresholds = _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid)
     if _exceeds_work_cap(len(grid), ka + kb):
         raise ResourceLimitError(
             f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {WORK_CAP}; "
@@ -436,14 +446,8 @@ def brute_force_bmip(
 
     accept = best_val >= rho_target - corr_slack - ACCEPT_TOL
     return BmipResult(
-        accept,
-        float(best_val),
-        fv.copy(),
-        gv.copy(),
-        float(fv @ wa),
-        float(gv @ wb),
-        thresholds,
-        True,
+        accept, float(best_val), fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb),
+        thresholds, True,
     )
 
 
@@ -521,14 +525,28 @@ def oracle_max_balanced_ip(
     heuristic), reported with a rigorous upper bound: the maximal-correlation
     ceiling, tightened when ka <= ORACLE_VERTEX_START_CAP by the best g-side
     box LP over all +-1 vertices f of the box (f's mean window relaxed; one
-    batched knapsack).
+    batched knapsack).  The decide probe runs the alternation only
+    (``_alternate``) and never computes this bound.
     """
-    W, wa, wb = _tensor_weights(dist, n)
+    weights = W, _, wb = _tensor_weights(dist, n)
+    value, f, g = _alternate(weights, mean_caps, mean_centers, seed)
+    win_a, win_b = [(max(-1.0, c - k), min(1.0, c + k)) for c, k in zip(mean_centers, mean_caps)]
+    upper = _correlation_ceiling(maximal_correlation(dist).rho, win_a, win_b)
+    if W.shape[0] <= ORACLE_VERTEX_START_CAP:
+        vertices = all_assignments(2, W.shape[0]) * 2.0 - 1.0
+        _, vert_vals = _box_lp_max(vertices @ W, wb, mean_caps[1], mean_centers[1])
+        upper = min(upper, float(vert_vals.max()))
+    return OracleResult(value, f, g, float(upper), heuristic=True)
+
+
+def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, np.ndarray]:
+    """The oracle's alternation on one depth's tensor weights: best (E[fg], f, g)."""
+    W, wa, wb = weights
     ka, kb = W.shape
     if ka > 64 or kb > 64:
         raise ResourceLimitError(f"oracle supports at most 64 variables per side, got {ka}x{kb}")
     cap_f, cap_g = mean_caps
-    center_f, center_g = mean_centers
+    center_f, center_g = centers
     rng = np.random.default_rng(seed)
 
     if ka <= ORACLE_VERTEX_START_CAP:
@@ -553,14 +571,7 @@ def oracle_max_balanced_ip(
             val = new_val
         if val > best_val + 1e-12:
             best_val, best_f, best_g = val, f.copy(), g.copy()
-
-    rho0 = maximal_correlation(dist).rho
-    win_a, win_b = [(max(-1.0, c - k), min(1.0, c + k)) for c, k in zip(mean_centers, mean_caps)]
-    upper = _correlation_ceiling(rho0, win_a, win_b)
-    if len(vertices):
-        _, vert_vals = _box_lp_max(vertices @ W, wb, cap_g, center_g)
-        upper = min(upper, float(vert_vals.max()))
-    return OracleResult(best_val, best_f, best_g, float(upper), heuristic=True)
+    return best_val, best_f, best_g
 
 
 # -- randomized rounding -------------------------------------------------------------
@@ -687,8 +698,7 @@ def _correlation_ceiling(rho0: float, win_a: tuple[float, float], win_b: tuple[f
 def _calibrate_pair(
     fv: np.ndarray,
     gv: np.ndarray,
-    dist: JointDistribution,
-    n: int,
+    weights,
     centers: tuple[float, float],
     target_corr: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -698,7 +708,7 @@ def _calibrate_pair(
     correlation continuously from the search value down to c_f * c_g, so a
     root exists whenever the search overshot; means only tighten.
     """
-    W, wa, wb = _tensor_weights(dist, n)
+    W, wa, wb = weights
     cu, cv = centers
     C = float(fv @ W @ gv)
     if C <= target_corr:
@@ -727,30 +737,23 @@ def _snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _search_one_level(
-    dist, n, rho_target, delta, mean_caps, grid, centers, mean_slack, corr_slack
+    weights, grid, rho_target, mean_caps, centers, mean_slack, corr_slack
 ) -> BmipResult:
     """Full grid search when it fits the work cap, oracle probe otherwise.
 
     The probe snaps the alternating oracle's pair to the grid.  An ACCEPT
     from it is fully verified (grid-valued witness, thresholds re-checked
     exactly); a non-accept carries no guarantee beyond the depths the
-    oracle explored.  Raises ``ResourceLimitError`` when depth n is beyond
+    oracle explored.  Raises ``ResourceLimitError`` when the depth is beyond
     the oracle too.
     """
     try:
-        return brute_force_bmip(
-            dist, n, rho_target, delta, mean_caps,
-            grid=grid, mean_centers=centers, mean_slack=mean_slack,
-            corr_slack=corr_slack,
-        )
+        return _enumerate(weights, grid, rho_target, mean_caps, centers, mean_slack, corr_slack)
     except ResourceLimitError:
         pass
-    if grid is None:
-        grid = discretize_range(delta)
-    oracle = oracle_max_balanced_ip(dist, n, mean_caps, centers)
-    W, wa, wb = _tensor_weights(dist, n)
-    fv = _snap_to_grid(oracle.f_values, grid)
-    gv = _snap_to_grid(oracle.g_values, grid)
+    W, wa, wb = weights
+    _, f, g = _alternate(weights, mean_caps, centers)
+    fv, gv = _snap_to_grid(f, grid), _snap_to_grid(g, grid)
     mean_f, mean_g = float(fv @ wa), float(gv @ wb)
     corr = float(fv @ W @ gv)
     cap_f, cap_g = mean_caps
@@ -758,10 +761,7 @@ def _search_one_level(
         abs(mean_f - centers[0]) <= cap_f + mean_slack + ACCEPT_TOL
         and abs(mean_g - centers[1]) <= cap_g + mean_slack + ACCEPT_TOL
     )
-    thresholds = dict(
-        _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid),
-        oracle_upper_bound=oracle.upper_bound,
-    )
+    thresholds = _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid)
     if not feasible:
         return BmipResult(
             False, -math.inf, None, None, None, None, thresholds, False, "oracle_probe"
@@ -856,14 +856,15 @@ def _decide(
             thresholds=thresholds, caveat=f"sound at every n{label}: {bound} < {accept_floor:.6g}",
         )
 
+    grid = discretize_range(delta) if grid is None else np.asarray(grid, dtype=float)
     probe_used = False
     n_used, cap_note = n_search, ""
     for n in range(1, n_search + 1):
         try:
+            weights = _tensor_weights(dist, n)
             result = _search_one_level(
-                dist, n, rho_t - th["corr_margin"], delta,
-                (th["mean_cap"], th["mean_cap"]), grid, centers,
-                th["mean_slack"], th["corr_slack"],
+                weights, grid, rho_t - th["corr_margin"], (th["mean_cap"], th["mean_cap"]),
+                centers, th["mean_slack"], th["corr_slack"],
             )
         except ResourceLimitError as exc:
             if n == 1:
@@ -872,9 +873,7 @@ def _decide(
             break
         probe_used = probe_used or result.mode == "oracle_probe"
         if result.accept:
-            fv, gv = _calibrate_pair(
-                result.f_values, result.g_values, dist, n, centers, rho_t
-            )
+            fv, gv = _calibrate_pair(result.f_values, result.g_values, weights, centers, rho_t)
             f, g, achieved = _verify_accept(
                 fv, gv, dist, n, th, centers, min(result.best_value, rho_t) - 1e-9
             )

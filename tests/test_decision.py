@@ -34,7 +34,10 @@ from nisim import (
     tv_distance,
     uniform_triple,
 )
-from nisim.decision import _box_lp_max, _correlation_ceiling, _search_one_level
+from nisim import decision
+from nisim.decision import (
+    _box_lp_max, _correlation_ceiling, _search_one_level, _tensor_weights,
+)
 
 TRIPLE = uniform_triple()
 COARSE = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -226,8 +229,9 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             brute_force_bmip(dist, 3, 0.5, 0.02, (0.05, 0.05))
         res = _search_one_level(
-            dist, 3, rho_target=0.5, delta=0.02, mean_caps=(0.05, 0.05), grid=None,
-            centers=(0.0, 0.0), mean_slack=0.02**2 / 5, corr_slack=0.02**2 / 4,
+            _tensor_weights(dist, 3), discretize_range(0.02), rho_target=0.5,
+            mean_caps=(0.05, 0.05), centers=(0.0, 0.0), mean_slack=0.02**2 / 5,
+            corr_slack=0.02**2 / 4,
         )
         assert res.mode == "oracle_probe"
 
@@ -430,6 +434,19 @@ class TestDecideGapNis:
         assert not v.sound
         assert v.reason == "bounded-depth"
         assert "n0" in v.caveat
+
+    def test_per_call_and_per_depth_work_is_done_once(self, monkeypatch):
+        # maximal correlation and the value grid once per call, the tensor
+        # weights once per depth, however many stages read them
+        calls = {}
+        for name in ("maximal_correlation", "_tensor_weights", "discretize_range"):
+            def counted(*args, _inner=getattr(decision, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args)
+            monkeypatch.setattr(decision, name, counted)
+        v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 6)
+        assert v.reason == "bounded-depth" and v.n_used == 6
+        assert calls == {"maximal_correlation": 1, "_tensor_weights": 6, "discretize_range": 1}
 
     def test_accept_witness_reverifies_and_rounds_close(self):
         delta = 0.1
