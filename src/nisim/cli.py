@@ -37,7 +37,7 @@ from .regularity import (
     joint_high_influence_set,
 )
 from .rounding import estimate_strategy_stats
-from .spaces import JointDistribution, tv_distance
+from .spaces import JointDistribution, json_floats, tv_distance
 from .strategies import strategy_from_json
 
 FORMAT_VERSION = 1
@@ -48,14 +48,20 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise NisimError(f"input file {path!r} is not UTF-8 text") from None
+
+
 def _load_dist(path: str) -> JointDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return JointDistribution.from_json(fh.read())
+    return JointDistribution.from_json(_read_text(path))
 
 
 def _load_strategy(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return strategy_from_json(fh.read())
+    return strategy_from_json(_read_text(path))
 
 
 def _parse_target(text: str) -> Target2x2:
@@ -65,14 +71,13 @@ def _parse_target(text: str) -> Target2x2:
         except ValueError:
             raise NisimError(f"cannot parse correlation in target {text!r}") from None
         return Target2x2.from_dsbs(rho)
-    with open(text, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NisimError(f"target file {text!r} is not valid JSON: {exc}") from None
+    try:
+        d = json.loads(_read_text(text))
+    except json.JSONDecodeError as exc:
+        raise NisimError(f"target file {text!r} is not valid JSON: {exc}") from None
     if not isinstance(d, dict) or "probs" not in d:
         raise NisimError(f"target file {text!r} needs a 'probs' 2x2 table")
-    return Target2x2.from_table(d["probs"])
+    return Target2x2.from_table(json_floats(d["probs"], f"target file {text!r} 'probs'"))
 
 
 def _parse_constants(text: str | None) -> ChainConstants:

@@ -200,11 +200,21 @@ def n0_chain(
 
 
 def discretize_range(delta: float) -> np.ndarray:
-    """Symmetric value grid {k * delta^2/10 : |k| < 10/delta^2}, strictly inside (-1, 1)."""
+    """Symmetric value grid {k * delta^2/10 : |k| < 10/delta^2}, strictly inside (-1, 1).
+
+    Raises ``ResourceLimitError`` before allocating when the grid's
+    2 * k_max + 1 values exceed ``SIDE_MEM_CAP``.
+    """
     if not 0.0 < delta <= 1.0:
         raise ParameterRangeError(f"gap budget must lie in (0, 1], got {delta}")
     spacing = delta * delta / 10.0
-    k_max = int(math.floor(10.0 / (delta * delta) - 1e-9))
+    top = 10.0 / (delta * delta) - 1e-9 if delta * delta > 0.0 else math.inf
+    if top >= (SIDE_MEM_CAP + 1) // 2:  # then 2 * floor(top) + 1 > SIDE_MEM_CAP
+        raise ResourceLimitError(
+            f"gap budget {delta:g} needs a value grid of more than {SIDE_MEM_CAP} values "
+            "(the memory cap); use a larger delta"
+        )
+    k_max = int(math.floor(top))
     return spacing * np.arange(-k_max, k_max + 1)
 
 

@@ -6,9 +6,10 @@ and as sparse coefficient maps over degree sequences sigma in Z_q^n,
 relative to a fixed orthonormal basis with the constant function first.
 Degree sequences are encoded as base-q integers for canonical map keys.
 
-The functionals and the restriction routine share one decode of the map
-into keys (int64 while q^n fits, Python ints past that), values and a
-digit matrix with one row per coefficient in ``coeffs`` order.
+The functionals, the inverse transform and the restriction routine share
+one decode of the map into keys (int64 while q^n fits, Python ints past
+that), values and a digit matrix with one row per coefficient in
+``coeffs`` order.
 
 Coordinates are 0-based throughout.
 
@@ -244,9 +245,9 @@ def inverse_transform(poly: FourierPolynomial) -> ValueTable:
         )
     if n == 0:
         return ValueTable(poly.basis.space, 0, [poly.coeffs.get(0, 0.0)])
+    keys, values, _ = _decode(poly)
     arr = np.zeros(cells)
-    for k, c in poly.coeffs.items():
-        arr[k] = c
+    arr[keys] = values
     arr = arr.reshape((q,) * n)
     for _ in range(n):
         arr = np.tensordot(arr, poly.basis.chars, axes=([0], [0]))

@@ -33,6 +33,25 @@ ATOM_SEPARATOR = "|"
 DEFAULT_CELL_CAP = 10**8
 
 
+def json_list(value, what: str) -> list:
+    """A JSON array field; ``InputError`` naming ``what`` for anything else."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def json_floats(value, what: str) -> np.ndarray:
+    """A JSON number (or nested number array) as floats; ``InputError`` for
+    strings, booleans, objects, nulls, ragged nesting, NaN or infinities."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite numbers")
+    return arr.astype(float)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -187,12 +206,13 @@ class JointDistribution:
             if key not in d:
                 raise InputError(f"distribution JSON is missing key {key!r}")
         for side in ("row_atoms", "col_atoms"):
-            for a in d[side]:
+            for a in json_list(d[side], f"distribution JSON {side!r}"):
                 if ATOM_SEPARATOR in str(a):
                     raise InputError(
                         f"atom label {a!r} contains the reserved separator {ATOM_SEPARATOR!r}"
                     )
-        return cls(d["row_atoms"], d["col_atoms"], d["probs"])
+        probs = json_floats(d["probs"], "distribution JSON 'probs'")
+        return cls(d["row_atoms"], d["col_atoms"], probs)
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import InputError, ParameterRangeError
-from .spaces import FiniteSpace
+from .spaces import FiniteSpace, json_floats, json_list
 from .util import kron_power
 
 
@@ -106,21 +106,32 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
         if key not in d:
             raise InputError(f"function JSON is missing key {key!r}")
     sp = d["space"]
-    if "atoms" not in sp or "probs" not in sp:
+    if not isinstance(sp, dict) or "atoms" not in sp or "probs" not in sp:
         raise InputError("function JSON space needs 'atoms' and 'probs'")
-    space = FiniteSpace(sp["atoms"], sp["probs"])
-    n = int(d["n"])
+    space = FiniteSpace(
+        json_list(sp["atoms"], "function JSON space 'atoms'"),
+        json_floats(sp["probs"], "function JSON space 'probs'"),
+    )
+    n = d["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InputError(f"function JSON 'n' must be a nonnegative integer, got {n!r}")
     if "values" in d:
-        return TableStrategy(space, n, d["values"])
+        return TableStrategy(space, n, json_floats(d["values"], "function JSON 'values'"))
     if "coeffs" in d:
         from .fourier import FourierPolynomial, build_basis, inverse_transform
 
-        basis = build_basis(space)
-        coeffs = {int(k): float(c) for k, c in d["coeffs"].items()}
+        if not isinstance(d["coeffs"], dict):
+            raise InputError("function JSON 'coeffs' must be an object")
+        try:
+            keys = [int(k) for k in d["coeffs"]]
+        except ValueError:
+            raise InputError("function JSON 'coeffs' keys must be integers") from None
+        values = json_floats(list(d["coeffs"].values()), "function JSON 'coeffs' values")
         top = space.q**n
-        if any(k < 0 or k >= top for k in coeffs):
+        if any(k < 0 or k >= top for k in keys):
             raise InputError("coefficient key outside the degree-sequence range")
-        table = inverse_transform(FourierPolynomial(basis, n, coeffs))
+        basis = build_basis(space)
+        table = inverse_transform(FourierPolynomial(basis, n, dict(zip(keys, values))))
         return TableStrategy(space, n, table.values)
     raise InputError("function JSON needs either 'values' or 'coeffs'")
 

@@ -71,6 +71,46 @@ def anti_target_path(tmp_path):
     return str(path)
 
 
+def _function_json(**fields):
+    """The dense dictator function file with ``fields`` replaced; ``...`` drops a key."""
+    d = {"n": 1, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]},
+         "values": [1.0, -1.0], **fields}
+    return json.dumps({k: v for k, v in d.items() if v is not ...})
+
+
+# malformed contents of valid JSON (or of a non-UTF-8 file), one entry per file:
+# the subcommand that reads it and the file text
+MALFORMED = {
+    "target_probs_string": ("target", '{"probs": "x"}'),
+    "target_probs_object": ("target", '{"probs": {"a": 1}}'),
+    "target_probs_strings": ("target", '{"probs": [["a", "b"], ["c", "d"]]}'),
+    "target_top_level_list": ("target", '[["a", "b"], ["c", "d"]]'),
+    "target_probs_nan": ("target", '{"probs": [NaN, 0.5, 0.25, 0.25]}'),
+    "function_n_string": ("function", _function_json(n="abc")),
+    "function_n_null": ("function", _function_json(n=None)),
+    "function_n_fraction": ("function", _function_json(n=1.7)),
+    "function_n_negative": ("function", _function_json(n=-1, values=..., coeffs={})),
+    "function_coeff_key": ("function", _function_json(values=..., coeffs={"x": 1.0})),
+    "function_coeffs_list": ("function", _function_json(values=..., coeffs=[])),
+    "function_values_string": ("function", _function_json(values="ab")),
+    "function_values_nan": ("function", _function_json(values=[float("nan"), 1.0])),
+    "function_space_number": ("function", _function_json(space=5)),
+    "function_atoms_number": ("function", _function_json(space={"atoms": 7, "probs": [0.5, 0.5]})),
+    "dist_row_atoms_number": (
+        "dist", '{"row_atoms": 5, "col_atoms": ["a", "b"], "probs": [[0.5, 0], [0, 0.5]]}'),
+    "dist_probs_string": ("dist", '{"row_atoms": ["a", "b"], "col_atoms": ["a", "b"], '
+                                  '"probs": "x"}'),
+    "not_utf8": ("dist", b"\xff\xfe{}"),
+}
+
+
+def write_malformed(root: Path, name: str) -> str:
+    path = root / f"{name}.json"
+    text = MALFORMED[name][1]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return str(path)
+
+
 def check_golden(name: str, text: str):
     """Compare with a stored golden; NISIM_REGEN_GOLDEN=1 writes it instead."""
     path = GOLDEN_DIR / name
@@ -268,6 +308,23 @@ class TestCliBasics:
         )
         assert code == 1 and "JSON" in err
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_file_contents_are_domain_errors(self, run_cli, tmp_path, dsbs_path, name):
+        path = write_malformed(tmp_path, name)
+        argv = {"target": ["decide", "--dist", dsbs_path, "--target", path, "--delta", "0.5"],
+                "function": ["fourier", path],
+                "dist": ["maxcorr", path]}[MALFORMED[name][0]]
+        code, _, err = run_cli(*argv)
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+    def test_decide_grid_beyond_memory_cap(self, run_cli, triple_path):
+        argv = ["decide", "--dist", triple_path, "--delta", "0.00001", "--target"]
+        code, _, err = run_cli(*argv, "dsbs:0.2")
+        assert code == 1 and err.startswith("error:") and "memory cap" in err
+        # a ceiling rejection never builds the grid
+        code, out, _ = run_cli(*argv, "dsbs:0.9")
+        assert code == 0 and json.loads(out)["reason"] == "maximal-correlation-ceiling"
+
     def test_unknown_constant_rejected(self, run_cli, triple_path):
         code, _, err = run_cli(
             "n0", "--dist", triple_path, "--delta", "0.3",
@@ -421,8 +478,9 @@ CONSTANTS = ["C_smooth=2", "C_tau=1,C_be=3", "C_be=abc", "C_tau=nan", "C_smooth=
 
 @pytest.fixture(scope="module")
 def fuzz_paths(tmp_path_factory):
-    """Input paths (every kind of file the CLI reads, a broken file, a directory, a
-    missing path) and output paths; outputs never overwrite an input."""
+    """Input paths (every kind of file the CLI reads, a broken file, the malformed
+    contents of ``MALFORMED``, a directory, a missing path) and output paths;
+    outputs never overwrite an input."""
     root = tmp_path_factory.mktemp("fuzz")
     with redirect_stdout(io.StringIO()):
         for name, spec in (("triple.json", "triple"), ("dsbs.json", "dsbs:0.49")):
@@ -441,6 +499,7 @@ def fuzz_paths(tmp_path_factory):
         (root / name).write_text(text)
     names = ["triple.json", "dsbs.json", *files]
     inputs = [str(root / n) for n in names] + [str(root), str(root / "missing.json")]
+    inputs += [write_malformed(root, name) for name in sorted(MALFORMED)]
     outputs = [str(root / "out.json"), str(root), str(root / "no_dir" / "out.json")]
     return inputs, outputs
 

@@ -75,6 +75,26 @@ class TestDiscretizeRange:
         grid = discretize_range(0.5)
         assert np.allclose(np.diff(grid), 0.025)
 
+    def test_oversized_grid_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(decision.np, "arange", lambda *a, **k: pytest.fail("allocated"))
+        for delta in (0.00001, 0.0003, 1e-170):
+            with pytest.raises(ResourceLimitError, match="memory cap"):
+                discretize_range(delta)
+
+    def test_memory_cap_boundary_is_exact(self, monkeypatch):
+        size = len(discretize_range(0.1))
+        monkeypatch.setattr(decision, "SIDE_MEM_CAP", size)
+        assert len(discretize_range(0.1)) == size
+        monkeypatch.setattr(decision, "SIDE_MEM_CAP", size - 1)
+        with pytest.raises(ResourceLimitError):
+            discretize_range(0.1)
+
+    def test_paper_grid_deltas_unaffected(self):
+        for delta, size in ((0.02, 49999), (0.05, 7999), (0.1, 1999)):
+            k_max = (size - 1) // 2
+            expected = delta * delta / 10.0 * np.arange(-k_max, k_max + 1)
+            assert np.array_equal(discretize_range(delta), expected)
+
 
 class TestParameterChain:
     def test_frozen_regression_triple(self):
