@@ -95,7 +95,8 @@ MALFORMED = {
     "function_values_string": ("function", _function_json(values="ab")),
     "function_values_nan": ("function", _function_json(values=[float("nan"), 1.0])),
     "function_space_number": ("function", _function_json(space=5)),
-    "function_atoms_number": ("function", _function_json(space={"atoms": 7, "probs": [0.5, 0.5]})),
+    "function_atoms_number": (
+        "function", _function_json(space={"atoms": 7, "probs": [0.5, 0.5]})),
     "dist_row_atoms_number": (
         "dist", '{"row_atoms": 5, "col_atoms": ["a", "b"], "probs": [[0.5, 0], [0, 0.5]]}'),
     "dist_probs_string": ("dist", '{"row_atoms": ["a", "b"], "col_atoms": ["a", "b"], '
