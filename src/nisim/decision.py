@@ -588,11 +588,11 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
 
 
 class RngRoundedStrategy(Strategy):
-    """+-1 strategy rounding a [-1,1]-valued one with an explicit seeded RNG.
+    """+-1 strategy rounding a [-1,1]-valued one with seeded coins.
 
-    E[output | x] = f(x).  The generator is owned by the instance, so the
-    outputs are deterministic for a fixed construction seed and call
-    sequence.
+    E[output | x] = f(x).  The instance owns no generator: coins come from
+    ``rng`` when given (Monte Carlo passes its chunk's), else from a fresh
+    ``default_rng(seed)``, so a direct call is a pure function of the batch.
     """
 
     is_randomized = True
@@ -601,11 +601,11 @@ class RngRoundedStrategy(Strategy):
         self.base = base
         self.space = base.space
         self.n = base.n
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
 
-    def evaluate(self, idx: np.ndarray) -> np.ndarray:
+    def evaluate(self, idx: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         v = np.clip(self.base.evaluate(idx), -1.0, 1.0)
-        u = self._rng.random(v.shape[0])
+        u = (np.random.default_rng(self.seed) if rng is None else rng).random(v.shape[0])
         return np.where(u < (1.0 + v) / 2.0, 1.0, -1.0)
 
 

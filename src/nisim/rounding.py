@@ -11,7 +11,9 @@ correlation; accuracy is governed by ``berry_esseen_sample_count``.
 enumeration when the joint table fits the cap, Monte Carlo otherwise,
 with a dedicated sufficient-statistic path for lifted strategies (the
 suffix block only enters through its joint cell counts, so a multinomial
-draw replaces w explicit coordinates).
+draw replaces w explicit coordinates).  Monte Carlo runs fixed-size chunks,
+each on its own ``SeedSequence(seed).spawn`` stream, summed in chunk order:
+the estimate never depends on the thread count (Salmon et al., SC 2011).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .util import all_assignments, kron_power
 
 ENUMERATION_CELL_CAP = 10**8
 MC_BATCH_CELLS = 2 * 10**7
+# samples per Monte Carlo chunk: part of the stream layout, like the seed
+MC_CHUNK_SAMPLES = 2**16
 
 
 @dataclass
@@ -197,6 +201,17 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
     return StrategyStats(mean_f, mean_g, corr, 0.0, 0.0, 0.0, joint, 0, "exact")
 
 
+def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
+    """Accumulator [sum f, sum g, sum fg, sum (fg)^2, pp, pm, mp, mm] of one chunk;
+    the cells are independent-rounding masses of [-1,1]-valued outputs."""
+    prod = vf * vg
+    pp = 0.25 * float(((1 + vf) * (1 + vg)).sum())
+    pm = 0.25 * float(((1 + vf) * (1 - vg)).sum())
+    mp = 0.25 * float(((1 - vf) * (1 + vg)).sum())
+    mm = 0.25 * float(((1 - vf) * (1 - vg)).sum())
+    return np.array([vf.sum(), vg.sum(), prod.sum(), prod @ prod, pp, pm, mp, mm])
+
+
 def _lifted_pair_mc(
     f: LiftedStrategy,
     g: LiftedStrategy,
@@ -204,30 +219,16 @@ def _lifted_pair_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Accumulator [sum f, sum g, sum fg, n_pp, n_pm, n_mp, n_mm] using the
-    multinomial sufficient statistic for the suffix block."""
+    """One chunk through the multinomial sufficient statistic for the suffix block."""
     qa, qb = dist.shape
     pjoint = dist.table.ravel()
-    cell_wa = np.repeat(f.witness, qb)
-    cell_wb = np.tile(g.witness, qa)
-    if f.h:
-        flat = rng.choice(qa * qb, size=(n_samples, f.h), p=pjoint)
-        pa = (flat // qb) @ (qa ** np.arange(f.h - 1, -1, -1))
-        pb = (flat % qb) @ (qb ** np.arange(g.h - 1, -1, -1))
-    else:
-        pa = np.zeros(n_samples, int)
-        pb = np.zeros(n_samples, int)
+    flat = rng.choice(qa * qb, size=(n_samples, f.h), p=pjoint)
+    pa = (flat // qb) @ (qa ** np.arange(f.h - 1, -1, -1))
+    pb = (flat % qb) @ (qb ** np.arange(g.h - 1, -1, -1))
     counts = rng.multinomial(f.w, pjoint, size=n_samples)
-    sf = counts @ cell_wa
-    sg = counts @ cell_wb
-    vf = f.output_for(pa, sf)
-    vg = g.output_for(pb, sg)
-    prod = vf * vg
-    pp = float(np.count_nonzero((vf > 0) & (vg > 0)))
-    pm = float(np.count_nonzero((vf > 0) & (vg < 0)))
-    mp = float(np.count_nonzero((vf < 0) & (vg > 0)))
-    mm = float(np.count_nonzero((vf < 0) & (vg < 0)))
-    return np.array([vf.sum(), vg.sum(), prod.sum(), prod @ prod, pp, pm, mp, mm])
+    vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
+    vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
+    return _chunk_sums(vf, vg)
 
 
 def _generic_pair_mc(
@@ -237,26 +238,12 @@ def _generic_pair_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """One chunk of explicit joint draws; randomized strategies take its coins."""
     qa, qb = dist.shape
-    n = f.n
-    batch = max(1, MC_BATCH_CELLS // max(1, n))
-    acc = np.zeros(8)
-    left = n_samples
-    pjoint = dist.table.ravel()
-    while left > 0:
-        m = min(batch, left)
-        flat = rng.choice(qa * qb, size=(m, n), p=pjoint)
-        vf = f.evaluate(flat // qb)
-        vg = g.evaluate(flat % qb)
-        prod = vf * vg
-        # independent-rounding cell masses for [-1,1]-valued strategies
-        pp = 0.25 * float(((1 + vf) * (1 + vg)).sum())
-        pm = 0.25 * float(((1 + vf) * (1 - vg)).sum())
-        mp = 0.25 * float(((1 - vf) * (1 + vg)).sum())
-        mm = 0.25 * float(((1 - vf) * (1 - vg)).sum())
-        acc += np.array([vf.sum(), vg.sum(), prod.sum(), prod @ prod, pp, pm, mp, mm])
-        left -= m
-    return acc
+    flat = rng.choice(qa * qb, size=(n_samples, f.n), p=dist.table.ravel())
+    vf = f.evaluate(flat // qb, rng=rng) if f.is_randomized else f.evaluate(flat // qb)
+    vg = g.evaluate(flat % qb, rng=rng) if g.is_randomized else g.evaluate(flat % qb)
+    return _chunk_sums(vf, vg)
 
 
 def estimate_strategy_stats(
@@ -274,7 +261,8 @@ def estimate_strategy_stats(
     ``mode="auto"`` enumerates exactly when the full joint table fits the
     cap and falls back to seeded Monte Carlo otherwise.  Monte Carlo
     results are unbiased with standard errors; identical seeds give
-    identical estimates.
+    identical estimates whatever ``threads``, which only sets how many
+    chunks run at once.
     """
     if f.n != g.n:
         raise InputError(f"coordinate counts differ: {f.n} vs {g.n}")
@@ -303,21 +291,14 @@ def estimate_strategy_stats(
         and f.w == g.w
     )
     worker = _lifted_pair_mc if lifted else _generic_pair_mc
-
-    if threads > 1:
-        seeds = np.random.SeedSequence(seed).spawn(threads)
-        sizes = [n_samples // threads] * threads
-        sizes[0] += n_samples - sum(sizes)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda sz_s: worker(f, g, dist, sz_s[0], np.random.default_rng(sz_s[1])),
-                    zip(sizes, seeds),
-                )
-            )
-        acc = np.sum(parts, axis=0)
-    else:
-        acc = worker(f, g, dist, n_samples, np.random.default_rng(seed))
+    width = f.h + qa * qb if lifted else f.n
+    chunk = max(1, min(MC_CHUNK_SAMPLES, MC_BATCH_CELLS // max(1, width)))
+    sizes = np.diff([*range(0, n_samples, chunk), n_samples])
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = pool.map(lambda m, s: worker(f, g, dist, m, np.random.default_rng(s)),
+                         sizes, streams)
+        acc = np.sum(list(parts), axis=0)
 
     m = float(n_samples)
     mean_f, mean_g, corr = acc[0] / m, acc[1] / m, acc[2] / m

@@ -23,8 +23,9 @@ class Strategy:
 
     space: FiniteSpace
     n: int
-    # True when evaluate() consumes fresh randomness, in which case exact
-    # enumeration is meaningless and estimators must sample
+    # True when evaluate() draws coins, in which case exact enumeration is
+    # meaningless and estimators must sample; such an evaluate() also takes
+    # an ``rng`` keyword, through which estimators hand over their generator
     is_randomized: bool = False
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Strategies, the Gaussian simulator, the threshold lift, and the
 empirical statistics harness."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nisim import rounding
 from nisim import (
     EmpiricalJoint2x2,
     HybridStrategy,
@@ -19,6 +21,7 @@ from nisim import (
     gaussian_simulator_strategy,
     lift_hybrid,
     make_dsbs,
+    round_pair,
     tv_distance,
     uniform_triple,
 )
@@ -26,6 +29,36 @@ from nisim.strategies import strategy_from_json
 from nisim.util import all_assignments
 
 DSBS5 = make_dsbs(0.5)
+C = rounding.MC_CHUNK_SAMPLES
+
+
+def _table_pair():
+    t = uniform_triple()
+    rng = np.random.default_rng(12)
+    return (TableStrategy(t.row_space, 3, rng.uniform(-1, 1, 8)),
+            TableStrategy(t.col_space, 3, rng.uniform(-1, 1, 8)), t)
+
+
+def _rounded_pair():
+    f, g, t = _table_pair()
+    return (*round_pair(f, g, seed=21), t)
+
+
+def _lifted_h2_pair():
+    t = uniform_triple()
+    inner = np.array([-0.8, 0.3, 1.1, 0.0])
+    return (lift_hybrid(HybridStrategy(t.row_space, 2, inner), t, 20, side="row"),
+            lift_hybrid(HybridStrategy(t.col_space, 2, inner), t, 20, side="col"), t)
+
+
+# one pair of each Monte Carlo kind: explicit joint draws, the same with rounding
+# coins, and the multinomial sufficient statistic without and with a prefix
+MC_PAIRS = {
+    "generic": _table_pair,
+    "rounded": _rounded_pair,
+    "lifted_h0": lambda: (*gaussian_simulator_strategy(DSBS5, 0.0, 30), DSBS5),
+    "lifted_h2": _lifted_h2_pair,
+}
 
 
 class TestTableStrategy:
@@ -210,13 +243,40 @@ class TestEstimateStats:
             assert abs(est.mean_f - exact.mean_f) <= 4 * est.stderr_mean_f + 1e-6
             assert abs(est.mean_g - exact.mean_g) <= 4 * est.stderr_mean_g + 1e-6
 
-    def test_threads_deterministic(self):
-        f, g = gaussian_simulator_strategy(DSBS5, 0.0, 30)
-        a = estimate_strategy_stats(f, g, DSBS5, n_samples=4000, seed=5,
-                                    mode="monte_carlo", threads=2)
-        b = estimate_strategy_stats(f, g, DSBS5, n_samples=4000, seed=5,
-                                    mode="monte_carlo", threads=2)
-        assert a.corr_fg == b.corr_fg
+    @pytest.mark.parametrize("samples", [C - 1, C, C + 1, 7 * C // 2])
+    @pytest.mark.parametrize("kind", sorted(MC_PAIRS))
+    def test_threads_deterministic(self, kind, samples):
+        # chunk boundaries and their streams depend on the seed only
+        f, g, d = MC_PAIRS[kind]()
+        outs = {json.dumps(estimate_strategy_stats(f, g, d, n_samples=samples, seed=5,
+                                                   mode="monte_carlo", threads=t).as_dict())
+                for t in (1, 2, 3)}
+        assert len(outs) == 1
+
+    def test_rounded_pair_repeats(self):
+        f, g, d = MC_PAIRS["rounded"]()
+        outs = {json.dumps(estimate_strategy_stats(f, g, d, n_samples=3 * C, seed=6,
+                                                   mode="monte_carlo", threads=2).as_dict())
+                for _ in range(6)}
+        assert len(outs) == 1
+
+    def test_wide_pair_chunks_stay_under_the_cell_cap(self, monkeypatch):
+        # n * MC_CHUNK_SAMPLES passes the (shrunk) cap, so every chunk shrinks to fit it
+        monkeypatch.setattr(rounding, "MC_BATCH_CELLS", 10**4)
+        real, sizes = rounding._generic_pair_mc, []
+
+        def spy(f, g, dist, m, rng):
+            sizes.append(m)
+            return real(f, g, dist, m, rng)
+
+        monkeypatch.setattr(rounding, "_generic_pair_mc", spy)
+        n = 8
+        f = constant_strategy(DSBS5.row_space, n, 1.0)
+        g = constant_strategy(DSBS5.col_space, n, -1.0)
+        stats = estimate_strategy_stats(f, g, DSBS5, n_samples=5000, seed=1,
+                                        mode="monte_carlo", threads=2)
+        assert stats.corr_fg == -1.0
+        assert sum(sizes) == 5000 and max(sizes) * n <= 10**4
 
     def test_coordinate_mismatch(self):
         f = constant_strategy(DSBS5.row_space, 2, 1.0)
