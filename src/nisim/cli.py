@@ -105,6 +105,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _threads(text: str) -> int:
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be positive, got {threads}")
+    return threads
+
+
 def _polynomial_from_file(path: str):
     strat = _load_strategy(path)
     basis = build_basis(strat.space)
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None, help="dsbs:<rho> or 2x2 JSON for TV reporting")
     p.add_argument("--force-mc", action="store_true",
                    help="skip exact enumeration even when it fits")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_threads, default=1,
                    help="Monte Carlo worker threads")
     p.set_defaults(func=_cmd_simulate)
 

@@ -264,6 +264,8 @@ def estimate_strategy_stats(
     identical estimates whatever ``threads``, which only sets how many
     chunks run at once.
     """
+    if threads < 1:
+        raise ParameterRangeError(f"thread count must be positive, got {threads}")
     if f.n != g.n:
         raise InputError(f"coordinate counts differ: {f.n} vs {g.n}")
     if f.space != dist.row_space or g.space != dist.col_space:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import InputError, ParameterRangeError
-from .spaces import FiniteSpace, json_floats, json_list
+from .spaces import DEFAULT_CELL_CAP, FiniteSpace, json_floats, json_list
 from .util import kron_power
 
 
@@ -116,6 +116,12 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
     n = d["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InputError(f"function JSON 'n' must be a nonnegative integer, got {n!r}")
+    # q >= 2 and n >= bit_length(cap) already give q**n >= 2**n > cap, so the
+    # power is only computed when it is small
+    if space.q > 1 and (n >= DEFAULT_CELL_CAP.bit_length() or space.q**n > DEFAULT_CELL_CAP):
+        raise InputError(
+            f"function JSON 'n' = {n} needs {space.q}^{n} values, above the cap {DEFAULT_CELL_CAP}"
+        )
     if "values" in d:
         return TableStrategy(space, n, json_floats(d["values"], "function JSON 'values'"))
     if "coeffs" in d:

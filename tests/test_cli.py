@@ -78,6 +78,8 @@ def _function_json(**fields):
     return json.dumps({k: v for k, v in d.items() if v is not ...})
 
 
+TERNARY = {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}
+
 # malformed contents of valid JSON (or of a non-UTF-8 file), one entry per file:
 # the subcommand that reads it and the file text
 MALFORMED = {
@@ -95,6 +97,10 @@ MALFORMED = {
     "function_values_string": ("function", _function_json(values="ab")),
     "function_values_nan": ("function", _function_json(values=[float("nan"), 1.0])),
     "function_space_number": ("function", _function_json(space=5)),
+    # 3^3000000 values: rejected against the cell cap before the power is formed
+    "function_n_huge_values": ("function", _function_json(n=3_000_000, space=TERNARY)),
+    "function_n_huge_coeffs": (
+        "function", _function_json(n=3_000_000, space=TERNARY, values=..., coeffs={"0": 1.0})),
     "function_atoms_number": (
         "function", _function_json(space={"atoms": 7, "probs": [0.5, 0.5]})),
     "dist_row_atoms_number": (
@@ -365,6 +371,21 @@ class TestCliBasics:
     def test_directory_as_input_file(self, run_cli, tmp_path):
         code, _, err = run_cli("maxcorr", str(tmp_path))
         assert code == 1 and "error:" in err
+
+    def test_simulate_stdout_is_thread_invariant(self, run_cli, dsbs_path, dict_fn_path):
+        # 150000 samples span three Monte Carlo chunks
+        argv = ["simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,
+                "--samples", "150000", "--seed", "8", "--force-mc"]
+        outs = {run_cli(*argv, "--threads", t)[1] for t in ("1", "2", "3")}
+        assert len(outs) == 1 and json.loads(outs.pop())["n_samples"] == 150000
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_a_usage_error(self, run_cli, dsbs_path, dict_fn_path,
+                                                  threads):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,
+                    "--samples", "100", "--threads", threads)
+        assert exc.value.code == 2
 
     def test_simulate_defaults_to_one_thread(self, run_cli, dsbs_path, dict_fn_path):
         argv = ["simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,

@@ -12,6 +12,7 @@ from nisim import (
     EmpiricalJoint2x2,
     HybridStrategy,
     InputError,
+    ParameterRangeError,
     TableStrategy,
     berry_esseen_sample_count,
     constant_strategy,
@@ -277,6 +278,12 @@ class TestEstimateStats:
                                         mode="monte_carlo", threads=2)
         assert stats.corr_fg == -1.0
         assert sum(sizes) == 5000 and max(sizes) * n <= 10**4
+
+    def test_threads_must_be_positive(self):
+        f, g = gaussian_simulator_strategy(DSBS5, 0.0, 30)
+        for threads in (0, -1):
+            with pytest.raises(ParameterRangeError, match="thread count"):
+                estimate_strategy_stats(f, g, DSBS5, n_samples=100, threads=threads)
 
     def test_coordinate_mismatch(self):
         f = constant_strategy(DSBS5.row_space, 2, 1.0)
