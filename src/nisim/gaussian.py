@@ -1,6 +1,15 @@
 """Standard and bivariate normal machinery.
 
-Phi and its inverse, the CDF of a correlated standard normal pair, the
+Phi and its inverse come from the standard library: Phi(x) is
+0.5 * erfc(-x / sqrt 2), where libm's erfc is Cody's rational Chebyshev
+approximation (W. J. Cody, *Rational Chebyshev approximations for the
+error function*, Math. Comp. 23, 1969), and Phi^{-1} is
+``statistics.NormalDist().inv_cdf``, Wichura's PPND16 (M. J. Wichura,
+*Algorithm AS 241: The percentage points of the normal distribution*,
+Applied Statistics 37, 1988).  Arrays are mapped element by element
+through the same scalar functions.
+
+Also here: the CDF of a correlated standard normal pair, the
 stability quantities Gamma-bar / Gamma-under for threshold strategies on
 correlated Gaussians, and the sample-count formula that controls how many
 i.i.d. source draws a normalized sum needs before it behaves like a
@@ -21,9 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ParameterRangeError
 from .util import ceil_tolerant
@@ -33,10 +42,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 RHO_ONE_TOL = 1e-12
 
+_SQRT_HALF = math.sqrt(0.5)
+_ndtri = NormalDist().inv_cdf
+
+
+def _ndtr(x: float) -> float:
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _elementwise(fn, x):
+    """``fn`` on a scalar (a float back) or on each entry of an array."""
+    out = np.vectorize(fn, otypes=[float])(x)
+    return out if np.ndim(x) else float(out)
+
 
 def std_normal_cdf(x):
     """Phi(x); accepts scalars or arrays."""
-    return ndtr(x) if np.ndim(x) else float(ndtr(x))
+    return _elementwise(_ndtr, x)
 
 
 def std_normal_quantile(p):
@@ -44,7 +66,7 @@ def std_normal_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterRangeError("quantile argument must lie strictly inside (0, 1)")
-    return ndtri(p) if np.ndim(p) else float(ndtri(p))
+    return _elementwise(_ndtri, p)
 
 
 def bivariate_cdf(a: float, b: float, rho: float) -> float:
@@ -56,14 +78,14 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
     if a == -math.inf or b == -math.inf:
         return 0.0
     if a == math.inf:
-        return float(ndtr(b))
+        return _ndtr(b)
     if b == math.inf:
-        return float(ndtr(a))
+        return _ndtr(a)
     if rho >= 1.0 - RHO_ONE_TOL:
-        return float(ndtr(min(a, b)))
+        return _ndtr(min(a, b))
     if rho <= -1.0 + RHO_ONE_TOL:
-        return float(max(0.0, ndtr(a) + ndtr(b) - 1.0))
-    base = float(ndtr(a)) * float(ndtr(b))
+        return max(0.0, _ndtr(a) + _ndtr(b) - 1.0)
+    base = _ndtr(a) * _ndtr(b)
     if rho == 0.0:
         return base
     upper = math.asin(rho)
@@ -83,7 +105,7 @@ def threshold_for_mean(mu: float) -> float:
         return math.inf
     if mu == -1.0:
         return -math.inf
-    return float(ndtri((1.0 + mu) / 2.0))
+    return _ndtri((1.0 + mu) / 2.0)
 
 
 def gamma_bar(rho: float, mu: float, nu: float) -> float:
@@ -171,7 +193,7 @@ class ThresholdStrategy:
 
     @property
     def mean(self) -> float:
-        mu = 2.0 * float(ndtr(self.threshold)) - 1.0 if math.isfinite(self.threshold) else (
+        mu = 2.0 * _ndtr(self.threshold) - 1.0 if math.isfinite(self.threshold) else (
             1.0 if self.threshold > 0 else -1.0
         )
         return self.polarity * mu

@@ -3,9 +3,11 @@ stability values, and the sample-count formula."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
 from nisim import (
@@ -46,6 +48,43 @@ class TestUnivariate:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ParameterRangeError):
                 std_normal_quantile(bad)
+
+
+def _mp_phi(x):
+    return mpmath.erfc(-mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+
+
+def _max_rel_error(values, exact):
+    return max(float(abs((mpmath.mpf(float(v)) - e) / e)) for v, e in zip(values, exact))
+
+
+class TestAccuracyOracle:
+    """Phi and Phi^{-1} against mpmath at 50 digits, deep tails included."""
+
+    def test_phi_at_least_as_accurate_as_scipy(self):
+        xs = np.concatenate([np.linspace(-37.0, 8.2, 4001),
+                             np.random.default_rng(0).normal(0.0, 3.0, 2000)])
+        with mpmath.workdps(50):
+            exact = [_mp_phi(x) for x in xs.tolist()]
+            ours = _max_rel_error(std_normal_cdf(xs), exact)
+            theirs = _max_rel_error(ndtr(xs), exact)
+        assert ours <= theirs, (ours, theirs)
+
+    def test_quantile_within_a_few_ulp(self):
+        ps = np.concatenate([np.logspace(-300.0, math.log10(0.49), 1500),
+                             1.0 - np.logspace(-16.0, math.log10(0.49), 500)])
+        with mpmath.workdps(50):
+            exact = []
+            for p in ps.tolist():
+                # Newton on the 50-digit Phi from scipy's value, an independent start
+                x, p = mpmath.mpf(float(ndtri(p))), mpmath.mpf(p)
+                for _ in range(3):
+                    step = (_mp_phi(x) - p) / mpmath.npdf(x)
+                    x -= step
+                assert abs(step) <= abs(x) * mpmath.mpf(10) ** -40
+                exact.append(x)
+            err = _max_rel_error(std_normal_quantile(ps), exact)
+        assert err <= 1e-15, err
 
 
 class TestBivariateCdf:
