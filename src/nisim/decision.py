@@ -134,8 +134,13 @@ def n0_chain(
         constants = ChainConstants()
     if not 0.0 < delta < 1.0:
         raise ParameterRangeError(f"gap budget must lie in (0, 1), got {delta}")
-    report = maximal_correlation(dist)
-    rho = report.rho
+    return _n0_chain(dist, delta, constants, maximal_correlation(dist).rho)
+
+
+def _n0_chain(
+    dist: JointDistribution, delta: float, constants: ChainConstants, rho: float
+) -> ParameterChain:
+    """The chain body, for a caller that already has the maximal correlation."""
     if rho >= 1.0 - 1e-12:
         raise ParameterRangeError(
             "chain undefined at maximal correlation 1 (perfectly correlated component)"
@@ -791,9 +796,11 @@ def _search_thresholds(delta: float) -> dict:
     }
 
 
-def _n0_report(dist: JointDistribution, delta: float, constants: ChainConstants) -> dict:
+def _n0_report(
+    dist: JointDistribution, delta: float, constants: ChainConstants, rho: float
+) -> dict:
     try:
-        return n0_chain(dist, delta, constants).as_dict()
+        return _n0_chain(dist, delta, constants, rho).as_dict()
     except (ParameterRangeError, InputError) as exc:
         return {"error": str(exc)}
 
@@ -853,7 +860,7 @@ def _decide(
     thresholds = dict(th, **head, accept_floor=accept_floor, ceiling=ceiling)
 
     def verdict(**fields) -> Verdict:
-        n0 = _n0_report(dist, delta, constants) if report_n0 else None
+        n0 = _n0_report(dist, delta, constants, rho0) if report_n0 else None
         return Verdict(**fields, n0_report=n0)
 
     if ceiling < accept_floor - ACCEPT_TOL:

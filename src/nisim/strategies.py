@@ -117,10 +117,11 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InputError(f"function JSON 'n' must be a nonnegative integer, got {n!r}")
     # q >= 2 and n >= bit_length(cap) already give q**n >= 2**n > cap, so the
-    # power is only computed when it is small
-    if space.q > 1 and (n >= DEFAULT_CELL_CAP.bit_length() or space.q**n > DEFAULT_CELL_CAP):
+    # power is only computed when it is small; the bound on n holds for q = 1 too
+    if n >= DEFAULT_CELL_CAP.bit_length() or space.q**n > DEFAULT_CELL_CAP:
         raise InputError(
-            f"function JSON 'n' = {n} needs {space.q}^{n} values, above the cap {DEFAULT_CELL_CAP}"
+            f"function JSON 'n' = {n} is too large: n must stay below "
+            f"{DEFAULT_CELL_CAP.bit_length()} and {space.q}^n below the cap {DEFAULT_CELL_CAP}"
         )
     if "values" in d:
         return TableStrategy(space, n, json_floats(d["values"], "function JSON 'values'"))

@@ -4,6 +4,8 @@ stability for every subcommand."""
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -101,6 +103,9 @@ MALFORMED = {
     "function_n_huge_values": ("function", _function_json(n=3_000_000, space=TERNARY)),
     "function_n_huge_coeffs": (
         "function", _function_json(n=3_000_000, space=TERNARY, values=..., coeffs={"0": 1.0})),
+    # one atom: 1^70 = 1 cell, but n itself passes the bound on n
+    "function_one_atom_n_huge": (
+        "function", _function_json(n=70, space={"atoms": ["a"], "probs": [1.0]}, values=[1.0])),
     "function_atoms_number": (
         "function", _function_json(space={"atoms": 7, "probs": [0.5, 0.5]})),
     "dist_row_atoms_number": (
@@ -361,6 +366,28 @@ class TestCliBasics:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    def test_cli_runs_leave_scipy_unloaded(self, tmp_path, dsbs_path, dict_fn_path):
+        # a fresh interpreter: this suite imports scipy elsewhere
+        code = (
+            "import contextlib, io, sys\n"
+            "from nisim.cli import main\n"
+            "d, f = sys.argv[1:]\n"
+            "runs = [['decide', '--dist', d, '--target', 'dsbs:0.3', '--delta', '0.3',\n"
+            "         '--n', '2', '--report-n0'],\n"
+            "        ['simulate', '--dist', d, '--f', f, '--g', f, '--samples', '2000',\n"
+            "         '--force-mc', '--target', 'dsbs:0.49'],\n"
+            "        ['fourier', f]]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in runs]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code, dsbs_path, dict_fn_path], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[0, 0, 0] []"
 
     def test_malformed_constants_rejected(self, run_cli, triple_path):
         for text in ("C_smooth=abc", "C_tau=nan", "C_be=0"):

@@ -2,10 +2,6 @@
 and verdict soundness."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,22 +328,6 @@ class TestBoxLp:
             with pytest.raises(NisimError):
                 _box_lp_max(w, m, cap, center)
 
-    def test_decide_path_does_not_load_scipy_optimize(self):
-        # a fresh interpreter: this suite imports scipy.optimize elsewhere
-        code = (
-            "import sys\n"
-            "from nisim import decide_gap_nis, uniform_triple\n"
-            "v = decide_gap_nis(uniform_triple(), 0.45, 0.02, 2)\n"
-            "assert v.thresholds and v.decision == 'REJECT'\n"
-            "print('scipy.optimize' in sys.modules)\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
-
 
 class TestOracle:
     def test_triple_quarter(self):
@@ -467,6 +447,19 @@ class TestDecideGapNis:
         v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 6)
         assert v.reason == "bounded-depth" and v.n_used == 6
         assert calls == {"maximal_correlation": 1, "_tensor_weights": 6, "discretize_range": 1}
+
+    def test_n0_report_reuses_the_maximal_correlation(self, monkeypatch):
+        calls = []
+        inner = decision.maximal_correlation
+
+        def counted(dist):
+            calls.append(dist)
+            return inner(dist)
+
+        monkeypatch.setattr(decision, "maximal_correlation", counted)
+        v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 2, report_n0=True)
+        assert len(calls) == 1
+        assert v.n0_report == n0_chain(make_dsbs(0.5), 0.05).as_dict()
 
     def test_accept_witness_reverifies_and_rounds_close(self):
         delta = 0.1
