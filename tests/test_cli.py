@@ -516,6 +516,25 @@ class TestGoldenOutputs:
         check_golden("examples_alpha25.json", out)
 
 
+# valid contents of each kind of file the CLI reads: fuzz inputs, and the
+# documents the mutation test starts from
+VALID_DOCS = {
+    "dist": [
+        {"row_atoms": ["0", "1"], "col_atoms": ["0", "1"],
+         "probs": [[1 / 3, 1 / 3], [1 / 3, 0.0]]},
+        {"row_atoms": ["a", "b", "c"], "col_atoms": ["x", "y"],
+         "probs": [[0.2, 0.1], [0.1, 0.2], [0.15, 0.25]]},
+    ],
+    "function": [
+        {"n": 1, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]}, "values": [1.0, -1.0]},
+        {"n": 2, "space": {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+         "values": [1, -1, 1, -1, 1, -1, 1, 1, -1]},
+        {"n": 2, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]}, "coeffs": {"3": 1.0}},
+    ],
+    "target": [{"probs": [[0.0, 0.5], [0.5, 0.0]]}, {"probs": [[0.4, 0.1], [0.1, 0.4]]}],
+}
+
+
 # -- argument-vector fuzzing --------------------------------------------------
 
 NUMBERS = ["0", "1", "2", "-1", "-5", "0.5", "nan", "inf", "abc", ""]
@@ -534,16 +553,9 @@ def fuzz_paths(tmp_path_factory):
     with redirect_stdout(io.StringIO()):
         for name, spec in (("triple.json", "triple"), ("dsbs.json", "dsbs:0.49")):
             assert main(["examples", "--name", spec, "--out", str(root / name)]) == 0
-    files = {
-        "dict.json": '{"n": 1, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]}, '
-                     '"values": [1.0, -1.0]}',
-        "tri2.json": '{"n": 2, "space": {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}, '
-                     '"values": [1, -1, 1, -1, 1, -1, 1, 1, -1]}',
-        "parity.json": '{"n": 2, "space": {"atoms": ["+1", "-1"], "probs": [0.5, 0.5]}, '
-                       '"coeffs": {"3": 1.0}}',
-        "anti.json": json.dumps({"probs": [[0.0, 0.5], [0.5, 0.0]]}),
-        "broken.json": "{oops",
-    }
+    dict_fn, tri2, parity = (json.dumps(doc) for doc in VALID_DOCS["function"])
+    files = {"dict.json": dict_fn, "tri2.json": tri2, "parity.json": parity,
+             "anti.json": json.dumps(VALID_DOCS["target"][0]), "broken.json": "{oops"}
     for name, text in files.items():
         (root / name).write_text(text)
     names = ["triple.json", "dsbs.json", *files]
@@ -609,3 +621,83 @@ class TestCliFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
+
+
+# -- mutated input files --------------------------------------------------------
+
+
+def _list_paths(node, path=()):
+    """The key/index path of every JSON array inside ``node``."""
+    if isinstance(node, list):
+        yield path
+        items = enumerate(node)
+    elif isinstance(node, dict):
+        items = node.items()
+    else:
+        return
+    for key, child in items:
+        yield from _list_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_docs(draw):
+    """(kind, document): a valid document with one to three of its arrays
+    mutated by a negative entry, a rescale that breaks a sum, or a dropped or
+    repeated entry (lengths that disagree, a wrong-length ``values``, ragged rows)."""
+    kind = draw(st.sampled_from(sorted(VALID_DOCS)))
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS[kind]))))
+    for _ in range(draw(st.integers(1, 3))):
+        seq = doc
+        for key in draw(st.sampled_from(list(_list_paths(doc)))):
+            seq = seq[key]
+        op = draw(st.sampled_from(["negative", "rescale", "drop", "repeat"]))
+        i = draw(st.integers(0, len(seq) - 1)) if seq else None
+        numeric = [j for j, v in enumerate(seq) if isinstance(v, (int, float))]
+        if op == "negative" and numeric:
+            seq[draw(st.sampled_from(numeric))] = -draw(st.sampled_from([1e-9, 0.1, 0.5]))
+        elif op == "rescale":
+            factor = draw(st.sampled_from([0.0, 0.5, 1.0 + 1e-6, 2.0]))
+            for j in numeric:
+                seq[j] *= factor
+        elif op == "drop" and i is not None:
+            del seq[i]
+        elif op == "repeat" and i is not None:
+            seq.insert(i, json.loads(json.dumps(seq[i])))
+    return kind, doc
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    """A directory holding one valid file of each kind, for the other inputs."""
+    root = tmp_path_factory.mktemp("mutated")
+    for kind, docs in VALID_DOCS.items():
+        (root / f"valid_{kind}.json").write_text(json.dumps(docs[0]))
+    return root
+
+
+class TestMutatedFiles:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_mutated_valid_files_exit_cleanly(self, mutation_dir, data):
+        kind, doc = data.draw(mutated_docs())
+        path = mutation_dir / "mutated.json"
+        path.write_text(json.dumps(doc))
+        p, d, f = str(path), *(str(mutation_dir / f"valid_{k}.json") for k in ("dist", "function"))
+        decide = ["decide", "--delta", "0.5", "--n", "1"]
+        simulate = ["simulate", "--samples", "1000", "--target", "dsbs:0.3"]
+        argv = data.draw(st.sampled_from({
+            "dist": [["maxcorr", p], decide + ["--dist", p, "--target", "dsbs:0.3"],
+                     simulate + ["--dist", p, "--f", f, "--g", f]],
+            "function": [["fourier", p, "--report", "mean,var,influences"],
+                         simulate + ["--dist", d, "--f", p, "--g", f]],
+            "target": [decide + ["--dist", d, "--target", p],
+                       ["simulate", "--samples", "1000", "--dist", d, "--f", f, "--g", f,
+                        "--target", p]],
+        }[kind]))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), (argv, doc)

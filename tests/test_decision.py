@@ -437,28 +437,16 @@ class TestDecideGapNis:
 
     def test_per_call_and_per_depth_work_is_done_once(self, monkeypatch):
         # maximal correlation and the value grid once per call, the tensor
-        # weights once per depth, however many stages read them
+        # weights once per depth, however many stages (the n0 report too) read them
         calls = {}
         for name in ("maximal_correlation", "_tensor_weights", "discretize_range"):
             def counted(*args, _inner=getattr(decision, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _inner(*args)
             monkeypatch.setattr(decision, name, counted)
-        v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 6)
+        v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 6, report_n0=True)
         assert v.reason == "bounded-depth" and v.n_used == 6
         assert calls == {"maximal_correlation": 1, "_tensor_weights": 6, "discretize_range": 1}
-
-    def test_n0_report_reuses_the_maximal_correlation(self, monkeypatch):
-        calls = []
-        inner = decision.maximal_correlation
-
-        def counted(dist):
-            calls.append(dist)
-            return inner(dist)
-
-        monkeypatch.setattr(decision, "maximal_correlation", counted)
-        v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 2, report_n0=True)
-        assert len(calls) == 1
         assert v.n0_report == n0_chain(make_dsbs(0.5), 0.05).as_dict()
 
     def test_accept_witness_reverifies_and_rounds_close(self):
