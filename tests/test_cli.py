@@ -103,7 +103,7 @@ MALFORMED = {
     "function_n_huge_values": ("function", _function_json(n=3_000_000, space=TERNARY)),
     "function_n_huge_coeffs": (
         "function", _function_json(n=3_000_000, space=TERNARY, values=..., coeffs={"0": 1.0})),
-    # one atom: 1^70 = 1 cell, but n itself passes the bound on n
+    # one atom: 1^70 = 1 cell fits the cap, but n = 70 is past the bound on n
     "function_one_atom_n_huge": (
         "function", _function_json(n=70, space={"atoms": ["a"], "probs": [1.0]}, values=[1.0])),
     "function_atoms_number": (
@@ -367,7 +367,7 @@ class TestCliBasics:
                 main(argv)
             assert exc.value.code == 2
 
-    def test_cli_runs_leave_scipy_unloaded(self, tmp_path, dsbs_path, dict_fn_path):
+    def test_cli_runs_leave_scipy_unloaded(self, dsbs_path, dict_fn_path):
         # a fresh interpreter: this suite imports scipy elsewhere
         code = (
             "import contextlib, io, sys\n"
