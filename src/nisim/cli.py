@@ -23,13 +23,7 @@ from .decision import (
     n0_chain,
 )
 from .errors import NisimError
-from .fourier import (
-    build_basis,
-    degree_tail_mass,
-    influences,
-    transform,
-)
-from .fourier import ValueTable
+from .fourier import degree_tail_mass, influences, transform
 from .maxcorr import maximal_correlation, witsenhausen_bounds
 from .regularity import (
     regularity_params,
@@ -114,9 +108,7 @@ def _threads(text: str) -> int:
 
 def _polynomial_from_file(path: str):
     strat = _load_strategy(path)
-    basis = build_basis(strat.space)
-    table = ValueTable(strat.space, strat.n, strat.values)
-    return transform(table, basis), strat
+    return transform(strat), strat
 
 
 # -- subcommand handlers ---------------------------------------------------------

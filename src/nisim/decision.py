@@ -367,8 +367,7 @@ def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
         raise ResourceLimitError(
             f"{len(grid) ** k} grid assignments of width {k} exceed the memory cap"
         )
-    grids = np.meshgrid(*[grid] * k, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return grid[all_assignments(len(grid), k)]
 
 
 def _exceeds_work_cap(grid_size: int, width: int) -> bool:

@@ -4,7 +4,11 @@ Functions f in L2(A^n, mu^n) are represented two ways: as dense value
 tables (row-major over atom-index tuples, coordinate 0 most significant)
 and as sparse coefficient maps over degree sequences sigma in Z_q^n,
 relative to a fixed orthonormal basis with the constant function first.
-Degree sequences are encoded as base-q integers for canonical map keys.
+The dense table is the strategy layer's ``TableStrategy``, which this
+module also exports as ``ValueTable``, so a function the search returns
+or a file holds goes through the transforms as it is.  Degree sequences
+are encoded as base-q integers for canonical map keys, with the place
+values of ``util.place_values``.
 
 The functionals, the inverse transform and the restriction routine share
 one decode of the map into keys (int64 while q^n fits, Python ints past
@@ -27,7 +31,8 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError, ResourceLimitError
 from .spaces import FiniteSpace
-from .util import kron_power
+from .strategies import TableStrategy as ValueTable
+from .util import contract_coordinates, place_values
 
 ORTHONORMALITY_TOL = 1e-10
 GS_RESIDUAL_TOL = 1e-12
@@ -91,38 +96,6 @@ def build_basis(space: FiniteSpace) -> OrthonormalBasis:
     return OrthonormalBasis(space, np.array(chars))
 
 
-# -- value tables --------------------------------------------------------
-
-
-class ValueTable:
-    """Dense values of a function on A^n, row-major in atom order."""
-
-    __slots__ = ("space", "n", "values")
-
-    def __init__(self, space: FiniteSpace, n: int, values):
-        if n < 0:
-            raise ParameterRangeError("coordinate count must be nonnegative")
-        v = np.asarray(values, dtype=float).ravel()
-        if v.shape[0] != space.q**n:
-            raise InputError(f"expected {space.q ** n} values, got {v.shape[0]}")
-        self.space = space
-        self.n = n
-        self.values = v
-
-    def weights(self) -> np.ndarray:
-        """Product-measure weights, aligned with the value order."""
-        return kron_power(self.space.probs, self.n)
-
-    def mean(self) -> float:
-        return float(self.weights() @ self.values)
-
-    def norm(self, p: float) -> float:
-        """lp norm under the product measure (p = inf gives the max on the support)."""
-        if p == math.inf:
-            return float(np.abs(self.values).max())
-        return float((self.weights() @ np.abs(self.values) ** p) ** (1.0 / p))
-
-
 # -- degree-sequence encoding -------------------------------------------
 
 
@@ -150,15 +123,9 @@ def sigma_degree(key: int, q: int, n: int) -> int:
     return deg
 
 
-def _places(q: int, n: int) -> np.ndarray:
-    """Place value q^(n-1-i) of each coordinate i: int64 while q^n fits, else Python ints."""
-    dtype = np.int64 if q**n <= 2**63 else object
-    return np.array([q ** (n - 1 - i) for i in range(n)], dtype=dtype)
-
-
 def _decode(poly: "FourierPolynomial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys, coefficients and digit matrix, one row per coefficient in ``coeffs`` order."""
-    places = _places(poly.q, poly.n)
+    places = place_values(poly.q, poly.n)
     size = len(poly.coeffs)
     keys = np.fromiter(poly.coeffs, places.dtype, size)
     values = np.fromiter(poly.coeffs.values(), float, size)
@@ -194,9 +161,6 @@ class FourierPolynomial:
     def q(self) -> int:
         return self.basis.q
 
-    def degree_of(self, key: int) -> int:
-        return sigma_degree(key, self.q, self.n)
-
     def degree(self) -> int:
         return int(_degrees(self)[2].max(initial=0))
 
@@ -223,16 +187,10 @@ def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> Fouri
         basis = build_basis(table.space)
     if basis.space != table.space:
         raise InputError("basis and value table live on different spaces")
-    q, n = basis.q, table.n
-    if n == 0:
-        return FourierPolynomial(basis, 0, {0: float(table.values[0])})
-    arr = table.values.reshape((q,) * n)
     b = basis.chars * table.space.probs  # b[j, a] = mu(a) X_j(a)
-    for _ in range(n):
-        arr = np.tensordot(arr, b, axes=([0], [1]))
-    flat = arr.ravel()
+    flat = contract_coordinates(table.values, b, table.n)
     nz = np.nonzero(np.abs(flat) > COEFF_DROP_TOL)[0]
-    return FourierPolynomial(basis, n, {int(k): float(flat[k]) for k in nz})
+    return FourierPolynomial(basis, table.n, {int(k): float(flat[k]) for k in nz})
 
 
 def inverse_transform(poly: FourierPolynomial) -> ValueTable:
@@ -243,15 +201,10 @@ def inverse_transform(poly: FourierPolynomial) -> ValueTable:
         raise ResourceLimitError(
             f"dense table needs {cells} cells, above the cap {DENSE_CELL_CAP}"
         )
-    if n == 0:
-        return ValueTable(poly.basis.space, 0, [poly.coeffs.get(0, 0.0)])
     keys, values, _ = _decode(poly)
     arr = np.zeros(cells)
     arr[keys] = values
-    arr = arr.reshape((q,) * n)
-    for _ in range(n):
-        arr = np.tensordot(arr, poly.basis.chars, axes=([0], [0]))
-    return ValueTable(poly.basis.space, n, arr.ravel())
+    return ValueTable(poly.basis.space, n, contract_coordinates(arr, poly.basis.chars.T, n))
 
 
 # -- spectral functionals -------------------------------------------------
@@ -312,13 +265,9 @@ def noise_operator_kernel(table: ValueTable, gamma: float) -> ValueTable:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
-    q, n = table.space.q, table.n
-    mu = table.space.probs
+    q, mu = table.space.q, table.space.probs
     kernel = gamma * np.eye(q) + (1.0 - gamma) * np.tile(mu, (q, 1))
-    arr = table.values.reshape((q,) * n) if n else table.values.copy()
-    for _ in range(n):
-        arr = np.tensordot(arr, kernel, axes=([0], [1]))
-    return ValueTable(table.space, n, np.asarray(arr).ravel())
+    return ValueTable(table.space, table.n, contract_coordinates(table.values, kernel, table.n))
 
 
 def restrict(
@@ -374,7 +323,7 @@ def restriction_columns(
             table[rows] *= poly.basis.chars[h_digits[rows, j][:, None], part[:, j]]
         np.matmul(grouped, table, out=columns[:, lo : lo + len(part)])
         lo += len(part)
-    places = _places(poly.q, len(T))
+    places = place_values(poly.q, len(T))
     return t_digits.astype(places.dtype) @ places, t_digits, columns
 
 

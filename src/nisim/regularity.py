@@ -298,7 +298,6 @@ def restriction_regular_probability(
     mode: str = "exact",
     samples: int = 10000,
     seed=0,
-    exhaustive_cap: int = EXHAUSTIVE_RESTRICTION_CAP,
 ) -> RegularProbability:
     """Probability over restrictions of H that every surviving influence is <= tau.
 
@@ -312,10 +311,10 @@ def restriction_regular_probability(
     q = poly.q
     space = poly.basis.space
     if mode == "exact":
-        if q ** len(H) > exhaustive_cap:
+        if q ** len(H) > EXHAUSTIVE_RESTRICTION_CAP:
             raise ParameterRangeError(
-                f"{q ** len(H)} restrictions exceed the exhaustive cap {exhaustive_cap}; "
-                "use monte_carlo mode"
+                f"{q ** len(H)} restrictions exceed the exhaustive cap "
+                f"{EXHAUSTIVE_RESTRICTION_CAP}; use monte_carlo mode"
             )
         xi = all_assignments(q, len(H))
         weights = assignment_weights(space.probs, xi)

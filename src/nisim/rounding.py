@@ -29,7 +29,7 @@ from .gaussian import std_normal_cdf, threshold_for_mean
 from .maxcorr import maximal_correlation
 from .spaces import EmpiricalJoint2x2, FiniteSpace, JointDistribution
 from .strategies import Strategy
-from .util import all_assignments, kron_power
+from .util import all_assignments, contract_coordinates, kron_power, place_values
 
 ENUMERATION_CELL_CAP = 10**8
 MC_BATCH_CELLS = 2 * 10**7
@@ -99,11 +99,11 @@ class LiftedStrategy(Strategy):
         t = np.array([threshold_for_mean(v) for v in nu])
         self.prefix_means = nu
         self.sum_thresholds = t * math.sqrt(w)
-        self._places = space.q ** np.arange(h - 1, -1, -1) if h else np.zeros(0, int)
+        self._places = place_values(space.q, h)
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:
         idx = self._check_idx(idx)
-        pidx = idx[:, : self.h] @ self._places if self.h else np.zeros(len(idx), int)
+        pidx = idx[:, : self.h] @ self._places
         s = self.witness[idx[:, self.h:]].sum(axis=1)
         base = np.where(s <= self.sum_thresholds[pidx], 1.0, -1.0)
         return self.polarity * base
@@ -189,12 +189,8 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
     n = f.n
     vf = f.evaluate(all_assignments(qa, n))
     vg = g.evaluate(all_assignments(qb, n))
-    # u(x) = sum_y prod_i mu(x_i, y_i) g(y), contracted one coordinate at a time
-    arr = vg.reshape((qb,) * n) if n else vg.copy()
-    for _ in range(n):
-        arr = np.tensordot(arr, dist.table, axes=([0], [1]))
-    u = np.asarray(arr).ravel()
-    corr = float(vf @ u)
+    # u(x) = sum_y prod_i mu(x_i, y_i) g(y)
+    corr = float(vf @ contract_coordinates(vg, dist.table, n))
     mean_f = float(kron_power(dist.row_space.probs, n) @ vf)
     mean_g = float(kron_power(dist.col_space.probs, n) @ vg)
     joint = EmpiricalJoint2x2.from_moments(mean_f, mean_g, corr)
@@ -223,8 +219,8 @@ def _lifted_pair_mc(
     qa, qb = dist.shape
     pjoint = dist.table.ravel()
     flat = rng.choice(qa * qb, size=(n_samples, f.h), p=pjoint)
-    pa = (flat // qb) @ (qa ** np.arange(f.h - 1, -1, -1))
-    pb = (flat % qb) @ (qb ** np.arange(g.h - 1, -1, -1))
+    pa = (flat // qb) @ place_values(qa, f.h)
+    pb = (flat % qb) @ place_values(qb, g.h)
     counts = rng.multinomial(f.w, pjoint, size=n_samples)
     vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
     vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
@@ -253,7 +249,6 @@ def estimate_strategy_stats(
     n_samples: int = 10**6,
     seed=0,
     mode: str = "auto",
-    enumeration_cap: int = ENUMERATION_CELL_CAP,
     threads: int = 1,
 ) -> StrategyStats:
     """Means, correlation, and the induced 2x2 table of a strategy pair.
@@ -277,10 +272,10 @@ def estimate_strategy_stats(
     randomized = f.is_randomized or g.is_randomized
     if mode == "exact" and randomized:
         raise InputError("exact enumeration is undefined for randomized strategies")
-    if mode == "exact" or (mode == "auto" and cells <= enumeration_cap and not randomized):
-        if cells > enumeration_cap:
+    if mode == "exact" or (mode == "auto" and cells <= ENUMERATION_CELL_CAP and not randomized):
+        if cells > ENUMERATION_CELL_CAP:
             raise ParameterRangeError(
-                f"exact enumeration needs {cells} cells, above the cap {enumeration_cap}"
+                f"exact enumeration needs {cells} cells, above the cap {ENUMERATION_CELL_CAP}"
             )
         return _exact_stats(f, g, dist)
     if n_samples < 1:

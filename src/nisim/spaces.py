@@ -46,8 +46,8 @@ def json_floats(value, what: str) -> np.ndarray:
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be a rectangular array, not ragged") from None
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must be finite numbers")
     return arr.astype(float)
 

@@ -10,12 +10,13 @@ lazily so huge coordinate counts stay cheap.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .errors import InputError, ParameterRangeError
 from .spaces import DEFAULT_CELL_CAP, FiniteSpace, json_floats, json_list
-from .util import kron_power
+from .util import kron_power, place_values
 
 
 class Strategy:
@@ -39,7 +40,10 @@ class Strategy:
 
 
 class TableStrategy(Strategy):
-    """Dense value table over all q^n coordinate tuples (row-major)."""
+    """Dense value table over all q^n coordinate tuples (row-major).
+
+    This is also the Fourier layer's value table, ``fourier.ValueTable``.
+    """
 
     def __init__(self, space: FiniteSpace, n: int, values):
         if n < 0:
@@ -50,28 +54,24 @@ class TableStrategy(Strategy):
         self.space = space
         self.n = n
         self.values = v
-        self._places = space.q ** np.arange(n - 1, -1, -1) if n else np.zeros(0, int)
+        self._places = place_values(space.q, n)
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:
         idx = self._check_idx(idx)
-        if self.n == 0:
-            return np.full(idx.shape[0], self.values[0])
         return self.values[idx @ self._places]
 
-    def exact_mean(self) -> float:
-        return float(kron_power(self.space.probs, self.n) @ self.values)
+    def weights(self) -> np.ndarray:
+        """Product-measure weights, aligned with the value order."""
+        return kron_power(self.space.probs, self.n)
 
-    def clipped(self) -> "TableStrategy":
-        return TableStrategy(self.space, self.n, np.clip(self.values, -1.0, 1.0))
+    def mean(self) -> float:
+        return float(self.weights() @ self.values)
 
-    def scaled(self, factor: float) -> "TableStrategy":
-        return TableStrategy(self.space, self.n, self.values * factor)
-
-    def blended(self, alpha: float, center: float) -> "TableStrategy":
-        """alpha * f + (1 - alpha) * center."""
-        return TableStrategy(
-            self.space, self.n, alpha * self.values + (1.0 - alpha) * center
-        )
+    def norm(self, p: float) -> float:
+        """lp norm under the product measure (p = inf gives the max on the support)."""
+        if p == math.inf:
+            return float(np.abs(self.values).max())
+        return float((self.weights() @ np.abs(self.values) ** p) ** (1.0 / p))
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,12 +93,8 @@ def dictator_strategy(space: FiniteSpace, n: int, coord: int, values) -> TableSt
     v = np.asarray(values, dtype=float)
     if v.shape[0] != space.q:
         raise InputError("need one value per atom")
-    q = space.q
-    table = np.zeros(q**n)
-    idx = np.arange(q**n)
-    digit = (idx // q ** (n - 1 - coord)) % q
-    table[:] = v[digit]
-    return TableStrategy(space, n, table)
+    digit = np.arange(space.q**n) // place_values(space.q, n)[coord] % space.q
+    return TableStrategy(space, n, v[digit])
 
 
 def strategy_from_json_dict(d: dict) -> TableStrategy:
@@ -138,9 +134,7 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
         top = space.q**n
         if any(k < 0 or k >= top for k in keys):
             raise InputError("coefficient key outside the degree-sequence range")
-        basis = build_basis(space)
-        table = inverse_transform(FourierPolynomial(basis, n, dict(zip(keys, values))))
-        return TableStrategy(space, n, table.values)
+        return inverse_transform(FourierPolynomial(build_basis(space), n, dict(zip(keys, values))))
     raise InputError("function JSON needs either 'values' or 'coeffs'")
 
 

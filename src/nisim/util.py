@@ -17,6 +17,26 @@ def all_assignments(q: int, h: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def place_values(q: int, n: int) -> np.ndarray:
+    """Place value q^(n-1-i) of coordinate i in the row-major layout (coordinate 0
+    most significant): int64 while q^n fits, else Python ints."""
+    dtype = np.int64 if q**n <= 2**63 else object
+    return np.array([q ** (n - 1 - i) for i in range(n)], dtype=dtype)
+
+
+def contract_coordinates(values, matrix: np.ndarray, n: int) -> np.ndarray:
+    """Apply ``matrix`` to each of the n coordinates of a row-major table.
+
+    out[y] = sum_x prod_i matrix[y_i, x_i] values[x], one coordinate at a
+    time; ``values`` holds matrix.shape[1]^n entries, the fresh result
+    matrix.shape[0]^n.
+    """
+    arr = np.array(values, dtype=float).reshape((matrix.shape[1],) * n)
+    for _ in range(n):
+        arr = np.tensordot(arr, matrix, axes=([0], [1]))
+    return arr.ravel()
+
+
 def assignment_weights(probs: np.ndarray, assignments: np.ndarray) -> np.ndarray:
     """Product-measure weight of each assignment row."""
     w = np.ones(assignments.shape[0])

@@ -329,6 +329,25 @@ class TestCliBasics:
         code, _, err = run_cli(*argv)
         assert code == 1 and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, probs, fault", [
+        ("dist", [[0.5, 0.5], [0.5]], "must be a rectangular array"),
+        ("target", [[0.5, 0.5], [0.5]], "must be a rectangular array"),
+        ("target", [["a", "b"], ["c", "d"]], "must be finite numbers"),
+        ("target", [[0.5, None], [0.25, 0.25]], "must be finite numbers"),
+        ("target", [[float("nan"), 0.5], [0.25, 0.25]], "must be finite numbers"),
+    ])
+    def test_probs_errors_name_the_fault(self, run_cli, tmp_path, dsbs_path, kind, probs, fault):
+        path = tmp_path / "probs.json"
+        if kind == "dist":
+            path.write_text(json.dumps({"row_atoms": ["a", "b"], "col_atoms": ["a", "b"],
+                                        "probs": probs}))
+            argv = ["maxcorr", str(path)]
+        else:
+            path.write_text(json.dumps({"probs": probs}))
+            argv = ["decide", "--dist", dsbs_path, "--target", str(path), "--delta", "0.5"]
+        code, _, err = run_cli(*argv)
+        assert code == 1 and err.startswith("error:") and fault in err
+
     def test_decide_grid_beyond_memory_cap(self, run_cli, triple_path):
         argv = ["decide", "--dist", triple_path, "--delta", "0.00001", "--target"]
         code, _, err = run_cli(*argv, "dsbs:0.2")

@@ -3,6 +3,10 @@ the spectral implementation paths."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,34 @@ class TestTransform:
                 c * pg.coeffs.get(k, 0.0) for k, c in pf.coeffs.items()
             )
             assert inner_spectral == pytest.approx(inner_pointwise, abs=1e-9)
+
+    @pytest.mark.parametrize("c", [0.75, -2.5, 1e-14, -3e-15])
+    def test_zero_coordinates(self, c):
+        """n = 0: one value, the constant coefficient; |c| <= 1e-14 is dropped."""
+        s = random_space(np.random.default_rng(5), 3)
+        table = ValueTable(s, 0, [c])
+        p = transform(table)
+        assert p.coeffs == ({0: c} if abs(c) > 1e-14 else {})
+        back = inverse_transform(FourierPolynomial(build_basis(s), 0, {0: c}))
+        assert back.values.tolist() == [c if abs(c) > 1e-14 else 0.0]
+        for gamma in (0.0, 0.4, 1.0):
+            smoothed = noise_operator_kernel(table, gamma)
+            assert smoothed.n == 0 and smoothed.values.tolist() == [c]
+            assert not np.shares_memory(smoothed.values, table.values)
+
+    def test_value_table_is_the_strategy_table(self):
+        """fourier imports strategies and strategies imports fourier lazily:
+        either module imports first in a fresh interpreter, and both names
+        denote one class."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for first in ("nisim.fourier", "nisim.strategies"):
+            code = (f"import {first}\nimport nisim\n"
+                    "print(nisim.ValueTable is nisim.TableStrategy is nisim.fourier.ValueTable)")
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert out.strip() == "True", first
 
     def test_norm_monotonicity(self):
         rng = np.random.default_rng(23)

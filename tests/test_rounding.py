@@ -82,7 +82,7 @@ class TestTableStrategy:
     def test_exact_mean(self):
         t = uniform_triple()
         strat = TableStrategy(t.row_space, 1, [0.5, -1.0])
-        assert strat.exact_mean() == pytest.approx(0.0, abs=1e-15)
+        assert strat.mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_json_values_round_trip(self):
         s = DSBS5.row_space
@@ -149,6 +149,16 @@ class TestEstimateStats:
             stats = estimate_strategy_stats(f, g, d, mode="exact")
             assert stats.corr_fg == pytest.approx(rho, abs=1e-12)
             assert stats.mean_f == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_coordinates_exact(self):
+        """n = 0: both functions are constants a and b, so corr = a * b."""
+        d = uniform_triple()
+        f, g = TableStrategy(d.row_space, 0, [0.5]), TableStrategy(d.col_space, 0, [-0.25])
+        stats = estimate_strategy_stats(f, g, d)
+        assert stats.mode == "exact"
+        assert (stats.mean_f, stats.mean_g, stats.corr_fg) == (0.5, -0.25, -0.125)
+        assert stats.joint.probs.tolist() == EmpiricalJoint2x2.from_moments(
+            0.5, -0.25, -0.125).probs.tolist()
 
     def test_constant_pair_tv_to_perfect(self):
         d = make_dsbs(1.0)
