@@ -17,9 +17,11 @@ test) and the value grid once per call and the tensor weights once per
 depth, and hands them down.  Each depth is searched one way: the grid is
 enumerated (the core of ``brute_force_bmip``) when it fits the work cap,
 else the alternation of ``oracle_max_balanced_ip`` proposes a pair that
-is snapped to the grid; the probe skips the oracle's upper bound.  The
-core adds the reduction thresholds, exact re-verification of witnesses
-and labeled bounded-depth rejections.
+is snapped to the grid; the probe skips the oracle's upper bound.  Both
+engines' candidates are judged by one rule (``_judge``): the same mean
+windows, accept floor and result record.  The core adds the reduction
+thresholds, exact re-verification of witnesses and labeled bounded-depth
+rejections.
 ``decide_gap_nis`` frames it for a balanced target (centers 0) and
 ``decide_2x2`` for any binary target (Case II negates the second party).
 """
@@ -162,13 +164,10 @@ def _n0_chain(
     reg_row = regularity_params(d, tau, alpha_row, ln_tau=ln_tau)
     reg_col = regularity_params(d, tau, alpha_col, ln_tau=ln_tau)
 
-    ln_h_row = math.log(d) + reg_row.ln_inv_beta
-    ln_h_col = math.log(d) + reg_col.ln_inv_beta
-    ln_h = np.logaddexp(ln_h_row, ln_h_col)
+    ln_h = np.logaddexp(math.log(d) + reg_row.ln_inv_beta, math.log(d) + reg_col.ln_inv_beta)
     if ln_h < 42 * math.log(2):
-        h_int: int | None = ceil_tolerant(d * math.exp(reg_row.ln_inv_beta)) + ceil_tolerant(
-            d * math.exp(reg_col.ln_inv_beta)
-        )
+        # each side's ln h is below the sum's, so both h_bound are set
+        h_int: int | None = reg_row.h_bound + reg_col.h_bound
         ln_h = math.log(h_int)
     else:
         h_int = None
@@ -399,50 +398,59 @@ def brute_force_bmip(
     """Maximize E[f g] over grid-valued strategy pairs with near-capped means.
 
     Accepts when the best mean-feasible pair reaches rho_target - corr_slack.
-    Default slacks absorb the grid rounding error: mean slack delta^2/5 and
-    correlation slack delta^2/4.  Deterministic: lexicographic enumeration,
-    first maximum kept.  Raises ``ResourceLimitError`` when the grid pairs
-    exceed ``WORK_CAP``.
+    Default slacks are the decide procedure's, which absorb the grid
+    rounding error: mean slack delta^2/5 and correlation slack delta^2/4.
+    Deterministic: lexicographic enumeration, first maximum kept.  Raises
+    ``ResourceLimitError`` when the grid pairs exceed ``WORK_CAP``.
     """
     if n < 1:
         raise ParameterRangeError(f"power must be positive, got {n}")
-    if grid is None:
-        grid = discretize_range(delta)
-    if mean_slack is None:
-        mean_slack = delta * delta / 5.0
-    if corr_slack is None:
-        corr_slack = delta * delta / 4.0
+    grid = np.asarray(discretize_range(delta) if grid is None else grid, dtype=float)
+    th = _search_thresholds(delta)
+    mean_slack = th["mean_slack"] if mean_slack is None else mean_slack
+    corr_slack = th["corr_slack"] if corr_slack is None else corr_slack
     return _enumerate(
-        _tensor_weights(dist, n), np.asarray(grid, dtype=float), rho_target,
-        mean_caps, mean_centers, mean_slack, corr_slack,
+        _tensor_weights(dist, n), grid,
+        _level_thresholds(rho_target, corr_slack, mean_caps, mean_centers, mean_slack, grid),
     )
 
 
-def _enumerate(
-    weights, grid, rho_target, mean_caps, centers, mean_slack, corr_slack
-) -> BmipResult:
+def _enumerate(weights, grid, thresholds) -> BmipResult:
     """``brute_force_bmip`` on one depth's tensor weights ``(W, wa, wb)``."""
-    W, wa, wb = weights
-    ka, kb = W.shape
-    cap_f, cap_g = mean_caps
-    center_f, center_g = centers
-    thresholds = _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid)
+    ka, kb = weights[0].shape
     if _exceeds_work_cap(len(grid), ka + kb):
         raise ResourceLimitError(
             f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {WORK_CAP}; "
             "coarsen the grid"
         )
+    return _judge(
+        weights, _grid_assignments(grid, kb), lambda: _grid_assignments(grid, ka),
+        thresholds, "enumeration",
+    )
 
-    G = _grid_assignments(grid, kb)
-    feas_g = np.abs(G @ wb - center_g) <= cap_g + mean_slack + ACCEPT_TOL
-    G = G[feas_g]
+
+def _judge(weights, G, f_rows, th, mode) -> BmipResult:
+    """The one acceptance rule of both search engines.
+
+    Keeps the candidate value rows whose means lie in their windows
+    (|rows.w - center| <= cap + mean_slack, up to ``ACCEPT_TOL``), takes the
+    best E[fg] over the kept pairs (first maximum in row order) and accepts
+    when it reaches the floor rho_target - corr_slack.  ``G`` holds g's
+    rows; ``f_rows()`` builds f's only once some g row fits.
+    """
+    W, wa, wb = weights
+    infeasible = BmipResult(False, -math.inf, None, None, None, None, th, False, mode)
+
+    def fitting(rows, w, side):
+        gap = np.abs(rows @ w - th[f"mean_center_{side}"])
+        return rows[gap <= th[f"mean_cap_{side}"] + th["mean_slack"] + ACCEPT_TOL]
+
+    G = fitting(G, wb, "g")
     if len(G) == 0:
-        return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
-    F = _grid_assignments(grid, ka)
-    feas_f = np.abs(F @ wa - center_f) <= cap_f + mean_slack + ACCEPT_TOL
-    F = F[feas_f]
+        return infeasible
+    F = fitting(f_rows(), wa, "f")
     if len(F) == 0:
-        return BmipResult(False, -math.inf, None, None, None, None, thresholds, False)
+        return infeasible
 
     C = F @ W  # (Nf, kb)
     GT = np.ascontiguousarray(G.T)
@@ -458,10 +466,10 @@ def _enumerate(
             best_i, best_j = start + int(i), int(j)
     fv, gv = F[best_i], G[best_j]
 
-    accept = best_val >= rho_target - corr_slack - ACCEPT_TOL
+    accept = best_val >= th["accept_floor"] - ACCEPT_TOL
     return BmipResult(
         accept, float(best_val), fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb),
-        thresholds, True,
+        th, True, mode,
     )
 
 
@@ -691,9 +699,9 @@ def round_pair(f: Strategy, g: Strategy, mode: str = "rng", seed=0, extra_coords
         ss = np.random.SeedSequence(seed).spawn(2)
         return RngRoundedStrategy(f, ss[0]), RngRoundedStrategy(g, ss[1])
     return (
-        randomized_round(f, mode="source", extra_coords=extra_coords,
+        randomized_round(f, mode=mode, extra_coords=extra_coords,
                          block="first", resolution=resolution),
-        randomized_round(g, mode="source", extra_coords=extra_coords,
+        randomized_round(g, mode=mode, extra_coords=extra_coords,
                          block="second", resolution=resolution),
     )
 
@@ -761,28 +769,15 @@ def _search_one_level(
     oracle explored.  Raises ``ResourceLimitError`` when the depth is beyond
     the oracle too.
     """
+    thresholds = _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid)
     try:
-        return _enumerate(weights, grid, rho_target, mean_caps, centers, mean_slack, corr_slack)
+        return _enumerate(weights, grid, thresholds)
     except ResourceLimitError:
         pass
-    W, wa, wb = weights
     _, f, g = _alternate(weights, mean_caps, centers)
-    fv, gv = _snap_to_grid(f, grid), _snap_to_grid(g, grid)
-    mean_f, mean_g = float(fv @ wa), float(gv @ wb)
-    corr = float(fv @ W @ gv)
-    cap_f, cap_g = mean_caps
-    feasible = (
-        abs(mean_f - centers[0]) <= cap_f + mean_slack + ACCEPT_TOL
-        and abs(mean_g - centers[1]) <= cap_g + mean_slack + ACCEPT_TOL
-    )
-    thresholds = _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid)
-    if not feasible:
-        return BmipResult(
-            False, -math.inf, None, None, None, None, thresholds, False, "oracle_probe"
-        )
-    accept = corr >= rho_target - corr_slack - ACCEPT_TOL
-    return BmipResult(
-        accept, corr, fv, gv, mean_f, mean_g, thresholds, True, "oracle_probe"
+    return _judge(
+        weights, _snap_to_grid(g, grid)[None], lambda: _snap_to_grid(f, grid)[None],
+        thresholds, "oracle_probe",
     )
 
 

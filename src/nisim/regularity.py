@@ -37,8 +37,8 @@ from .fourier import (
 )
 from .util import (
     all_assignments,
-    assignment_weights,
     ceil_tolerant,
+    kron_power,
     log10_from_ln,
     wilson_interval,
 )
@@ -317,9 +317,8 @@ def restriction_regular_probability(
                 f"{EXHAUSTIVE_RESTRICTION_CAP}; use monte_carlo mode"
             )
         xi = all_assignments(q, len(H))
-        weights = assignment_weights(space.probs, xi)
-        inf = restriction_influences_at(poly, H, xi)
-        ok = (inf <= tau + 1e-12).all(axis=1) if inf.shape[1] else np.ones(len(xi), bool)
+        weights = kron_power(space.probs, len(H))
+        ok = (restriction_influences_at(poly, H, xi) <= tau + 1e-12).all(axis=1)
         est = float(weights[ok].sum())
         return RegularProbability(est, est, est, "exact", len(xi))
     if mode != "monte_carlo":
@@ -328,8 +327,7 @@ def restriction_regular_probability(
         raise ParameterRangeError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     xi = rng.choice(q, size=(samples, len(H)), p=space.probs)
-    inf = restriction_influences_at(poly, H, xi)
-    ok = (inf <= tau + 1e-12).all(axis=1) if inf.shape[1] else np.ones(samples, bool)
+    ok = (restriction_influences_at(poly, H, xi) <= tau + 1e-12).all(axis=1)
     hits = int(ok.sum())
     lo, hi = wilson_interval(hits, samples)
     return RegularProbability(hits / samples, lo, hi, "monte_carlo", samples)

@@ -2,6 +2,10 @@
 lift that turns threshold-form strategies on (A^h x R) into pure
 sample-based strategies on A^{h+w}.
 
+A lift is built from its threshold form (``HybridStrategy``), which alone
+checks the inner values and polarity and derives the clipped means
+1 - 2 Phi(inner); the Gaussian simulator is the lift of an h = 0 form.
+
 The simulator thresholds the normalized witness sum
 F(x) = sum_i f(x_i) / sqrt(w) of the maximal-correlation witness f, so the
 pair (F, G) approaches a correlated Gaussian pair at the source's maximal
@@ -65,48 +69,32 @@ class HybridStrategy:
 
 
 class LiftedStrategy(Strategy):
-    """Pure strategy on A^{h+w}: prefix picks a mean, suffix thresholds the
-    normalized witness sum at the quantile for that mean."""
+    """Pure strategy on A^{h+w} built from a threshold form on (A^h x R):
+    the prefix picks the form's mean, the suffix thresholds the normalized
+    witness sum at the quantile for that mean."""
 
-    def __init__(
-        self,
-        space: FiniteSpace,
-        h: int,
-        w: int,
-        inner_values,
-        witness,
-        polarity: int = 1,
-    ):
+    def __init__(self, form: HybridStrategy, w: int, witness):
         if w < 1:
             raise ParameterRangeError(f"suffix sample count must be positive, got {w}")
-        if polarity not in (-1, 1):
-            raise ParameterRangeError("polarity must be +1 or -1")
-        self.space = space
-        self.h = h
-        self.w = w
-        self.n = h + w
-        self.polarity = polarity
-        self.inner_values = np.asarray(inner_values, dtype=float).ravel()
-        if self.inner_values.shape[0] != space.q**h:
-            raise InputError(
-                f"expected {space.q ** h} inner values, got {self.inner_values.shape[0]}"
-            )
         self.witness = np.asarray(witness, dtype=float).ravel()
-        if self.witness.shape[0] != space.q:
+        if self.witness.shape[0] != form.space.q:
             raise InputError("witness must have one value per atom")
-        # Thresholds in raw-sum units: F <= t  <=>  sum <= t*sqrt(w).
-        nu = np.clip(1.0 - 2.0 * std_normal_cdf(self.inner_values), -1.0, 1.0)
-        t = np.array([threshold_for_mean(v) for v in nu])
-        self.prefix_means = nu
-        self.sum_thresholds = t * math.sqrt(w)
-        self._places = place_values(space.q, h)
+        self.space = form.space
+        self.h = form.h
+        self.w = w
+        self.n = form.h + w
+        self.polarity = form.polarity
+        # the form's unflipped means (exact, as polarity is +-1); thresholds
+        # are in raw-sum units: F <= t  <=>  sum <= t*sqrt(w)
+        nu = form.polarity * form.derived_means()
+        self.sum_thresholds = np.array([threshold_for_mean(v) for v in nu]) * math.sqrt(w)
+        self._places = place_values(self.space.q, self.h)
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:
         idx = self._check_idx(idx)
-        pidx = idx[:, : self.h] @ self._places
-        s = self.witness[idx[:, self.h:]].sum(axis=1)
-        base = np.where(s <= self.sum_thresholds[pidx], 1.0, -1.0)
-        return self.polarity * base
+        return self.output_for(
+            idx[:, : self.h] @ self._places, self.witness[idx[:, self.h:]].sum(axis=1)
+        )
 
     def output_for(self, prefix_flat: np.ndarray, suffix_sums: np.ndarray) -> np.ndarray:
         """Outputs from the sufficient statistics (prefix index, raw witness sum)."""
@@ -122,16 +110,12 @@ def gaussian_simulator_strategy(
 
     ``nu`` is a single target mean or a pair (nu_a, nu_b).
     """
-    if w < 1:
-        raise ParameterRangeError(f"sample count must be positive, got {w}")
     nu_a, nu_b = (nu, nu) if np.isscalar(nu) else nu
     report = maximal_correlation(dist)
-    # inner stores the r-threshold c with 1 - 2 Phi(c) = nu, i.e. c = -Phi^{-1}((1+nu)/2)
-    inner_a = np.array([-threshold_for_mean(nu_a)])
-    inner_b = np.array([-threshold_for_mean(nu_b)])
-    f = LiftedStrategy(dist.row_space, 0, w, inner_a, report.f_witness, polarity[0])
-    g = LiftedStrategy(dist.col_space, 0, w, inner_b, report.g_witness, polarity[1])
-    return f, g
+    # the h = 0 form stores the r-threshold c with 1 - 2 Phi(c) = nu, i.e. c = -Phi^{-1}((1+nu)/2)
+    form_a = HybridStrategy(dist.row_space, 0, [-threshold_for_mean(nu_a)], polarity[0])
+    form_b = HybridStrategy(dist.col_space, 0, [-threshold_for_mean(nu_b)], polarity[1])
+    return LiftedStrategy(form_a, w, report.f_witness), LiftedStrategy(form_b, w, report.g_witness)
 
 
 def lift_hybrid(
@@ -148,9 +132,7 @@ def lift_hybrid(
         raise InputError(f"side must be 'row' or 'col', got {side!r}")
     if strat.space != space:
         raise InputError("strategy space does not match the requested side of the source")
-    # r >= inner(x) maps to +1, so the induced mean is 1 - 2 Phi(inner(x)) and the
-    # suffix threshold is the quantile for that mean; LiftedStrategy does exactly this.
-    return LiftedStrategy(space, strat.h, w, strat.inner_values, witness, strat.polarity)
+    return LiftedStrategy(strat, w, witness)
 
 
 # -- empirical statistics ------------------------------------------------------

@@ -37,14 +37,6 @@ def contract_coordinates(values, matrix: np.ndarray, n: int) -> np.ndarray:
     return arr.ravel()
 
 
-def assignment_weights(probs: np.ndarray, assignments: np.ndarray) -> np.ndarray:
-    """Product-measure weight of each assignment row."""
-    w = np.ones(assignments.shape[0])
-    for j in range(assignments.shape[1]):
-        w *= probs[assignments[:, j]]
-    return w
-
-
 def ceil_tolerant(x: float, min_value: int | None = None) -> int:
     """Ceiling with a relative slack of 1e-9 below integer boundaries.
 

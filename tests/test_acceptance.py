@@ -46,7 +46,7 @@ from nisim import (
 from nisim.fourier import FourierPolynomial, restrict, sigma_decode
 from nisim.regularity import restriction_influences_at
 from nisim.spaces import FiniteSpace
-from nisim.util import all_assignments, assignment_weights
+from nisim.util import all_assignments, kron_power
 
 BIT = FiniteSpace(["+1", "-1"], [0.5, 0.5])
 BIT_BASIS = build_basis(BIT)
@@ -153,7 +153,7 @@ def test_criterion_3_fourier_suite():
             assert np.abs(got - expected_vals).max() <= 1e-9
             # expected influence identity, exhaustive over assignments
             assignments = all_assignments(q, h_size)
-            weights = assignment_weights(space.probs, assignments)
+            weights = kron_power(space.probs, assignments.shape[1])
             batch = restriction_influences_at(p, H, assignments)
             avg = weights @ batch
             T = [i for i in range(n) if i not in H]

@@ -9,6 +9,7 @@ import pytest
 from nisim import (
     ChainConstants,
     JointDistribution,
+    InputError,
     NisimError,
     ParameterRangeError,
     ResourceLimitError,
@@ -250,6 +251,12 @@ class TestBruteForce:
             corr_slack=0.02**2 / 4,
         )
         assert res.mode == "oracle_probe"
+        # no snapped pair has mean exactly 0, so the probe's pair fails its windows
+        res = _search_one_level(
+            _tensor_weights(dist, 3), discretize_range(0.02), rho_target=0.5,
+            mean_caps=(0.0, 0.0), centers=(0.0, 0.0), mean_slack=0.0, corr_slack=0.0,
+        )
+        assert (res.mode, res.feasible_pairs, res.best_value) == ("oracle_probe", False, -math.inf)
 
     def test_infeasible_caps(self):
         res = brute_force_bmip(
@@ -384,6 +391,12 @@ class TestRandomizedRound:
         stats = estimate_strategy_stats(fr, gr, d, n_samples=2 * 10**5, seed=4,
                                         mode="monte_carlo")
         assert abs(stats.corr_fg - 0.25) <= 3 * stats.stderr_corr + 5e-3
+
+    def test_round_pair_rejects_unknown_mode(self):
+        f = TableStrategy(TRIPLE.row_space, 1, [0.5, -1.0])
+        g = TableStrategy(TRIPLE.col_space, 1, [-0.5, 1.0])
+        with pytest.raises(InputError, match="unknown mode"):
+            round_pair(f, g, mode="rgn", extra_coords=20, resolution=1e-3)
 
     def test_source_mode_deterministic_function(self):
         f = TableStrategy(TRIPLE.row_space, 1, [0.5, -1.0])

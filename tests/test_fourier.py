@@ -32,7 +32,7 @@ from nisim import (
 )
 from nisim.fourier import FourierPolynomial, sigma_decode, sigma_encode
 from nisim.spaces import FiniteSpace
-from nisim.util import all_assignments, assignment_weights
+from nisim.util import all_assignments, kron_power
 
 BIT = FiniteSpace(["+1", "-1"], [0.5, 0.5])
 
@@ -333,7 +333,7 @@ class TestRestriction:
             p = transform(random_table(rng, s, n))
             T = [i for i in range(n) if i not in H]
             assignments = all_assignments(q, len(H))
-            weights = assignment_weights(s.probs, assignments)
+            weights = kron_power(s.probs, assignments.shape[1])
             for pos, i in enumerate(T):
                 avg = sum(
                     w * influence(restrict(p, H, list(xi)), pos)
@@ -347,7 +347,7 @@ class TestRestriction:
         p = transform(random_table(rng, s, 3))
         H = [0, 2]
         assignments = all_assignments(3, 2)
-        weights = assignment_weights(s.probs, assignments)
+        weights = kron_power(s.probs, assignments.shape[1])
         avg_var = sum(
             w * restrict(p, H, list(xi)).variance()
             for w, xi in zip(weights, assignments)

@@ -187,8 +187,9 @@ class TestRestrictionRegularProbability:
     def test_all_coordinates_restricted(self):
         rng = np.random.default_rng(3)
         p = random_low_degree(rng, 3, 2)
-        r = restriction_regular_probability(p, [0, 1, 2], tau=0.01)
-        assert r.estimate == 1.0
+        for mode in ("exact", "monte_carlo"):
+            r = restriction_regular_probability(p, [0, 1, 2], tau=0.01, mode=mode, samples=50)
+            assert r.estimate == 1.0
 
     def test_constant_function(self):
         p = transform(ValueTable(BIT, 3, np.full(8, 0.7)))

@@ -104,6 +104,13 @@ class TestTableStrategy:
         with pytest.raises(InputError):
             strategy_from_json('{"n": 1, "space": {"atoms": ["a"], "probs": [1.0]}}')
 
+    def test_atom_index_out_of_range(self):
+        strat = TableStrategy(DSBS5.row_space, 2, [10, 20, 30, 40])
+        assert np.array_equal(strat.evaluate(np.array([[0, 1], [1, 0]])), [20, 30])
+        for row in ([0, 2], [0, -1], [5, 0]):
+            with pytest.raises(InputError, match="atom indices"):
+                strat.evaluate(np.array([row]))
+
 
 class TestLiftedStrategy:
     def test_constant_plus_one_at_mean_one(self):
@@ -132,6 +139,18 @@ class TestLiftedStrategy:
         sim, _ = gaussian_simulator_strategy(DSBS5, nu, 6)
         idx = all_assignments(2, 6)
         assert np.array_equal(lifted.evaluate(idx), sim.evaluate(idx))
+
+    def test_lift_errors(self):
+        with pytest.raises(ParameterRangeError):
+            gaussian_simulator_strategy(DSBS5, 0.0, 4, polarity=(1, 0))
+        form = HybridStrategy(DSBS5.row_space, 1, [0.0, 0.5])
+        with pytest.raises(ParameterRangeError):
+            lift_hybrid(form, DSBS5, 0)
+        with pytest.raises(InputError, match="witness"):
+            rounding.LiftedStrategy(form, 3, [1.0, -1.0, 0.0])
+        lifted = lift_hybrid(form, DSBS5, 3)
+        with pytest.raises(InputError, match="atom indices"):
+            lifted.evaluate(np.array([[2, 0, 1, 1]]))
 
     def test_hybrid_derived_means(self):
         h = HybridStrategy(DSBS5.row_space, 1, [0.0, math.inf])
