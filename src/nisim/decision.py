@@ -19,9 +19,13 @@ enumerated (the core of ``brute_force_bmip``) when it fits the work cap,
 else the alternation of ``oracle_max_balanced_ip`` proposes a pair that
 is snapped to the grid; the probe skips the oracle's upper bound.  Both
 engines' candidates are judged by one rule (``_judge``): the same mean
-windows, accept floor and result record.  The core adds the reduction
-thresholds, exact re-verification of witnesses and labeled bounded-depth
-rejections.
+windows, accept floor and result record.  Both engines solve their box
+LPs in batches with one closed-form knapsack (``_box_lp_max``): the
+alternation advances all its starts in lockstep, and the judge bounds
+every f row's best E[fg] at once and visits the f rows in descending
+bound order, stopping once no row left can reach the best value.  The
+core adds the reduction thresholds, exact re-verification of witnesses
+and labeled bounded-depth rejections.
 ``decide_gap_nis`` frames it for a balanced target (centers 0) and
 ``decide_2x2`` for any binary target (Case II negates the second party).
 """
@@ -55,6 +59,8 @@ ACCEPT_TOL = 1e-12
 ORACLE_RANDOM_STARTS = 32
 ORACLE_VERTEX_START_CAP = 12  # vertex starts and bound when ka <= this
 ORACLE_MAX_ROUNDS = 60
+_BOUND_MARGIN = 1e-9  # covers the rounding of a knapsack bound; |E[fg]| <= 1
+_FIRST_VISIT_ROWS = 64  # f rows in the first block of bound-ordered enumeration
 _TINY = np.finfo(float).tiny
 
 
@@ -220,6 +226,27 @@ def discretize_range(delta: float) -> np.ndarray:
         )
     k_max = int(math.floor(top))
     return spacing * np.arange(-k_max, k_max + 1)
+
+
+def _check_grid(grid) -> np.ndarray:
+    """A caller's value grid as floats: non-empty, 1-D, finite and inside [-1, 1].
+
+    Strategies take values in [-1, 1], and ``_judge``'s knapsack bound
+    holds only for grid rows inside that box.
+    """
+    try:
+        values = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"value grid must be a list of numbers: {exc}") from None
+    if values.ndim != 1 or values.size == 0:
+        raise InputError(f"value grid must be a non-empty 1-D array, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise InputError("value grid must be finite")
+    if np.abs(values).max() > 1.0:
+        raise ParameterRangeError(
+            f"value grid must lie inside [-1, 1], got values up to {np.abs(values).max():g}"
+        )
+    return values
 
 
 # -- targets and verdicts ---------------------------------------------------------
@@ -400,12 +427,14 @@ def brute_force_bmip(
     Accepts when the best mean-feasible pair reaches rho_target - corr_slack.
     Default slacks are the decide procedure's, which absorb the grid
     rounding error: mean slack delta^2/5 and correlation slack delta^2/4.
-    Deterministic: lexicographic enumeration, first maximum kept.  Raises
+    Deterministic: the first maximum in lexicographic order is kept.  A
+    caller's ``grid`` must be non-empty, 1-D, finite and inside [-1, 1]
+    (``InputError`` or ``ParameterRangeError`` otherwise).  Raises
     ``ResourceLimitError`` when the grid pairs exceed ``WORK_CAP``.
     """
     if n < 1:
         raise ParameterRangeError(f"power must be positive, got {n}")
-    grid = np.asarray(discretize_range(delta) if grid is None else grid, dtype=float)
+    grid = discretize_range(delta) if grid is None else _check_grid(grid)
     th = _search_thresholds(delta)
     mean_slack = th["mean_slack"] if mean_slack is None else mean_slack
     corr_slack = th["corr_slack"] if corr_slack is None else corr_slack
@@ -434,16 +463,26 @@ def _judge(weights, G, f_rows, th, mode) -> BmipResult:
 
     Keeps the candidate value rows whose means lie in their windows
     (|rows.w - center| <= cap + mean_slack, up to ``ACCEPT_TOL``), takes the
-    best E[fg] over the kept pairs (first maximum in row order) and accepts
-    when it reaches the floor rho_target - corr_slack.  ``G`` holds g's
-    rows; ``f_rows()`` builds f's only once some g row fits.
+    best E[fg] over the kept pairs (first maximum in row-major order) and
+    accepts when it reaches the floor rho_target - corr_slack.  ``G`` holds
+    g's rows, which must lie in [-1, 1]; ``f_rows()`` builds f's only once
+    some g row fits.
+
+    The pairs are visited in bound order: g's knapsack over the box and g's
+    window (``_box_lp_max``, one batch) bounds each f row's best E[fg] from
+    above, since every kept g row is a point of that polytope.  The f rows
+    are visited in descending bound order, in blocks that start small and
+    double, until the next bound falls below the best value found less
+    ``_BOUND_MARGIN``; no row left unvisited can then reach the best value.
     """
     W, wa, wb = weights
     infeasible = BmipResult(False, -math.inf, None, None, None, None, th, False, mode)
 
+    def window(side):
+        return th[f"mean_cap_{side}"] + th["mean_slack"] + ACCEPT_TOL
+
     def fitting(rows, w, side):
-        gap = np.abs(rows @ w - th[f"mean_center_{side}"])
-        return rows[gap <= th[f"mean_cap_{side}"] + th["mean_slack"] + ACCEPT_TOL]
+        return rows[np.abs(rows @ w - th[f"mean_center_{side}"]) <= window(side)]
 
     G = fitting(G, wb, "g")
     if len(G) == 0:
@@ -453,22 +492,34 @@ def _judge(weights, G, f_rows, th, mode) -> BmipResult:
         return infeasible
 
     C = F @ W  # (Nf, kb)
+    # the knapsack holds about a dozen temporaries the size of its input
+    chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
+    bound = np.concatenate([
+        _box_lp_max(C[s : s + chunk], wb, window("g"), th["mean_center_g"])[1]
+        for s in range(0, len(C), chunk)
+    ])
+    order = np.argsort(-bound, kind="stable")
     GT = np.ascontiguousarray(G.T)
-    best_val = -math.inf
-    best_i = best_j = -1
-    block = max(1, BLOCK_CELLS // max(1, len(G)))
-    for start in range(0, len(F), block):
-        vals = C[start : start + block] @ GT
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        v = float(vals[i, j])
-        if v > best_val:
-            best_val = v
-            best_i, best_j = start + int(i), int(j)
-    fv, gv = F[best_i], G[best_j]
+    ng = len(G)
+    most_rows = max(1, BLOCK_CELLS // ng)
+    best_val, best_key = -math.inf, -1  # key = f row * ng + g row: row-major order
+    start, size = 0, min(_FIRST_VISIT_ROWS, most_rows)
+    while start < len(order) and bound[order[start]] >= best_val - _BOUND_MARGIN:
+        idx = order[start : start + size]
+        vals = C[idx] @ GT
+        v = float(vals.max())
+        if v >= best_val:
+            i, j = np.nonzero(vals == v)
+            key = int((idx[i] * ng + j).min())
+            if v > best_val or key < best_key:
+                best_val, best_key = v, key
+        start += size
+        size = min(2 * size, most_rows)
+    fv, gv = F[best_key // ng], G[best_key % ng]
 
     accept = best_val >= th["accept_floor"] - ACCEPT_TOL
     return BmipResult(
-        accept, float(best_val), fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb),
+        accept, best_val, fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb),
         th, True, mode,
     )
 
@@ -543,7 +594,8 @@ def oracle_max_balanced_ip(
 
     With one side fixed the other side is an exact box LP, solved in closed
     form as a fractional knapsack (``_box_lp_max``).  Alternation from
-    random and vertex starts certifies a lower bound only (flagged
+    random and vertex starts, all advancing in lockstep with one batched
+    knapsack per half-round, certifies a lower bound only (flagged
     heuristic), reported with a rigorous upper bound: the maximal-correlation
     ceiling, tightened when ka <= ORACLE_VERTEX_START_CAP by the best g-side
     box LP over all +-1 vertices f of the box (f's mean window relaxed; one
@@ -562,7 +614,16 @@ def oracle_max_balanced_ip(
 
 
 def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, np.ndarray]:
-    """The oracle's alternation on one depth's tensor weights: best (E[fg], f, g)."""
+    """The oracle's alternation on one depth's tensor weights: best (E[fg], f, g).
+
+    All starts (the +-1 vertices when ka <= ORACLE_VERTEX_START_CAP, then
+    ORACLE_RANDOM_STARTS random ones) advance in lockstep: each half-round
+    is one batched knapsack over the live starts, g's for ``F @ W`` and
+    f's for ``G @ W.T``.  A start stops once a round gains at most 1e-12
+    or after ORACLE_MAX_ROUNDS rounds, keeping its latest pair and its
+    best value.  A scan in start order picks the winner, replacing the
+    best only on a gain of more than 1e-12.
+    """
     W, wa, wb = weights
     ka, kb = W.shape
     if ka > 64 or kb > 64:
@@ -575,25 +636,26 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
         vertices = all_assignments(2, ka) * 2.0 - 1.0
     else:
         vertices = np.empty((0, ka))
-    starts = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(ORACLE_RANDOM_STARTS, ka))])
+    F = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(ORACLE_RANDOM_STARTS, ka))])
+    G = np.zeros((len(F), kb))
+    val = np.full(len(F), -math.inf)
+    live = np.arange(len(F))
+    for _ in range(ORACLE_MAX_ROUNDS):
+        g, _ = _box_lp_max(F[live] @ W, wb, cap_g, center_g)
+        f, _ = _box_lp_max(g @ W.T, wa, cap_f, center_f)
+        new = np.einsum("ij,ij->i", f @ W, g)
+        F[live], G[live] = f, g
+        done = new <= val[live] + 1e-12
+        val[live] = np.maximum(val[live], new)
+        live = live[~done]
+        if not live.size:
+            break
 
-    best_val = -math.inf
-    best_f = np.zeros(ka)
-    best_g = np.zeros(kb)
-    for f0 in starts:
-        f = f0.astype(float)
-        val = -math.inf
-        for _ in range(ORACLE_MAX_ROUNDS):
-            g, _ = _box_lp_max(f @ W, wb, cap_g, center_g)
-            f, _ = _box_lp_max(W @ g, wa, cap_f, center_f)
-            new_val = float(f @ W @ g)
-            if new_val <= val + 1e-12:
-                val = max(val, new_val)
-                break
-            val = new_val
-        if val > best_val + 1e-12:
-            best_val, best_f, best_g = val, f.copy(), g.copy()
-    return best_val, best_f, best_g
+    vals, best = val.tolist(), 0
+    for i, v in enumerate(vals):
+        if v > vals[best] + 1e-12:
+            best = i
+    return float(val[best]), F[best].copy(), G[best].copy()
 
 
 # -- randomized rounding -------------------------------------------------------------
@@ -841,6 +903,8 @@ def _decide(
         raise ParameterRangeError(f"gap budget must lie in (0, 1), got {delta}")
     if n_search < 1:
         raise ParameterRangeError(f"search depth must be positive, got {n_search}")
+    if grid is not None:
+        grid = _check_grid(grid)
     label = "" if case is None else f" (case {case})"
 
     th = _search_thresholds(delta)
@@ -867,7 +931,8 @@ def _decide(
             thresholds=thresholds, caveat=f"sound at every n{label}: {bound} < {accept_floor:.6g}",
         )
 
-    grid = discretize_range(delta) if grid is None else np.asarray(grid, dtype=float)
+    if grid is None:
+        grid = discretize_range(delta)
     probe_used = False
     n_used, cap_note = n_search, ""
     for n in range(1, n_search + 1):

@@ -36,6 +36,8 @@ class Strategy:
         idx = np.asarray(idx)
         if idx.ndim != 2 or idx.shape[1] != self.n:
             raise InputError(f"index batch must have shape (m, {self.n})")
+        if idx.dtype.kind not in "iu":
+            raise InputError(f"atom indices must be integers, got dtype {idx.dtype}")
         if idx.size and (idx.min() < 0 or idx.max() >= self.space.q):
             raise InputError(f"atom indices must lie in [0, {self.space.q})")
         return idx

@@ -1,7 +1,12 @@
 """Decision layer: grids, the parameter chain, search vs oracle, rounding,
 and verdict soundness."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +38,9 @@ from nisim import (
 )
 from nisim import decision
 from nisim.decision import (
-    _box_lp_max, _correlation_ceiling, _search_one_level, _tensor_weights,
+    _alternate, _box_lp_max, _correlation_ceiling, _search_one_level, _tensor_weights,
 )
+from nisim.util import all_assignments
 
 TRIPLE = uniform_triple()
 COARSE = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -266,6 +272,98 @@ class TestBruteForce:
         assert not res.feasible_pairs
         assert not res.accept
 
+    @pytest.mark.parametrize("grid, error", [
+        ([-3.0, 0.0, 3.0], ParameterRangeError),
+        ([-1.0, 0.0, 1.0 + 1e-12], ParameterRangeError),
+        ([], InputError),
+        ([[0.1, 0.2]], InputError),
+        ([math.inf, 0.0], InputError),
+        ([math.nan, 0.0], InputError),
+        (["a", "b"], InputError),
+    ])
+    def test_caller_grid_must_be_finite_and_inside_the_box(self, grid, error):
+        # [-3, 0, 3] once gave an ACCEPT with E[fg] = 0.9 > rho_0 = 0.5, flagged sound
+        dsbs = make_dsbs(0.5)
+        with pytest.raises(error, match="value grid"):
+            decide_gap_nis(dsbs, 0.9, 0.3, 1, grid=grid)
+        with pytest.raises(error, match="value grid"):
+            decide_2x2(dsbs, Target2x2.from_dsbs(0.9), 0.3, 1, grid=grid)
+        with pytest.raises(error, match="value grid"):
+            brute_force_bmip(dsbs, 1, 0.9, 0.3, (0.1, 0.1), grid=grid)
+
+    @pytest.mark.parametrize("first_rows", [1, decision._FIRST_VISIT_ROWS])
+    def test_pruned_enumeration_breaks_exact_ties_like_full_enumeration(
+        self, first_rows, monkeypatch
+    ):
+        """On dyadic inputs every product and sum is exact, so the bound-ordered
+        search must return the full enumeration's first maximum bit for bit;
+        the DSBS's sign-symmetric pairs make exact ties.  One-row first blocks
+        put a stop test after almost every row."""
+        monkeypatch.setattr(decision, "_FIRST_VISIT_ROWS", first_rows)
+        quarters = np.arange(-4, 5) / 4.0
+        three_eighths = np.arange(-2, 3) * 3.0 / 8.0
+        table32 = JointDistribution(
+            ["a", "b", "c"], ["x", "y"], np.array([[1, 2], [2, 1], [1, 1]]) / 8.0
+        )
+        cases = [
+            (make_dsbs(0.5), 1, quarters), (make_dsbs(0.5), 2, three_eighths),
+            (make_dsbs(0.25), 1, quarters), (make_dsbs(0.25), 2, three_eighths),
+            (table32, 1, quarters), (table32, 2, np.array([-0.75, 0.0, 0.75])),
+        ]
+        windows = [  # (caps, centers, mean slack)
+            ((0.0, 0.0), (0.0, 0.0), 0.0),
+            ((0.25, 0.125), (0.25, -0.125), 1 / 16),
+            ((0.5, 0.5), (0.0, 0.0), 0.0),
+            ((0.0, 0.125), (-0.5, 0.375), 1 / 32),
+        ]
+        tied = 0
+        for (dist, n, grid), (caps, centers, slack) in itertools.product(cases, windows):
+            W, wa, wb = _tensor_weights(dist, n)
+            F = np.array(list(itertools.product(grid, repeat=W.shape[0])))
+            G = np.array(list(itertools.product(grid, repeat=W.shape[1])))
+            F = F[np.abs(F @ wa - centers[0]) <= caps[0] + slack + decision.ACCEPT_TOL]
+            G = G[np.abs(G @ wb - centers[1]) <= caps[1] + slack + decision.ACCEPT_TOL]
+            res = brute_force_bmip(
+                dist, n, rho_target=0.0, delta=0.5, mean_caps=caps, grid=grid,
+                mean_centers=centers, mean_slack=slack, corr_slack=0.0,
+            )
+            if len(F) == 0 or len(G) == 0:
+                assert not res.feasible_pairs
+                continue
+            vals = (F @ W) @ G.T
+            i, j = np.unravel_index(np.argmax(vals), vals.shape)
+            tied += int(np.sum(vals == vals[i, j]) > 1)
+            assert res.best_value == vals[i, j]
+            assert np.array_equal(res.f_values, F[i]) and np.array_equal(res.g_values, G[j])
+        assert tied >= 10
+
+
+def reference_alternate(weights, mean_caps, centers, seed=0):
+    """The alternation one start at a time, the reference for the lockstep
+    batch: same starts, stopping rule and winner scan."""
+    W, wa, wb = weights
+    ka, kb = W.shape
+    rng = np.random.default_rng(seed)
+    if ka <= decision.ORACLE_VERTEX_START_CAP:
+        vertices = all_assignments(2, ka) * 2.0 - 1.0
+    else:
+        vertices = np.empty((0, ka))
+    starts = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(decision.ORACLE_RANDOM_STARTS, ka))])
+    best_val, best_f, best_g = -math.inf, np.zeros(ka), np.zeros(kb)
+    for f in starts:
+        val = -math.inf
+        for _ in range(decision.ORACLE_MAX_ROUNDS):
+            g, _ = _box_lp_max(f @ W, wb, mean_caps[1], centers[1])
+            f, _ = _box_lp_max(W @ g, wa, mean_caps[0], centers[0])
+            new_val = float(f @ W @ g)
+            if new_val <= val + 1e-12:
+                val = max(val, new_val)
+                break
+            val = new_val
+        if val > best_val + 1e-12:
+            best_val, best_f, best_g = val, f.copy(), g.copy()
+    return best_val, best_f, best_g
+
 
 def linprog_box_max(w, m, cap, center):
     """Independent reference for the box LP: scipy's HiGHS solver."""
@@ -357,6 +455,24 @@ class TestOracle:
         wa = TRIPLE.row_space.probs
         assert abs(o.f_values @ wa) <= 0.1 + 1e-9
         assert np.all(np.abs(o.f_values) <= 1 + 1e-12)
+
+    def test_lockstep_alternation_matches_per_start_reference(self):
+        # the 4x2 source at depth 2 has ka = 16 > ORACLE_VERTEX_START_CAP: random starts only
+        rng = np.random.default_rng(1234)
+        for qa, qb in ((2, 2), (3, 3), (4, 2)):
+            dist = random_joint(rng, qa, qb)
+            for n in (1, 2, 3):
+                weights = W, wa, wb = _tensor_weights(dist, n)
+                caps = (float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.3)))
+                centers = (float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.3, 0.3)))
+                seed = int(rng.integers(100))
+                value, f, g = _alternate(weights, caps, centers, seed)
+                ref, _, _ = reference_alternate(weights, caps, centers, seed)
+                assert value == pytest.approx(ref, abs=1e-12), (qa, qb, n)
+                assert value == pytest.approx(float(f @ W @ g), abs=1e-12)
+                assert np.all(np.abs(f) <= 1.0) and np.all(np.abs(g) <= 1.0)
+                assert abs(f @ wa - centers[0]) <= caps[0] + 1e-12
+                assert abs(g @ wb - centers[1]) <= caps[1] + 1e-12
 
 
 class TestRandomizedRound:
@@ -496,6 +612,30 @@ class TestDecideGapNis:
         assert deep.accepted
         assert deep.n_used == 2
         assert deep.achieved["corr_fg"] == pytest.approx(1 / 3, abs=1e-9)
+
+    def test_probe_verdicts_do_not_depend_on_blas_threads(self):
+        code = (
+            "import json\n"
+            "import numpy as np\n"
+            "from nisim import JointDistribution, decide_gap_nis, make_dsbs, uniform_triple\n"
+            "t = np.random.default_rng(8).random((4, 2)) + 0.05\n"
+            "t42 = JointDistribution(list('abcd'), list('xy'), t / t.sum())\n"
+            "for dist, rho, delta, n in ((uniform_triple(), 0.25, 0.02, 2),\n"
+            "                            (make_dsbs(0.45), 0.45, 0.05, 2),\n"
+            "                            (t42, 0.3, 0.05, 2), (t42, 0.9, 0.05, 2)):\n"
+            "    v = decide_gap_nis(dist, rho, delta, n)\n"
+            "    print(v.thresholds.get('search_mode'), json.dumps(v.as_dict()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"oracle_probe") >= 2
 
     def test_report_n0_attached(self):
         v = decide_gap_nis(TRIPLE, 0.6, 0.3, 1, report_n0=True)

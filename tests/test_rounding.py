@@ -111,6 +111,13 @@ class TestTableStrategy:
             with pytest.raises(InputError, match="atom indices"):
                 strat.evaluate(np.array([row]))
 
+    def test_atom_index_of_non_integer_dtype(self):
+        strat = TableStrategy(DSBS5.row_space, 2, [10, 20, 30, 40])
+        for batch in ([[0.5, 1.0]], [[0.0, 1.0]], [[True, False]]):
+            with pytest.raises(InputError, match="atom indices must be integers"):
+                strat.evaluate(np.array(batch))
+        assert strat.evaluate(np.array([[1, 1]], dtype=np.uint8))[0] == 40
+
 
 class TestLiftedStrategy:
     def test_constant_plus_one_at_mean_one(self):
