@@ -14,10 +14,7 @@ from .spaces import (
     EmpiricalJoint2x2,
     FiniteSpace,
     JointDistribution,
-    empirical_table,
     make_dsbs,
-    sample_joint,
-    sample_joint_indices,
     tensor_power,
     tv_distance,
     uniform_triple,
@@ -54,7 +51,6 @@ from .regularity import (
 )
 from .gaussian import (
     GaussianPair,
-    ThresholdStrategy,
     berry_esseen_sample_count,
     bivariate_cdf,
     gamma_bar,
@@ -71,6 +67,8 @@ from .rounding import (
     estimate_strategy_stats,
     gaussian_simulator_strategy,
     lift_hybrid,
+    randomized_round,
+    round_pair,
 )
 from .decision import (
     ChainConstants,
@@ -83,8 +81,6 @@ from .decision import (
     discretize_range,
     n0_chain,
     oracle_max_balanced_ip,
-    randomized_round,
-    round_pair,
 )
 from .corpus import alpha_component_graph, corpus_entry, examples_corpus
 

@@ -46,9 +46,11 @@ from .regularity import (
     regularity_params,
     smoothing_params_from_log_eta,
 )
-from .spaces import EmpiricalJoint2x2, JointDistribution, make_dsbs, tensor_power
-from .strategies import Strategy, TableStrategy
+from .spaces import EmpiricalJoint2x2, JointDistribution, make_dsbs
+from .strategies import TableStrategy
 from .rounding import estimate_strategy_stats
+# unused here: perfbench's simulate workload and tracer read these as nisim.decision.*
+from .rounding import randomized_round, round_pair  # noqa: F401
 from .util import all_assignments, ceil_tolerant, kron_power, log10_from_ln
 
 WORK_CAP = 10**8
@@ -229,10 +231,11 @@ def discretize_range(delta: float) -> np.ndarray:
 
 
 def _check_grid(grid) -> np.ndarray:
-    """A caller's value grid as floats: non-empty, 1-D, finite and inside [-1, 1].
+    """A caller's value grid as sorted floats: non-empty, 1-D, finite and inside [-1, 1].
 
     Strategies take values in [-1, 1], and ``_judge``'s knapsack bound
-    holds only for grid rows inside that box.
+    holds only for grid rows inside that box.  The probe's snap needs the
+    grid sorted, as ``discretize_range`` returns it.
     """
     try:
         values = np.asarray(grid, dtype=float)
@@ -246,7 +249,7 @@ def _check_grid(grid) -> np.ndarray:
         raise ParameterRangeError(
             f"value grid must lie inside [-1, 1], got values up to {np.abs(values).max():g}"
         )
-    return values
+    return np.sort(values)
 
 
 # -- targets and verdicts ---------------------------------------------------------
@@ -276,14 +279,9 @@ class Target2x2:
 
     @classmethod
     def from_dsbs(cls, rho: float) -> "Target2x2":
-        d = make_dsbs(rho)
-        # rebuild the full 2x2 table even when support trimming dropped cells
-        t = np.zeros(4)
-        lookup = {("+1", "+1"): 0, ("+1", "-1"): 1, ("-1", "+1"): 2, ("-1", "-1"): 3}
-        for i, ra in enumerate(d.row_space.atoms):
-            for j, ca in enumerate(d.col_space.atoms):
-                t[lookup[(ra, ca)]] = d.table[i, j]
-        return cls(EmpiricalJoint2x2(t))
+        # every DSBS row and column has mass 1/2, so no atom is trimmed and
+        # the table is already in outcome order
+        return cls(EmpiricalJoint2x2(make_dsbs(rho).table.ravel()))
 
     @classmethod
     def from_table(cls, table) -> "Target2x2":
@@ -374,6 +372,8 @@ def _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, gr
 
 
 def _tensor_weights(dist: JointDistribution, n: int):
+    if n < 1:
+        raise ParameterRangeError(f"power must be positive, got {n}")
     qa, qb = dist.shape
     cells = (qa * qb) ** n
     if cells > TABLE_CELL_CAP:
@@ -427,13 +427,12 @@ def brute_force_bmip(
     Accepts when the best mean-feasible pair reaches rho_target - corr_slack.
     Default slacks are the decide procedure's, which absorb the grid
     rounding error: mean slack delta^2/5 and correlation slack delta^2/4.
-    Deterministic: the first maximum in lexicographic order is kept.  A
-    caller's ``grid`` must be non-empty, 1-D, finite and inside [-1, 1]
-    (``InputError`` or ``ParameterRangeError`` otherwise).  Raises
-    ``ResourceLimitError`` when the grid pairs exceed ``WORK_CAP``.
+    Deterministic: the first maximum in lexicographic order over the sorted
+    grid is kept.  A caller's ``grid`` must be non-empty, 1-D, finite and
+    inside [-1, 1] (``InputError`` or ``ParameterRangeError`` otherwise), and
+    ``n`` positive.  Raises ``ResourceLimitError`` when the grid pairs
+    exceed ``WORK_CAP``.
     """
-    if n < 1:
-        raise ParameterRangeError(f"power must be positive, got {n}")
     grid = discretize_range(delta) if grid is None else _check_grid(grid)
     th = _search_thresholds(delta)
     mean_slack = th["mean_slack"] if mean_slack is None else mean_slack
@@ -600,7 +599,8 @@ def oracle_max_balanced_ip(
     ceiling, tightened when ka <= ORACLE_VERTEX_START_CAP by the best g-side
     box LP over all +-1 vertices f of the box (f's mean window relaxed; one
     batched knapsack).  The decide probe runs the alternation only
-    (``_alternate``) and never computes this bound.
+    (``_alternate``) and never computes this bound.  ``n`` must be positive
+    (``ParameterRangeError``), as for ``brute_force_bmip``.
     """
     weights = W, _, wb = _tensor_weights(dist, n)
     value, f, g = _alternate(weights, mean_caps, mean_centers, seed)
@@ -658,116 +658,6 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     return float(val[best]), F[best].copy(), G[best].copy()
 
 
-# -- randomized rounding -------------------------------------------------------------
-
-
-class RngRoundedStrategy(Strategy):
-    """+-1 strategy rounding a [-1,1]-valued one with seeded coins.
-
-    E[output | x] = f(x).  The instance owns no generator: coins come from
-    ``rng`` when given (Monte Carlo passes its chunk's), else from a fresh
-    ``default_rng(seed)``, so a direct call is a pure function of the batch.
-    """
-
-    is_randomized = True
-
-    def __init__(self, base: Strategy, seed=0):
-        self.base = base
-        self.space = base.space
-        self.n = base.n
-        self.seed = seed
-
-    def evaluate(self, idx: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        v = np.clip(self.base.evaluate(idx), -1.0, 1.0)
-        u = (np.random.default_rng(self.seed) if rng is None else rng).random(v.shape[0])
-        return np.where(u < (1.0 + v) / 2.0, 1.0, -1.0)
-
-
-class SourceRoundedStrategy(Strategy):
-    """+-1 strategy rounding f with coins extracted from extra source coordinates.
-
-    The strategy reads n + 2k coordinates; its own coin block is either the
-    first or second k extras, so a pair using opposite blocks has exactly
-    independent coins.  The extracted coin is the product-measure CDF of
-    the block, uniform to within resolution (max atom prob)^k.
-    """
-
-    def __init__(self, base: Strategy, k_extra: int, block: str = "first"):
-        if k_extra < 1:
-            raise ParameterRangeError("need at least one extra coordinate")
-        if block not in ("first", "second"):
-            raise InputError("block must be 'first' or 'second'")
-        self.base = base
-        self.space = base.space
-        self.k_extra = k_extra
-        self.block = block
-        self.n = base.n + 2 * k_extra
-        p = base.space.probs
-        self.resolution = float(p.max()) ** k_extra
-        self._cum = np.concatenate([[0.0], np.cumsum(p)[:-1]])
-
-    def coin(self, extra_idx: np.ndarray) -> np.ndarray:
-        u = np.zeros(extra_idx.shape[0])
-        scale = np.ones(extra_idx.shape[0])
-        p = self.space.probs
-        for j in range(self.k_extra):
-            col = extra_idx[:, j]
-            u = u + self._cum[col] * scale
-            scale = scale * p[col]
-        return u + 0.5 * scale
-
-    def evaluate(self, idx: np.ndarray) -> np.ndarray:
-        idx = self._check_idx(idx)
-        nb = self.base.n
-        v = np.clip(self.base.evaluate(idx[:, :nb]), -1.0, 1.0)
-        lo = nb if self.block == "first" else nb + self.k_extra
-        u = self.coin(idx[:, lo : lo + self.k_extra])
-        return np.where(u < (1.0 + v) / 2.0, 1.0, -1.0)
-
-
-def randomized_round(
-    f: Strategy,
-    seed=0,
-    mode: str = "rng",
-    extra_coords: int = 0,
-    block: str = "first",
-    resolution: float = 1e-6,
-) -> Strategy:
-    """Round a [-1,1]-valued strategy to +-1 with E[output | x] = f(x).
-
-    ``mode="rng"`` uses an explicit seeded generator.  ``mode="source"``
-    consumes ``extra_coords`` designated extra source coordinates per coin
-    block (the strategy then reads n + 2*extra_coords coordinates and uses
-    the first or second block); raises when the block cannot reach the
-    requested coin resolution, reporting what is achievable.
-    """
-    if mode == "rng":
-        return RngRoundedStrategy(f, seed)
-    if mode != "source":
-        raise InputError(f"unknown mode {mode!r}; use 'rng' or 'source'")
-    strat = SourceRoundedStrategy(f, extra_coords, block)
-    if strat.resolution > resolution:
-        raise ParameterRangeError(
-            f"{extra_coords} extra coordinates reach coin resolution "
-            f"{strat.resolution:.3g}, coarser than the requested {resolution:.3g}"
-        )
-    return strat
-
-
-def round_pair(f: Strategy, g: Strategy, mode: str = "rng", seed=0, extra_coords: int = 0,
-               resolution: float = 1e-6) -> tuple[Strategy, Strategy]:
-    """Round both parties with independent coins (disjoint seeds or blocks)."""
-    if mode == "rng":
-        ss = np.random.SeedSequence(seed).spawn(2)
-        return RngRoundedStrategy(f, ss[0]), RngRoundedStrategy(g, ss[1])
-    return (
-        randomized_round(f, mode=mode, extra_coords=extra_coords,
-                         block="first", resolution=resolution),
-        randomized_round(g, mode=mode, extra_coords=extra_coords,
-                         block="second", resolution=resolution),
-    )
-
-
 # -- gap decisions ---------------------------------------------------------------
 
 
@@ -813,10 +703,9 @@ def _calibrate_pair(
 
 
 def _snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Nearest grid value, ties toward the lower one (deterministic)."""
-    gs = np.sort(np.asarray(grid, dtype=float))
-    pos = np.clip(np.searchsorted(gs, values), 1, len(gs) - 1)
-    lo, hi = gs[pos - 1], gs[pos]
+    """Nearest value of the sorted ``grid``, ties toward the lower one (deterministic)."""
+    pos = np.clip(np.searchsorted(grid, values), 1, len(grid) - 1)
+    lo, hi = grid[pos - 1], grid[pos]
     return np.where(values - lo <= hi - values, lo, hi)
 
 

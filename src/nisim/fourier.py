@@ -114,15 +114,6 @@ def sigma_decode(key: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def sigma_degree(key: int, q: int, n: int) -> int:
-    deg = 0
-    for _ in range(n):
-        key, r = divmod(key, q)
-        if r:
-            deg += 1
-    return deg
-
-
 def _decode(poly: "FourierPolynomial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keys, coefficients and digit matrix, one row per coefficient in ``coeffs`` order."""
     places = place_values(poly.q, poly.n)
@@ -176,9 +167,6 @@ class FourierPolynomial:
 
     def l2_norm(self) -> float:
         return math.sqrt(self.energy())
-
-    def coefficient(self, sigma: Sequence[int]) -> float:
-        return self.coeffs.get(sigma_encode(sigma, self.q), 0.0)
 
 
 def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> FourierPolynomial:

@@ -167,33 +167,3 @@ class GaussianPair:
         g2 = self.rho * g1 + math.sqrt(max(0.0, 1.0 - self.rho**2)) * z
         return g1, g2
 
-
-@dataclass(frozen=True)
-class ThresholdStrategy:
-    """A +-1 rule on one real input: +1 on the low side of ``threshold``.
-
-    ``polarity=-1`` flips the output (the antipodal form).
-    """
-
-    threshold: float
-    polarity: int = 1
-
-    def __post_init__(self):
-        if self.polarity not in (-1, 1):
-            raise ParameterRangeError("polarity must be +1 or -1")
-
-    @classmethod
-    def for_mean(cls, mu: float, polarity: int = 1) -> "ThresholdStrategy":
-        t = threshold_for_mean(mu if polarity == 1 else -mu)
-        return cls(t, polarity)
-
-    def apply(self, r) -> np.ndarray:
-        out = np.where(np.asarray(r, dtype=float) <= self.threshold, 1.0, -1.0)
-        return self.polarity * out
-
-    @property
-    def mean(self) -> float:
-        mu = 2.0 * _ndtr(self.threshold) - 1.0 if math.isfinite(self.threshold) else (
-            1.0 if self.threshold > 0 else -1.0
-        )
-        return self.polarity * mu

@@ -1,6 +1,13 @@
-"""Simulating correlated Gaussians from i.i.d. source samples, and the
-lift that turns threshold-form strategies on (A^h x R) into pure
-sample-based strategies on A^{h+w}.
+"""Rounding: turning witnesses into protocols the two parties can run.
+
+Two roundings live here.  The lift turns a threshold-form strategy on
+(A^h x R) into a pure sample-based strategy on A^{h+w}, simulating the
+real input with correlated Gaussians from i.i.d. source samples.
+Randomized rounding turns a [-1,1]-valued strategy f into a +-1 one with
+E[output | x] = f(x), with coins either from a seeded generator
+(``RngRoundedStrategy``) or from designated extra source coordinates
+(``SourceRoundedStrategy``); ``round_pair`` gives the two parties
+independent coins.
 
 A lift is built from its threshold form (``HybridStrategy``), which alone
 checks the inner values and polarity and derives the clipped means
@@ -18,6 +25,9 @@ suffix block only enters through its joint cell counts, so a multinomial
 draw replaces w explicit coordinates).  Monte Carlo runs fixed-size chunks,
 each on its own ``SeedSequence(seed).spawn`` stream, summed in chunk order:
 the estimate never depends on the thread count (Salmon et al., SC 2011).
+An rng-rounded strategy draws its coins from the chunk's generator, which
+the harness hands over through ``evaluate(idx, rng=...)``; exact
+enumeration refuses it, since its outputs are random.
 """
 
 from __future__ import annotations
@@ -135,6 +145,110 @@ def lift_hybrid(
     return LiftedStrategy(strat, w, witness)
 
 
+# -- randomized rounding -------------------------------------------------------
+
+
+class RngRoundedStrategy(Strategy):
+    """+-1 strategy rounding a [-1,1]-valued one with seeded coins.
+
+    E[output | x] = f(x).  The instance owns no generator: coins come from
+    ``rng`` when given (Monte Carlo passes its chunk's), else from a fresh
+    ``default_rng(seed)``, so a direct call is a pure function of the batch.
+    """
+
+    def __init__(self, base: Strategy, seed=0):
+        self.base = base
+        self.space = base.space
+        self.n = base.n
+        self.seed = seed
+
+    def evaluate(self, idx: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        v = np.clip(self.base.evaluate(idx), -1.0, 1.0)
+        u = (np.random.default_rng(self.seed) if rng is None else rng).random(v.shape[0])
+        return np.where(u < (1.0 + v) / 2.0, 1.0, -1.0)
+
+
+class SourceRoundedStrategy(Strategy):
+    """+-1 strategy rounding f with coins extracted from extra source coordinates.
+
+    The strategy reads n + 2k coordinates; its own coin block is either the
+    first or second k extras, so a pair using opposite blocks has exactly
+    independent coins.  The extracted coin is the product-measure CDF of
+    the block, uniform to within resolution (max atom prob)^k.
+    """
+
+    def __init__(self, base: Strategy, k_extra: int, block: str = "first"):
+        if k_extra < 1:
+            raise ParameterRangeError("need at least one extra coordinate")
+        if block not in ("first", "second"):
+            raise InputError("block must be 'first' or 'second'")
+        self.base = base
+        self.space = base.space
+        self.k_extra = k_extra
+        self.block = block
+        self.n = base.n + 2 * k_extra
+        p = base.space.probs
+        self.resolution = float(p.max()) ** k_extra
+        self._cum = np.concatenate([[0.0], np.cumsum(p)[:-1]])
+
+    def coin(self, extra_idx: np.ndarray) -> np.ndarray:
+        u = np.zeros(extra_idx.shape[0])
+        scale = np.ones(extra_idx.shape[0])
+        p = self.space.probs
+        for j in range(self.k_extra):
+            col = extra_idx[:, j]
+            u = u + self._cum[col] * scale
+            scale = scale * p[col]
+        return u + 0.5 * scale
+
+    def evaluate(self, idx: np.ndarray) -> np.ndarray:
+        idx = self._check_idx(idx)
+        nb = self.base.n
+        v = np.clip(self.base.evaluate(idx[:, :nb]), -1.0, 1.0)
+        lo = nb if self.block == "first" else nb + self.k_extra
+        u = self.coin(idx[:, lo : lo + self.k_extra])
+        return np.where(u < (1.0 + v) / 2.0, 1.0, -1.0)
+
+
+def randomized_round(
+    f: Strategy,
+    seed=0,
+    mode: str = "rng",
+    extra_coords: int = 0,
+    block: str = "first",
+    resolution: float = 1e-6,
+) -> Strategy:
+    """Round a [-1,1]-valued strategy to +-1 with E[output | x] = f(x).
+
+    ``mode="rng"`` uses an explicit seeded generator.  ``mode="source"``
+    consumes ``extra_coords`` designated extra source coordinates per coin
+    block (the strategy then reads n + 2*extra_coords coordinates and uses
+    the first or second block); raises when the block cannot reach the
+    requested coin resolution, reporting what is achievable.
+    """
+    if mode == "rng":
+        return RngRoundedStrategy(f, seed)
+    if mode != "source":
+        raise InputError(f"unknown mode {mode!r}; use 'rng' or 'source'")
+    strat = SourceRoundedStrategy(f, extra_coords, block)
+    if strat.resolution > resolution:
+        raise ParameterRangeError(
+            f"{extra_coords} extra coordinates reach coin resolution "
+            f"{strat.resolution:.3g}, coarser than the requested {resolution:.3g}"
+        )
+    return strat
+
+
+def round_pair(f: Strategy, g: Strategy, mode: str = "rng", seed=0, extra_coords: int = 0,
+               resolution: float = 1e-6) -> tuple[Strategy, Strategy]:
+    """Round both parties with independent coins (disjoint seeds or blocks)."""
+    seeds = np.random.SeedSequence(seed).spawn(2) if mode == "rng" else (seed, seed)
+    return (
+        randomized_round(f, seeds[0], mode, extra_coords, "first", resolution),
+        randomized_round(g, seeds[1], mode, extra_coords, "second", resolution),
+    )
+
+
 # -- empirical statistics ------------------------------------------------------
 
 
@@ -216,12 +330,14 @@ def _generic_pair_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One chunk of explicit joint draws; randomized strategies take its coins."""
+    """One chunk of explicit joint draws; rng-rounded strategies take its coins."""
     qa, qb = dist.shape
     flat = rng.choice(qa * qb, size=(n_samples, f.n), p=dist.table.ravel())
-    vf = f.evaluate(flat // qb, rng=rng) if f.is_randomized else f.evaluate(flat // qb)
-    vg = g.evaluate(flat % qb, rng=rng) if g.is_randomized else g.evaluate(flat % qb)
-    return _chunk_sums(vf, vg)
+
+    def values(s, idx):
+        return s.evaluate(idx, rng=rng) if isinstance(s, RngRoundedStrategy) else s.evaluate(idx)
+
+    return _chunk_sums(values(f, flat // qb), values(g, flat % qb))
 
 
 def estimate_strategy_stats(
@@ -251,7 +367,7 @@ def estimate_strategy_stats(
     cells = (qa * qb) ** f.n if f.n < 64 else math.inf
     if mode not in ("auto", "exact", "monte_carlo"):
         raise InputError(f"unknown mode {mode!r}")
-    randomized = f.is_randomized or g.is_randomized
+    randomized = isinstance(f, RngRoundedStrategy) or isinstance(g, RngRoundedStrategy)
     if mode == "exact" and randomized:
         raise InputError("exact enumeration is undefined for randomized strategies")
     if mode == "exact" or (mode == "auto" and cells <= ENUMERATION_CELL_CAP and not randomized):

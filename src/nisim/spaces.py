@@ -2,9 +2,8 @@
 
 Core representations used everywhere else in the package: a finite
 probability space with named atoms, a joint distribution over a product
-of two such spaces, i.i.d. tensor powers, seeded sampling, total
-variation distance, and the empirical 2x2 tables produced by binary
-strategy pairs.
+of two such spaces, i.i.d. tensor powers, total variation distance,
+and the empirical 2x2 tables produced by binary strategy pairs.
 
 Conventions
 -----------
@@ -232,7 +231,8 @@ class JointDistribution:
 
 
 class EmpiricalJoint2x2:
-    """Counts or probabilities over the four outcomes of a binary pair.
+    """Probabilities over the four outcomes of a binary pair (with the
+    sample count when they are a Monte Carlo estimate).
 
     Outcome order is ``(+1,+1), (+1,-1), (-1,+1), (-1,-1)``, matching the
     row-major flattening of a 2x2 table with atom order ``["+1", "-1"]``.
@@ -252,16 +252,6 @@ class EmpiricalJoint2x2:
             raise InputError(f"outcome probabilities sum to {p.sum():.17g}, not 1")
         self.probs = _freeze(p / p.sum())
         self.n_samples = n_samples
-
-    @classmethod
-    def from_counts(cls, counts: Sequence[int]) -> "EmpiricalJoint2x2":
-        c = np.asarray(counts, dtype=float)
-        if c.shape != (4,):
-            raise InputError("need exactly four outcome counts")
-        total = c.sum()
-        if total <= 0:
-            raise InputError("counts must sum to a positive number")
-        return cls(c / total, n_samples=int(total))
 
     @classmethod
     def from_moments(cls, mean_u: float, mean_v: float, corr_uv: float) -> "EmpiricalJoint2x2":
@@ -344,7 +334,7 @@ def tensor_power(
     )
 
 
-# -- distances and sampling --------------------------------------------
+# -- distances ---------------------------------------------------------
 
 
 def _prob_vector(d) -> np.ndarray:
@@ -373,33 +363,3 @@ def tv_distance(p, q) -> float:
         raise InputError(f"shape mismatch: {pv.shape} vs {qv.shape}")
     return float(0.5 * np.abs(pv - qv).sum())
 
-
-def sample_joint_indices(
-    dist: JointDistribution, n: int, seed=0
-) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. draws as (row_index, col_index) arrays. Same seed, same draws."""
-    if n < 0:
-        raise ParameterRangeError(f"sample count must be nonnegative, got {n}")
-    rng = np.random.default_rng(seed)
-    qa, qb = dist.shape
-    flat = rng.choice(qa * qb, size=n, p=dist.table.ravel())
-    return flat // qb, flat % qb
-
-
-def sample_joint(dist: JointDistribution, n: int, seed=0) -> list[tuple[str, str]]:
-    """n i.i.d. draws as (row_atom, col_atom) label pairs."""
-    ri, ci = sample_joint_indices(dist, n, seed)
-    ra, ca = dist.row_space.atoms, dist.col_space.atoms
-    return [(ra[i], ca[j]) for i, j in zip(ri, ci)]
-
-
-def empirical_table(dist: JointDistribution, n: int, seed=0) -> np.ndarray:
-    """Empirical joint frequency matrix from n samples (n must be positive).
-
-    Returned as a raw matrix (same shape as ``dist.table``) so it can be
-    compared against the truth even when some cells were never hit.
-    """
-    ri, ci = sample_joint_indices(dist, n, seed)
-    qa, qb = dist.shape
-    counts = np.bincount(ri * qb + ci, minlength=qa * qb).reshape(qa, qb)
-    return counts / counts.sum()

@@ -24,10 +24,6 @@ class Strategy:
 
     space: FiniteSpace
     n: int
-    # True when evaluate() draws coins, in which case exact enumeration is
-    # meaningless and estimators must sample; such an evaluate() also takes
-    # an ``rng`` keyword, through which estimators hand over their generator
-    is_randomized: bool = False
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -456,6 +456,15 @@ class TestOracle:
         assert abs(o.f_values @ wa) <= 0.1 + 1e-9
         assert np.all(np.abs(o.f_values) <= 1 + 1e-12)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_depth_raises_on_both_frames(self, n):
+        # the oracle once searched zero coordinates and returned 0.01
+        dsbs = make_dsbs(0.5)
+        with pytest.raises(ParameterRangeError, match="power must be positive"):
+            oracle_max_balanced_ip(dsbs, n, (0.1, 0.1))
+        with pytest.raises(ParameterRangeError, match="power must be positive"):
+            brute_force_bmip(dsbs, n, 0.5, 0.3, (0.1, 0.1))
+
     def test_lockstep_alternation_matches_per_start_reference(self):
         # the 4x2 source at depth 2 has ka = 16 > ORACLE_VERTEX_START_CAP: random starts only
         rng = np.random.default_rng(1234)
@@ -636,6 +645,20 @@ class TestDecideGapNis:
                                        capture_output=True).stdout)
         assert outs[0] == outs[1]
         assert outs[0].count(b"oracle_probe") >= 2
+
+    def test_unsorted_caller_grid_decides_like_its_sorted_copy(self):
+        # the probe snaps to the grid, which must be sorted by then
+        t = np.random.default_rng(8).random((3, 2)) + 0.05
+        t32 = JointDistribution(list("abc"), list("xy"), t / t.sum())
+        shuffle = np.random.default_rng(0).permutation
+        grid = np.linspace(-1.0, 1.0, 41)
+        v = decide_gap_nis(t32, 0.3, 0.2, 1, grid=grid)
+        assert v.thresholds["search_mode"] == "oracle_probe"
+        assert decide_gap_nis(t32, 0.3, 0.2, 1, grid=shuffle(grid)).as_dict() == v.as_dict()
+        coarse = np.linspace(-1.0, 1.0, 11)
+        res = brute_force_bmip(t32, 1, 0.3, 0.2, (0.3, 0.3), grid=coarse)
+        shuffled = brute_force_bmip(t32, 1, 0.3, 0.2, (0.3, 0.3), grid=shuffle(coarse))
+        assert (shuffled.accept, shuffled.best_value) == (res.accept, res.best_value)
 
     def test_report_n0_attached(self):
         v = decide_gap_nis(TRIPLE, 0.6, 0.3, 1, report_n0=True)

@@ -477,12 +477,3 @@ class TestSigmaCodec:
         digits = [d % q for d in digits]
         key = sigma_encode(digits, q)
         assert sigma_decode(key, q, len(digits)) == tuple(digits)
-
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=3000))
-    @settings(max_examples=200, deadline=None)
-    def test_degree_matches_decode(self, q, key):
-        n = 8
-        key = key % (q**n)
-        from nisim.fourier import sigma_degree
-
-        assert sigma_degree(key, q, n) == sigma_degree_of(key, q, n)

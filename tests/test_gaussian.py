@@ -13,7 +13,6 @@ from scipy.stats import multivariate_normal
 from nisim import (
     GaussianPair,
     ParameterRangeError,
-    ThresholdStrategy,
     berry_esseen_sample_count,
     bivariate_cdf,
     gamma_bar,
@@ -171,8 +170,7 @@ class TestStability:
 
     def test_marginal_means_by_construction(self):
         for mu in (-0.8, -0.1, 0.0, 0.45):
-            strat = ThresholdStrategy.for_mean(mu)
-            assert strat.mean == pytest.approx(mu, abs=1e-12)
+            assert 2.0 * std_normal_cdf(threshold_for_mean(mu)) - 1.0 == pytest.approx(mu, abs=1e-12)
 
     def test_monotone_in_rho_same_sign_means(self):
         for mu, nu in [(0.3, 0.5), (-0.2, -0.6), (0.0, 0.0)]:

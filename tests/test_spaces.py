@@ -1,5 +1,5 @@
 """Core probability-space tests: construction invariants, tensor powers,
-total variation, and seeded sampling."""
+total variation and JSON I/O."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,7 @@ from nisim import (
     JointDistribution,
     ParameterRangeError,
     ResourceLimitError,
-    empirical_table,
     make_dsbs,
-    sample_joint,
-    sample_joint_indices,
     tensor_power,
     tv_distance,
     uniform_triple,
@@ -206,38 +203,6 @@ class TestTvDistance:
         assert tv_distance(pa, pb) == pytest.approx(tv_distance(pb, pa), abs=1e-15)
         assert tv_distance(pa, pa) <= 1e-12
         assert tv_distance(pa, pc) <= tv_distance(pa, pb) + tv_distance(pb, pc) + 1e-12
-
-
-class TestSampling:
-    def test_empty(self):
-        assert sample_joint(make_dsbs(0.5), 0, seed=1) == []
-
-    def test_seed_determinism(self):
-        d = uniform_triple()
-        assert sample_joint(d, 50, seed=9) == sample_joint(d, 50, seed=9)
-        a = sample_joint_indices(d, 100, seed=2)
-        b = sample_joint_indices(d, 100, seed=2)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_perfect_correlation_diagonal(self):
-        pairs = sample_joint(make_dsbs(1.0), 10**4, seed=3)
-        assert all(x == y for x, y in pairs)
-
-    def test_dsbs_half_moment(self):
-        ri, ci = sample_joint_indices(make_dsbs(0.5), 10**6, seed=7)
-        x = 1.0 - 2.0 * ri
-        y = 1.0 - 2.0 * ci
-        assert abs(np.mean(x * y) - 0.5) < 0.01
-
-    def test_empirical_convergence(self):
-        # TV(empirical, true) <= 3 sqrt(|A||B|/n) on nearly all seeds
-        d = uniform_triple()
-        bound = 3.0 * np.sqrt(4 / 10**4)
-        failures = sum(
-            tv_distance(empirical_table(d, 10**4, seed=s), d.table) > bound
-            for s in range(40)
-        )
-        assert failures == 0
 
 
 class TestJson:
