@@ -38,6 +38,7 @@ from .fourier import (
 from .util import (
     all_assignments,
     ceil_tolerant,
+    draw_atoms,
     kron_power,
     log10_from_ln,
     wilson_interval,
@@ -326,7 +327,7 @@ def restriction_regular_probability(
     if samples < 1:
         raise ParameterRangeError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    xi = rng.choice(q, size=(samples, len(H)), p=space.probs)
+    xi = draw_atoms(rng, space.probs, (samples, len(H)))
     ok = (restriction_influences_at(poly, H, xi) <= tau + 1e-12).all(axis=1)
     hits = int(ok.sum())
     lo, hi = wilson_interval(hits, samples)

@@ -25,6 +25,12 @@ suffix block only enters through its joint cell counts, so a multinomial
 draw replaces w explicit coordinates).  Monte Carlo runs fixed-size chunks,
 each on its own ``SeedSequence(seed).spawn`` stream, summed in chunk order:
 the estimate never depends on the thread count (Salmon et al., SC 2011).
+A chunk draws its atoms with ``util.draw_atoms`` (``rng.choice``'s stream
+without its binary search), and a generic chunk makes no BLAS call: its
+sums are numpy reductions, which round the same whatever the size of the
+BLAS thread pool, and leave that pool's spinning workers asleep.  The
+lifted chunk keeps one BLAS gemv, counts times witness, because a
+reduction would move the last bits of the witness sums it thresholds.
 An rng-rounded strategy draws its coins from the chunk's generator, which
 the harness hands over through ``evaluate(idx, rng=...)``; exact
 enumeration refuses it, since its outputs are random.
@@ -43,7 +49,13 @@ from .gaussian import std_normal_cdf, threshold_for_mean
 from .maxcorr import maximal_correlation
 from .spaces import EmpiricalJoint2x2, FiniteSpace, JointDistribution
 from .strategies import Strategy
-from .util import all_assignments, contract_coordinates, kron_power, place_values
+from .util import (
+    all_assignments,
+    contract_coordinates,
+    draw_atoms,
+    kron_power,
+    place_values,
+)
 
 ENUMERATION_CELL_CAP = 10**8
 MC_BATCH_CELLS = 2 * 10**7
@@ -295,13 +307,16 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
 
 def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
     """Accumulator [sum f, sum g, sum fg, sum (fg)^2, pp, pm, mp, mm] of one chunk;
-    the cells are independent-rounding masses of [-1,1]-valued outputs."""
+    the cells are independent-rounding masses of [-1,1]-valued outputs.
+
+    Every sum is a numpy reduction, never a BLAS call: a BLAS dot rounds
+    by the size of its thread pool, and its spinning workers take a core
+    from the chunk pool.
+    """
     prod = vf * vg
-    pp = 0.25 * float(((1 + vf) * (1 + vg)).sum())
-    pm = 0.25 * float(((1 + vf) * (1 - vg)).sum())
-    mp = 0.25 * float(((1 - vf) * (1 + vg)).sum())
-    mm = 0.25 * float(((1 - vf) * (1 - vg)).sum())
-    return np.array([vf.sum(), vg.sum(), prod.sum(), prod @ prod, pp, pm, mp, mm])
+    fp, fm, gp, gm = 1 + vf, 1 - vf, 1 + vg, 1 - vg
+    cells = [0.25 * float((a * b).sum()) for a in (fp, fm) for b in (gp, gm)]
+    return np.array([vf.sum(), vg.sum(), prod.sum(), (prod * prod).sum(), *cells])
 
 
 def _lifted_pair_mc(
@@ -314,9 +329,9 @@ def _lifted_pair_mc(
     """One chunk through the multinomial sufficient statistic for the suffix block."""
     qa, qb = dist.shape
     pjoint = dist.table.ravel()
-    flat = rng.choice(qa * qb, size=(n_samples, f.h), p=pjoint)
-    pa = (flat // qb) @ place_values(qa, f.h)
-    pb = (flat % qb) @ place_values(qb, g.h)
+    a, b = np.divmod(draw_atoms(rng, pjoint, (n_samples, f.h)), qb)
+    pa = a @ place_values(qa, f.h)
+    pb = b @ place_values(qb, g.h)
     counts = rng.multinomial(f.w, pjoint, size=n_samples)
     vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
     vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
@@ -332,12 +347,12 @@ def _generic_pair_mc(
 ) -> np.ndarray:
     """One chunk of explicit joint draws; rng-rounded strategies take its coins."""
     qa, qb = dist.shape
-    flat = rng.choice(qa * qb, size=(n_samples, f.n), p=dist.table.ravel())
+    a, b = np.divmod(draw_atoms(rng, dist.table.ravel(), (n_samples, f.n)), qb)
 
     def values(s, idx):
         return s.evaluate(idx, rng=rng) if isinstance(s, RngRoundedStrategy) else s.evaluate(idx)
 
-    return _chunk_sums(values(f, flat // qb), values(g, flat % qb))
+    return _chunk_sums(values(f, a), values(g, b))
 
 
 def estimate_strategy_stats(

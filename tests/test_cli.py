@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nisim import JointDistribution, maximal_correlation
+from nisim import cli
 from nisim.cli import build_parser, main
 from nisim.corpus import alpha_component_graph, corpus_entry, examples_corpus
 
@@ -445,6 +446,26 @@ class TestCliBasics:
         with pytest.raises(AssertionError, match="no_such_golden.json"):
             check_golden("no_such_golden.json", "{}")
         assert not (GOLDEN_DIR / "no_such_golden.json").exists()
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, triple_path):
+        runs = [["no-such-command"], ["maxcorr", triple_path],
+                ["decide", "--dist", triple_path, "--target", "dsbs:0.3", "--delta", "0.3"]]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        in_turn = [call(argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            cli._parser.cache_clear()
+            fresh.append(call(argv))
+        assert [code for code, _, _ in in_turn] == [2, 0, 0]
+        assert in_turn == fresh
 
     def test_help_lists_spec_flags(self):
         parser = build_parser()

@@ -3,10 +3,6 @@ and verdict soundness."""
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -622,7 +618,7 @@ class TestDecideGapNis:
         assert deep.n_used == 2
         assert deep.achieved["corr_fg"] == pytest.approx(1 / 3, abs=1e-9)
 
-    def test_probe_verdicts_do_not_depend_on_blas_threads(self):
+    def test_probe_verdicts_do_not_depend_on_blas_threads(self, outputs_at_blas_threads):
         code = (
             "import json\n"
             "import numpy as np\n"
@@ -635,14 +631,7 @@ class TestDecideGapNis:
             "    v = decide_gap_nis(dist, rho, delta, n)\n"
             "    print(v.thresholds.get('search_mode'), json.dumps(v.as_dict()))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                       capture_output=True).stdout)
+        outs = outputs_at_blas_threads(code)
         assert outs[0] == outs[1]
         assert outs[0].count(b"oracle_probe") >= 2
 

@@ -290,6 +290,24 @@ class TestEstimateStats:
                 for t in (1, 2, 3)}
         assert len(outs) == 1
 
+    def test_monte_carlo_does_not_depend_on_blas_threads(self, outputs_at_blas_threads):
+        # a real-valued pair: a BLAS dot in the chunk sums changed the last
+        # bits of stderr_corr with the size of the BLAS thread pool
+        code = (
+            "import json\n"
+            "import numpy as np\n"
+            "from nisim import TableStrategy, estimate_strategy_stats, make_dsbs\n"
+            "dist = make_dsbs(0.4)\n"
+            "rng = np.random.default_rng(6)\n"
+            "f = TableStrategy(dist.row_space, 6, rng.uniform(-1, 1, 64))\n"
+            "g = TableStrategy(dist.col_space, 6, rng.uniform(-1, 1, 64))\n"
+            "stats = estimate_strategy_stats(f, g, dist, 200_000, mode='monte_carlo')\n"
+            "print(json.dumps(stats.as_dict()))\n"
+        )
+        outs = outputs_at_blas_threads(code)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["mode"] == "monte_carlo"
+
     def test_rounded_pair_repeats(self):
         f, g, d = MC_PAIRS["rounded"]()
         outs = {json.dumps(estimate_strategy_stats(f, g, d, n_samples=3 * C, seed=6,

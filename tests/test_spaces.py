@@ -17,7 +17,7 @@ from nisim import (
     uniform_triple,
 )
 from nisim.spaces import FiniteSpace
-from nisim.util import kron_power
+from nisim.util import draw_atoms, kron_power
 
 
 class TestFiniteSpace:
@@ -154,18 +154,48 @@ class TestKronPower:
         assert np.array_equal(kron_power(np.array([0.3, 0.7]), 0), np.ones(1))
 
     def test_bit_identical_to_left_to_right_loops(self):
+        # reference: np.kron applied factor by factor, from the one-entry ones
         rng = np.random.default_rng(31)
-        for n in range(1, 5):
-            p = rng.dirichlet(np.ones(3))
-            t = rng.dirichlet(np.ones(6)).reshape(2, 3)
-            w = np.ones(1)
+        for case in range(300):
+            shape = (int(rng.integers(1, 6)),) if case % 2 else tuple(rng.integers(1, 5, 2))
+            a = rng.random(shape) - 0.5
+            n = int(rng.integers(0, 5))
+            ref = np.ones((1,) * a.ndim)
             for _ in range(n):
-                w = np.kron(w, p)
-            W = t
-            for _ in range(n - 1):
-                W = np.kron(W, t)
-            assert np.array_equal(kron_power(p, n), w)
-            assert np.array_equal(kron_power(t, n), W)
+                ref = np.kron(ref, a)
+            out = kron_power(a, n)
+            assert out.shape == ref.shape and np.array_equal(out, ref)
+
+
+class TestDrawAtoms:
+    """The counted draw returns ``rng.choice``'s indices and leaves the
+    generator in its state."""
+
+    @staticmethod
+    def _check(probs, shape, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx = draw_atoms(ours, probs, shape)
+        ref = theirs.choice(len(probs), size=shape, p=probs)
+        assert idx.shape == ref.shape and np.array_equal(idx, ref)
+        assert idx.dtype == np.min_scalar_type(len(probs) - 1)
+        assert ours.random() == theirs.random()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_rng_choice(self, data):
+        k = data.draw(st.integers(1, 40))
+        w = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        if w.sum() == 0.0:
+            w[-1] = 1.0
+        shape = (data.draw(st.integers(0, 200)), data.draw(st.integers(0, 5)))
+        self._check(w / w.sum(), shape, data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_wide_and_one_atom_spaces(self):
+        w = np.random.default_rng(4).random(300)
+        w[::7] = 0.0
+        self._check(w / w.sum(), (500, 3), 9)
+        self._check(np.array([1.0]), (50, 2), 9)
 
 
 class TestTvDistance:
