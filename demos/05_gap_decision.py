@@ -69,7 +69,7 @@ stats = estimate_strategy_stats(fr, gr, triple, n_samples=10**6, seed=3,
                                 mode="monte_carlo")
 target = Target2x2.from_dsbs(0.25)
 print(f"  empirical table {stats.joint.probs.round(4).tolist()}")
-print(f"  TV to DSBS(0.25) = {tv_distance(stats.joint, target.joint):.4f}"
+print(f"  TV to DSBS(0.25) = {tv_distance(stats.joint, target):.4f}"
       f"  (guarantee: <= {8 * delta})")
 
 print()

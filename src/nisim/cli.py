@@ -208,7 +208,7 @@ def _cmd_simulate(args) -> None:
     if args.target:
         target = _parse_target(args.target)
         out["target"] = target.as_dict()
-        out["tv_to_target"] = tv_distance(stats.joint, target.joint)
+        out["tv_to_target"] = tv_distance(stats.joint, target)
     _emit(out)
 
 

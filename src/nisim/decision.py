@@ -46,17 +46,16 @@ from .regularity import (
     regularity_params,
     smoothing_params_from_log_eta,
 )
-from .spaces import EmpiricalJoint2x2, JointDistribution, make_dsbs
+from .spaces import EmpiricalJoint2x2, JointDistribution
 from .strategies import TableStrategy
 from .rounding import estimate_strategy_stats
 # unused here: perfbench's simulate workload and tracer read these as nisim.decision.*
 from .rounding import randomized_round, round_pair  # noqa: F401
-from .util import all_assignments, ceil_tolerant, kron_power, log10_from_ln
+from .util import BLOCK_CELLS, all_assignments, ceil_tolerant, kron_power, log10_from_ln
 
 WORK_CAP = 10**8
 SIDE_MEM_CAP = 5 * 10**7
 TABLE_CELL_CAP = 10**6
-BLOCK_CELLS = 2 * 10**7
 ACCEPT_TOL = 1e-12
 ORACLE_RANDOM_STARTS = 32
 ORACLE_VERTEX_START_CAP = 12  # vertex starts and bound when ka <= this
@@ -158,7 +157,17 @@ def _n0_chain(
     alpha = dist.alpha
     lam = gb = zeta = delta / 3.0
 
-    k_raw = constants.C_tau * math.log(1.0 / gb) * math.log(1.0 / alpha) / ((1.0 - rho) * gb)
+    too_large = (
+        f"overflows float range at delta = {delta:g}, C_tau = {constants.C_tau:g}; "
+        "raise delta or lower C_tau"
+    )
+    denom = (1.0 - rho) * gb  # 0 once delta / 3 underflows
+    k_raw = (
+        constants.C_tau * math.log(1.0 / gb) * math.log(1.0 / alpha) / denom
+        if denom > 0.0 else math.inf
+    )
+    if not math.isfinite(k_raw):
+        raise ParameterRangeError(f"the influence exponent {too_large}")
     k_tau = ceil_tolerant(k_raw, min_value=1)
     ln_tau = k_tau * math.log(gb)
     tau = math.exp(ln_tau) if ln_tau > -700 else 0.0
@@ -182,6 +191,8 @@ def _n0_chain(
 
     w = berry_esseen_sample_count(rho, alpha, zeta, constants.C_be)
     ln_n0 = float(np.logaddexp(ln_h, math.log(w)))
+    if not math.isfinite(ln_n0):
+        raise ParameterRangeError(f"log n0 {too_large}")
     n0_int = h_int + w if h_int is not None else None
 
     return ParameterChain(
@@ -255,49 +266,8 @@ def _check_grid(grid) -> np.ndarray:
 # -- targets and verdicts ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Target2x2:
-    """A 2x2 target over +-1 outcomes with its moment summary and case tag."""
-
-    joint: EmpiricalJoint2x2
-
-    @property
-    def mean_u(self) -> float:
-        return self.joint.mean_u
-
-    @property
-    def mean_v(self) -> float:
-        return self.joint.mean_v
-
-    @property
-    def corr_uv(self) -> float:
-        return self.joint.corr_uv
-
-    @property
-    def case(self) -> str:
-        return "I" if self.corr_uv >= self.mean_u * self.mean_v else "II"
-
-    @classmethod
-    def from_dsbs(cls, rho: float) -> "Target2x2":
-        # every DSBS row and column has mass 1/2, so no atom is trimmed and
-        # the table is already in outcome order
-        return cls(EmpiricalJoint2x2(make_dsbs(rho).table.ravel()))
-
-    @classmethod
-    def from_table(cls, table) -> "Target2x2":
-        t = np.asarray(table, dtype=float)
-        if t.shape == (2, 2):
-            t = t.ravel()
-        return cls(EmpiricalJoint2x2(t))
-
-    def as_dict(self) -> dict:
-        return {
-            "probs": self.joint.table.tolist(),
-            "mean_u": self.mean_u,
-            "mean_v": self.mean_v,
-            "corr_uv": self.corr_uv,
-            "case": self.case,
-        }
+# a 2x2 target is its outcome table; the second name keeps Target2x2 callers working
+Target2x2 = EmpiricalJoint2x2
 
 
 @dataclass
@@ -397,18 +367,13 @@ def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
 
 
 def _exceeds_work_cap(grid_size: int, width: int) -> bool:
-    """Whether grid_size ** width > WORK_CAP, decided in log space.
+    """Whether grid_size ** width > WORK_CAP, in exact integers.
 
-    Paper-grid searches reach 49,999 ** 72, far beyond float range; near
-    the boundary the exact integer power settles what rounding cannot.
+    Paper-grid searches reach 49,999 ** 72; a grid of two or more values
+    exceeds the cap from width bit_length(WORK_CAP) on, so the power is
+    only computed when it is small.
     """
-    if grid_size < 2:
-        return False  # grid_size ** width <= 1
-    log_pairs = width * math.log(grid_size)
-    log_cap = math.log(WORK_CAP)
-    if abs(log_pairs - log_cap) > 1e-9 * log_cap:
-        return log_pairs > log_cap
-    return grid_size**width > WORK_CAP
+    return grid_size > 1 and (width >= WORK_CAP.bit_length() or grid_size**width > WORK_CAP)
 
 
 def brute_force_bmip(
@@ -746,7 +711,7 @@ def _n0_report(
 ) -> dict:
     try:
         return _n0_chain(dist, delta, constants, rho).as_dict()
-    except (ParameterRangeError, InputError) as exc:
+    except InputError as exc:
         return {"error": str(exc)}
 
 
@@ -894,7 +859,7 @@ def decide_gap_nis(
 
 def decide_2x2(
     dist: JointDistribution,
-    target: Target2x2,
+    target: EmpiricalJoint2x2,
     delta: float,
     n_search: int,
     constants: ChainConstants | None = None,

@@ -32,12 +32,11 @@ import numpy as np
 from .errors import InputError, ParameterRangeError, ResourceLimitError
 from .spaces import FiniteSpace
 from .strategies import TableStrategy as ValueTable
-from .util import contract_coordinates, place_values
+from .util import CELL_CAP, contract_coordinates, place_values
 
 ORTHONORMALITY_TOL = 1e-10
 GS_RESIDUAL_TOL = 1e-12
 COEFF_DROP_TOL = 1e-14
-DENSE_CELL_CAP = 10**8
 
 
 # -- basis --------------------------------------------------------------
@@ -185,9 +184,9 @@ def inverse_transform(poly: FourierPolynomial) -> ValueTable:
     """Pointwise values f(x) = sum_sigma f_hat(sigma) X_sigma(x)."""
     q, n = poly.q, poly.n
     cells = q**n
-    if cells > DENSE_CELL_CAP:
+    if cells > CELL_CAP:
         raise ResourceLimitError(
-            f"dense table needs {cells} cells, above the cap {DENSE_CELL_CAP}"
+            f"dense table needs {cells} cells, above the cap {CELL_CAP}"
         )
     keys, values, _ = _decode(poly)
     arr = np.zeros(cells)

@@ -145,7 +145,13 @@ def berry_esseen_sample_count(
         raise ParameterRangeError(f"minimum atom probability must lie in (0, 1/2], got {alpha}")
     if C_be <= 0.0:
         raise ParameterRangeError(f"constant must be positive, got {C_be}")
-    w = C_be * (1.0 + rho_pair) / (alpha * (1.0 - rho_pair) ** 3 * zeta * zeta)
+    denom = alpha * (1.0 - rho_pair) ** 3 * zeta * zeta
+    w = C_be * (1.0 + rho_pair) / denom if denom > 0.0 else math.inf
+    if not math.isfinite(w):
+        raise ParameterRangeError(
+            f"sample count overflows float range at accuracy {zeta:g}, C_be = {C_be:g}; "
+            "raise the accuracy (delta / 3 in the n0 chain) or lower C_be"
+        )
     return ceil_tolerant(w, min_value=1)
 
 

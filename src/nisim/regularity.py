@@ -61,24 +61,12 @@ class SmoothingParams:
     C_smooth: float
     mossel_condition_met: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "d": self.d,
-            "C_smooth": self.C_smooth,
-            "mossel_condition_met": self.mossel_condition_met,
-        }
-
 
 def _mossel_gamma_floor(rho: float, eps: float) -> float:
-    """Explicit sufficient noise rate: gamma >= (1-eps)^{log rho/(log eps+log rho)}."""
+    """Explicit sufficient noise rate: gamma >= (1-eps)^{log rho/(log eps+log rho)},
+    for rho < 1 (both smoothing entry points reject rho = 1)."""
     if rho <= 0.0:
         return 1.0 - eps
-    if rho >= 1.0:
-        return 1.0
     expo = math.log(rho) / (math.log(eps) + math.log(rho))
     return (1.0 - eps) ** expo
 
@@ -125,7 +113,13 @@ def _smoothing_recipe(
     eps = lam / 2.0
     gamma = 1.0 - C_smooth * (1.0 - rho) * eps / math.log(1.0 / eps)
     gamma = min(max(gamma, 1e-12), 1.0 - 1e-15)
-    d = ceil_tolerant(ln_eta / (2.0 * math.log(gamma)), min_value=1)
+    d_raw = ln_eta / (2.0 * math.log(gamma))
+    if not math.isfinite(d_raw):
+        raise ParameterRangeError(
+            f"degree cutoff overflows float range at log tail budget {ln_eta:g}; raise the "
+            "tail budget (in the n0 chain: raise delta or lower C_tau)"
+        )
+    d = ceil_tolerant(d_raw, min_value=1)
     met = gamma >= _mossel_gamma_floor(rho, eps) - 1e-12
     return SmoothingParams(
         lam=lam, epsilon=eps, gamma=gamma, eta=eta, d=d, C_smooth=C_smooth,

@@ -50,6 +50,8 @@ from .maxcorr import maximal_correlation
 from .spaces import EmpiricalJoint2x2, FiniteSpace, JointDistribution
 from .strategies import Strategy
 from .util import (
+    BLOCK_CELLS,
+    CELL_CAP,
     all_assignments,
     contract_coordinates,
     draw_atoms,
@@ -57,8 +59,6 @@ from .util import (
     place_values,
 )
 
-ENUMERATION_CELL_CAP = 10**8
-MC_BATCH_CELLS = 2 * 10**7
 # samples per Monte Carlo chunk: part of the stream layout, like the seed
 MC_CHUNK_SAMPLES = 2**16
 
@@ -385,10 +385,10 @@ def estimate_strategy_stats(
     randomized = isinstance(f, RngRoundedStrategy) or isinstance(g, RngRoundedStrategy)
     if mode == "exact" and randomized:
         raise InputError("exact enumeration is undefined for randomized strategies")
-    if mode == "exact" or (mode == "auto" and cells <= ENUMERATION_CELL_CAP and not randomized):
-        if cells > ENUMERATION_CELL_CAP:
+    if mode == "exact" or (mode == "auto" and cells <= CELL_CAP and not randomized):
+        if cells > CELL_CAP:
             raise ParameterRangeError(
-                f"exact enumeration needs {cells} cells, above the cap {ENUMERATION_CELL_CAP}"
+                f"exact enumeration needs {cells} cells, above the cap {CELL_CAP}"
             )
         return _exact_stats(f, g, dist)
     if n_samples < 1:
@@ -402,7 +402,7 @@ def estimate_strategy_stats(
     )
     worker = _lifted_pair_mc if lifted else _generic_pair_mc
     width = f.h + qa * qb if lifted else f.n
-    chunk = max(1, min(MC_CHUNK_SAMPLES, MC_BATCH_CELLS // max(1, width)))
+    chunk = max(1, min(MC_CHUNK_SAMPLES, BLOCK_CELLS // max(1, width)))
     sizes = np.diff([*range(0, n_samples, chunk), n_samples])
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -3,7 +3,8 @@
 Core representations used everywhere else in the package: a finite
 probability space with named atoms, a joint distribution over a product
 of two such spaces, i.i.d. tensor powers, total variation distance,
-and the empirical 2x2 tables produced by binary strategy pairs.
+and the 2x2 outcome table of a binary pair, which is both what a
+strategy pair produces and the type of a decision target.
 
 Conventions
 -----------
@@ -25,11 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParameterRangeError, ResourceLimitError
-from .util import kron_power
+from .util import CELL_CAP, kron_power
 
 SUM_TOL = 1e-12
 ATOM_SEPARATOR = "|"
-DEFAULT_CELL_CAP = 10**8
 
 
 def json_list(value, what: str) -> list:
@@ -37,6 +37,17 @@ def json_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{what} must be a JSON array, got {type(value).__name__}")
     return value
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse ``text`` as a JSON object; ``InputError`` naming ``what`` otherwise."""
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise InputError(f"{what} must be an object")
+    return d
 
 
 def json_floats(value, what: str) -> np.ndarray:
@@ -215,13 +226,7 @@ class JointDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "JointDistribution":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed JSON: {exc}") from None
-        if not isinstance(d, dict):
-            raise InputError("distribution JSON must be an object")
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(json_object(text, "distribution JSON"))
 
     def __repr__(self):
         return (
@@ -232,7 +237,8 @@ class JointDistribution:
 
 class EmpiricalJoint2x2:
     """Probabilities over the four outcomes of a binary pair (with the
-    sample count when they are a Monte Carlo estimate).
+    sample count when they are a Monte Carlo estimate); also the type of a
+    decision target, with its moment summary and case tag.
 
     Outcome order is ``(+1,+1), (+1,-1), (-1,+1), (-1,-1)``, matching the
     row-major flattening of a 2x2 table with atom order ``["+1", "-1"]``.
@@ -268,6 +274,19 @@ class EmpiricalJoint2x2:
             raise InputError("moments do not define a probability table")
         return cls(np.clip(p, 0.0, None))
 
+    @classmethod
+    def from_dsbs(cls, rho: float) -> "EmpiricalJoint2x2":
+        # every DSBS row and column has mass 1/2, so no atom is trimmed and
+        # the table is already in outcome order
+        return cls(make_dsbs(rho).table.ravel())
+
+    @classmethod
+    def from_table(cls, table) -> "EmpiricalJoint2x2":
+        t = np.asarray(table, dtype=float)
+        if t.shape == (2, 2):
+            t = t.ravel()
+        return cls(t)
+
     @property
     def table(self) -> np.ndarray:
         return self.probs.reshape(2, 2)
@@ -286,6 +305,20 @@ class EmpiricalJoint2x2:
     def corr_uv(self) -> float:
         p = self.probs
         return float(p[0] - p[1] - p[2] + p[3])
+
+    @property
+    def case(self) -> str:
+        """"I" when E[UV] >= E[U]E[V], else "II" (the antipodal form)."""
+        return "I" if self.corr_uv >= self.mean_u * self.mean_v else "II"
+
+    def as_dict(self) -> dict:
+        return {
+            "probs": self.table.tolist(),
+            "mean_u": self.mean_u,
+            "mean_v": self.mean_v,
+            "corr_uv": self.corr_uv,
+            "case": self.case,
+        }
 
     def __repr__(self):
         return f"EmpiricalJoint2x2({self.probs.tolist()!r}, n_samples={self.n_samples})"
@@ -312,9 +345,7 @@ def uniform_triple() -> JointDistribution:
     return JointDistribution(["0", "1"], ["0", "1"], [[third, third], [third, 0.0]])
 
 
-def tensor_power(
-    dist: JointDistribution, n: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> JointDistribution:
+def tensor_power(dist: JointDistribution, n: int) -> JointDistribution:
     """n-fold i.i.d. product of a joint distribution.
 
     The entry at ((x1..xn), (y1..yn)) is the product of the coordinate
@@ -324,9 +355,9 @@ def tensor_power(
         raise ParameterRangeError(f"power must be a positive integer, got {n}")
     qa, qb = dist.shape
     cells = (qa * qb) ** n
-    if cells > cell_cap:
+    if cells > CELL_CAP:
         raise ResourceLimitError(
-            f"tensor power needs {cells} cells, above the enumeration cap {cell_cap}"
+            f"tensor power needs {cells} cells, above the enumeration cap {CELL_CAP}"
         )
     return JointDistribution(
         dist.row_space.power_atoms(n), dist.col_space.power_atoms(n),

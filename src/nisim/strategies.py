@@ -9,14 +9,13 @@ lazily so huge coordinate counts stay cheap.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .errors import InputError, ParameterRangeError
-from .spaces import DEFAULT_CELL_CAP, FiniteSpace, json_floats, json_list
-from .util import kron_power, place_values
+from .spaces import FiniteSpace, json_floats, json_list, json_object
+from .util import CELL_CAP, kron_power, place_values
 
 
 class Strategy:
@@ -114,10 +113,10 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
         raise InputError(f"function JSON 'n' must be a nonnegative integer, got {n!r}")
     # q >= 2 and n >= bit_length(cap) already give q**n >= 2**n > cap, so the
     # power is only computed when it is small; the bound on n holds for q = 1 too
-    if n >= DEFAULT_CELL_CAP.bit_length() or space.q**n > DEFAULT_CELL_CAP:
+    if n >= CELL_CAP.bit_length() or space.q**n > CELL_CAP:
         raise InputError(
             f"function JSON 'n' = {n} is too large: n must stay below "
-            f"{DEFAULT_CELL_CAP.bit_length()} and {space.q}^n below the cap {DEFAULT_CELL_CAP}"
+            f"{CELL_CAP.bit_length()} and {space.q}^n below the cap {CELL_CAP}"
         )
     if "values" in d:
         return TableStrategy(space, n, json_floats(d["values"], "function JSON 'values'"))
@@ -139,10 +138,4 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
 
 
 def strategy_from_json(text: str) -> TableStrategy:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from None
-    if not isinstance(d, dict):
-        raise InputError("function JSON must be an object")
-    return strategy_from_json_dict(d)
+    return strategy_from_json_dict(json_object(text, "function JSON"))

@@ -7,6 +7,10 @@ import math
 import numpy as np
 
 CEIL_REL_SLACK = 1e-9
+# the largest dense table: tensor powers, exact enumeration, value tables
+CELL_CAP = 10**8
+# array cells one batch may hold: search blocks, Monte Carlo chunks
+BLOCK_CELLS = 2 * 10**7
 
 
 def all_assignments(q: int, h: int) -> np.ndarray:

@@ -341,7 +341,7 @@ def test_criterion_8_decision_soundness():
             )
             target = Target2x2.from_dsbs(rho)
             margin = 3 * (stats.stderr_mean_f + stats.stderr_mean_g + stats.stderr_corr)
-            assert tv_distance(stats.joint, target.joint) <= 8 * delta + margin
+            assert tv_distance(stats.joint, target) <= 8 * delta + margin
 
 
 def test_criterion_9_parameter_chain():

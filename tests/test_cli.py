@@ -2,7 +2,9 @@
 stability for every subcommand."""
 
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +215,33 @@ class TestCliBasics:
         payload = json.loads(out)
         assert payload["w"] == 8100
         assert payload["d"] == 49898
+
+    def test_n0_small_h_is_an_exact_integer_sum(self, run_cli, triple_path):
+        code, out, _ = run_cli("n0", "--dist", triple_path, "--delta", "0.5",
+                               "--constants", "C_smooth=1000,C_tau=0.001")
+        payload = json.loads(out)
+        assert (payload["h"], payload["w"], payload["n0"]) == (3496, 1296, 4792)
+        assert payload["h_log10"] == pytest.approx(math.log10(3496), abs=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        ["--delta", "1e-155"], ["--delta", "1e-200"],
+        ["--delta", "0.3", "--constants", "C_tau=1e308"],
+        ["--delta", "0.3", "--constants", "C_be=1e308"],
+    ])
+    def test_n0_counts_beyond_float_range_are_domain_errors(self, run_cli, triple_path, args):
+        code, out, err = run_cli("n0", "--dist", triple_path, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "float range" in err
+
+    @pytest.mark.parametrize("target, args", [
+        ("dsbs:0.2", ["--delta", "0.3", "--constants", "C_tau=1e308"]),
+        ("dsbs:0.9", ["--delta", "1e-200"]),
+    ])
+    def test_decide_reports_n0_domain_errors(self, run_cli, triple_path, target, args):
+        code, out, _ = run_cli("decide", "--dist", triple_path, "--target", target,
+                               "--report-n0", *args)
+        assert code == 0
+        assert "float range" in json.loads(out)["n0"]["error"]
 
     def test_exit_codes(self, run_cli, tmp_path):
         bad = tmp_path / "bad.json"
@@ -578,10 +607,10 @@ VALID_DOCS = {
 # -- argument-vector fuzzing --------------------------------------------------
 
 NUMBERS = ["0", "1", "2", "-1", "-5", "0.5", "nan", "inf", "abc", ""]
-DELTAS = ["0.3", "0.5", "0.7", "0", "-0.3", "1.5", "nan", "inf", "abc"]
+DELTAS = ["0.3", "0.5", "0.7", "0", "-0.3", "1.5", "nan", "inf", "abc", "1e-155", "1e-200"]
 SEEDS = ["0", "3", "-1", "abc"]
 CONSTANTS = ["C_smooth=2", "C_tau=1,C_be=3", "C_be=abc", "C_tau=nan", "C_smooth=-1",
-             "C_nope=1", "bogus"]
+             "C_nope=1", "bogus", "C_tau=1e308", "C_be=1e308"]
 
 
 @pytest.fixture(scope="module")
@@ -661,6 +690,21 @@ class TestCliFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
+
+    def test_every_chain_input_exits_cleanly(self, fuzz_paths):
+        # the argument-vector fuzz almost never draws a runnable n0 or decide, so every
+        # delta and constants it can draw also runs through the chain on a valid source
+        triple = fuzz_paths[0][0]
+        for delta, constants in itertools.product(DELTAS, CONSTANTS):
+            common = ["--dist", triple, "--delta", delta, "--constants", constants]
+            for argv in (["n0", *common],
+                         ["decide", *common, "--target", "dsbs:0.2", "--report-n0"]):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                assert code in (0, 1, 2), argv
 
 
 # -- mutated input files --------------------------------------------------------

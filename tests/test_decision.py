@@ -157,6 +157,67 @@ class TestParameterChain:
         doubled = n0_chain(TRIPLE, 0.3, ChainConstants(C_be=2.0)).w
         assert doubled == 2 * base
 
+    def test_small_h_is_an_exact_integer_sum(self):
+        # h < 2^42: h and n0 are exact integers, and h_log10 is read from h
+        chain = n0_chain(TRIPLE, 0.5, ChainConstants(C_smooth=1000, C_tau=0.001))
+        assert chain.h_int == chain.reg_row.h_bound + chain.reg_col.h_bound == 3496
+        assert chain.w == 1296
+        assert chain.n0_int == chain.h_int + chain.w == 4792
+        assert chain.h_log10 == pytest.approx(math.log10(chain.h_int), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "delta, constants, names",
+        [
+            (1e-155, {}, "accuracy.*delta"),  # w's zeta^2 is subnormal, w overflows
+            (1e-200, {}, "accuracy.*delta"),  # zeta^2 underflows to 0
+            (5e-324, {}, "delta"),  # delta / 3 underflows to 0
+            (0.3, {"C_tau": 1e308}, "delta.*C_tau"),  # the influence exponent overflows
+            (0.3, {"C_tau": 1e302}, "delta.*C_tau"),  # log n0 overflows
+            (0.3, {"C_be": 1e308}, "C_be"),
+        ],
+    )
+    def test_counts_beyond_float_range_name_the_input(self, delta, constants, names):
+        with pytest.raises(ParameterRangeError, match=names):
+            n0_chain(TRIPLE, delta, ChainConstants(**constants))
+
+
+def log_space_exceeds_work_cap(grid_size, width):
+    """The log-space rule ``_exceeds_work_cap`` replaced, kept as its reference."""
+    if grid_size < 2:
+        return False
+    log_pairs = width * math.log(grid_size)
+    log_cap = math.log(decision.WORK_CAP)
+    if abs(log_pairs - log_cap) > 1e-9 * log_cap:
+        return log_pairs > log_cap
+    return grid_size**width > decision.WORK_CAP
+
+
+class TestWorkCap:
+    @pytest.mark.parametrize(
+        "grid_size, width, exceeds",
+        [(10, 8, False), (10, 9, True), (2, 26, False), (2, 27, True), (49_999, 72, True)],
+    )
+    def test_boundaries(self, grid_size, width, exceeds):
+        assert decision.WORK_CAP == 10**8
+        assert decision._exceeds_work_cap(grid_size, width) is exceeds
+
+    def test_empty_and_one_value_grids_never_exceed(self):
+        for grid_size in (0, 1):
+            for width in (0, 1, 26, 27, 72, 10**6):
+                assert not decision._exceeds_work_cap(grid_size, width)
+
+    def test_matches_the_log_space_rule(self):
+        # every grid near the width-th root of the cap, where the rules could part
+        pairs = [(g, w) for g in range(200) for w in range(40)]
+        for width in range(1, 30):
+            root = round(decision.WORK_CAP ** (1.0 / width))
+            pairs += [(g, width) for g in range(max(0, root - 50), root + 50)]
+        pairs += [(49_999, w) for w in range(80)]
+        for grid_size, width in pairs:
+            assert decision._exceeds_work_cap(grid_size, width) == log_space_exceeds_work_cap(
+                grid_size, width
+            ), (grid_size, width)
+
 
 class TestBruteForce:
     def test_triple_quarter_witness(self):
@@ -594,7 +655,7 @@ class TestDecideGapNis:
         stats = estimate_strategy_stats(fr, gr, TRIPLE, n_samples=10**6, seed=6,
                                         mode="monte_carlo")
         target = Target2x2.from_dsbs(0.25)
-        assert tv_distance(stats.joint, target.joint) <= 8 * delta
+        assert tv_distance(stats.joint, target) <= 8 * delta
 
     def test_depth_two_strictly_helps_on_the_triple(self):
         # one copy of the triple caps at 1/4, but two copies reach exactly
@@ -720,7 +781,7 @@ class TestDecide2x2:
         fr, gr = round_pair(v.witness_f, v.witness_g, mode="rng", seed=41)
         stats = estimate_strategy_stats(fr, gr, dn, n_samples=10**6, seed=8,
                                         mode="monte_carlo")
-        assert tv_distance(stats.joint, target.joint) <= 8 * 0.2
+        assert tv_distance(stats.joint, target) <= 8 * 0.2
 
     def test_case_one_nonzero_means_with_rounding(self):
         # case I target with shifted means; the witness calibrates down to
@@ -742,7 +803,7 @@ class TestDecide2x2:
         fr, gr = round_pair(v.witness_f, v.witness_g, mode="rng", seed=55)
         stats = estimate_strategy_stats(fr, gr, d, n_samples=10**6, seed=12,
                                         mode="monte_carlo")
-        assert tv_distance(stats.joint, target.joint) <= 8 * delta
+        assert tv_distance(stats.joint, target) <= 8 * delta
 
     def test_oracle_seed_reproducible(self):
         a = oracle_max_balanced_ip(TRIPLE, 1, (0.2, 0.2), seed=9)

@@ -45,7 +45,7 @@ def targets(draw):
     lo, hi = abs(mu + mv) - 1.0, 1.0 - abs(mu - mv)
     other_case = 0.0 if mu * mv > 0 else 1.0
     fraction = draw(st.one_of(st.just(other_case), st.integers(0, 10).map(lambda k: k / 10)))
-    return Target2x2(EmpiricalJoint2x2.from_moments(mu, mv, lo + fraction * (hi - lo)))
+    return EmpiricalJoint2x2.from_moments(mu, mv, lo + fraction * (hi - lo))
 
 
 # (top, with_zero): the grid is {-top, top}, plus 0 where it still enumerates
@@ -95,7 +95,7 @@ def test_relabelling_atoms_keeps_the_verdict(dist, target, delta, n, grid, data)
 @RELATIONS
 @given(sources(), targets(), DELTAS, DEPTHS, GRIDS)
 def test_party_swap_keeps_the_verdict(dist, target, delta, n, grid):
-    swapped = Target2x2.from_table(target.joint.table.T)
+    swapped = Target2x2.from_table(target.table.T)
     g = grid_for(dist, n, *grid)
     assert_same_verdict(
         decide(dist, target, delta, n, g), decide(transpose(dist), swapped, delta, n, g)
@@ -107,7 +107,7 @@ def test_party_swap_keeps_the_verdict(dist, target, delta, n, grid):
 def test_negating_v_flips_the_case_but_not_the_verdict(dist, target, delta, n, grid):
     # at corr = mean_u * mean_v both targets are Case I
     assume(abs(target.corr_uv - target.mean_u * target.mean_v) > 1e-9)
-    negated = Target2x2.from_table(target.joint.table[:, ::-1])
+    negated = Target2x2.from_table(target.table[:, ::-1])
     g = grid_for(dist, n, *grid)
     v, w = decide(dist, target, delta, n, g), decide(dist, negated, delta, n, g)
     assert {v.thresholds["case"], w.thresholds["case"]} == {"I", "II"}

@@ -317,7 +317,7 @@ class TestEstimateStats:
 
     def test_wide_pair_chunks_stay_under_the_cell_cap(self, monkeypatch):
         # n * MC_CHUNK_SAMPLES passes the (shrunk) cap, so every chunk shrinks to fit it
-        monkeypatch.setattr(rounding, "MC_BATCH_CELLS", 10**4)
+        monkeypatch.setattr(rounding, "BLOCK_CELLS", 10**4)
         real, sizes = rounding._generic_pair_mc, []
 
         def spy(f, g, dist, m, rng):

@@ -142,7 +142,7 @@ class TestTensorPower:
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError, match="cap"):
-            tensor_power(make_dsbs(0.5), 5, cell_cap=1000)
+            tensor_power(make_dsbs(0.5), 14)
 
     def test_labels_joined(self):
         t2 = tensor_power(uniform_triple(), 2)
