@@ -471,10 +471,12 @@ def _judge(weights, G, f_rows, th, mode) -> BmipResult:
     while start < len(order) and bound[order[start]] >= best_val - _BOUND_MARGIN:
         idx = order[start : start + size]
         vals = C[idx] @ GT
-        v = float(vals.max())
+        row_max = vals.max(axis=1)
+        v = float(row_max.max())
         if v >= best_val:
-            i, j = np.nonzero(vals == v)
-            key = int((idx[i] * ng + j).min())
+            # argmax keeps a row's first maximum, the smallest key in that row
+            tied = np.flatnonzero(row_max == v)
+            key = int((idx[tied] * ng + vals[tied].argmax(axis=1)).min())
             if v > best_val or key < best_key:
                 best_val, best_key = v, key
         start += size

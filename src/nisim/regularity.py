@@ -22,6 +22,7 @@ outside that regime K is raised to the floor and the result is flagged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,10 @@ def regularity_params(
     """
     if d < 1:
         raise ParameterRangeError(f"degree must be at least 1, got {d}")
+    if d > sys.float_info.max:  # an exact comparison, even for ints past float range
+        raise ParameterRangeError(
+            "degree cutoff d (regularity --d) is beyond float range; lower --d"
+        )
     if ln_tau is None:
         if not 0.0 < tau < 1.0:
             raise ParameterRangeError(f"influence threshold must lie in (0, 1), got {tau}")

@@ -25,12 +25,17 @@ suffix block only enters through its joint cell counts, so a multinomial
 draw replaces w explicit coordinates).  Monte Carlo runs fixed-size chunks,
 each on its own ``SeedSequence(seed).spawn`` stream, summed in chunk order:
 the estimate never depends on the thread count (Salmon et al., SC 2011).
-A chunk draws its atoms with ``util.draw_atoms`` (``rng.choice``'s stream
-without its binary search), and a generic chunk makes no BLAS call: its
-sums are numpy reductions, which round the same whatever the size of the
-BLAS thread pool, and leave that pool's spinning workers asleep.  The
-lifted chunk keeps one BLAS gemv, counts times witness, because a
-reduction would move the last bits of the witness sums it thresholds.
+The caller runs chunks itself beside ``threads - 1`` helper threads (no
+more than the chunks or cores allow, none at ``threads=1``), each taking
+the next chunk index in turn.  A chunk draws its row and column atoms
+with ``util.draw_cells`` (``rng.choice``'s stream over the joint cells,
+without its binary search or a divmod into rows and columns) and
+flattens index rows with ``util.flat_index``.  A generic chunk makes no
+BLAS call: its sums are numpy reductions, which round the same whatever
+the size of the BLAS thread pool, and leave that pool's spinning workers
+asleep.  The lifted chunk keeps one BLAS gemv, counts times witness,
+because a reduction would move the last bits of the witness sums it
+thresholds.
 An rng-rounded strategy draws its coins from the chunk's generator, which
 the harness hands over through ``evaluate(idx, rng=...)``; exact
 enumeration refuses it, since its outputs are random.
@@ -39,7 +44,8 @@ enumeration refuses it, since its outputs are random.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +60,9 @@ from .util import (
     CELL_CAP,
     all_assignments,
     contract_coordinates,
-    draw_atoms,
+    draw_cells,
+    flat_index,
     kron_power,
-    place_values,
 )
 
 # samples per Monte Carlo chunk: part of the stream layout, like the seed
@@ -110,13 +116,11 @@ class LiftedStrategy(Strategy):
         # are in raw-sum units: F <= t  <=>  sum <= t*sqrt(w)
         nu = form.polarity * form.derived_means()
         self.sum_thresholds = np.array([threshold_for_mean(v) for v in nu]) * math.sqrt(w)
-        self._places = place_values(self.space.q, self.h)
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:
         idx = self._check_idx(idx)
-        return self.output_for(
-            idx[:, : self.h] @ self._places, self.witness[idx[:, self.h:]].sum(axis=1)
-        )
+        prefix = flat_index(idx[:, : self.h], self.space.q)
+        return self.output_for(prefix, self.witness[idx[:, self.h:]].sum(axis=1))
 
     def output_for(self, prefix_flat: np.ndarray, suffix_sums: np.ndarray) -> np.ndarray:
         """Outputs from the sufficient statistics (prefix index, raw witness sum)."""
@@ -311,7 +315,7 @@ def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
 
     Every sum is a numpy reduction, never a BLAS call: a BLAS dot rounds
     by the size of its thread pool, and its spinning workers take a core
-    from the chunk pool.
+    from the chunk threads.
     """
     prod = vf * vg
     fp, fm, gp, gm = 1 + vf, 1 - vf, 1 + vg, 1 - vg
@@ -329,9 +333,8 @@ def _lifted_pair_mc(
     """One chunk through the multinomial sufficient statistic for the suffix block."""
     qa, qb = dist.shape
     pjoint = dist.table.ravel()
-    a, b = np.divmod(draw_atoms(rng, pjoint, (n_samples, f.h)), qb)
-    pa = a @ place_values(qa, f.h)
-    pb = b @ place_values(qb, g.h)
+    a, b = draw_cells(rng, dist.table, (n_samples, f.h))
+    pa, pb = flat_index(a, qa), flat_index(b, qb)
     counts = rng.multinomial(f.w, pjoint, size=n_samples)
     vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
     vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
@@ -346,13 +349,52 @@ def _generic_pair_mc(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One chunk of explicit joint draws; rng-rounded strategies take its coins."""
-    qa, qb = dist.shape
-    a, b = np.divmod(draw_atoms(rng, dist.table.ravel(), (n_samples, f.n)), qb)
+    a, b = draw_cells(rng, dist.table, (n_samples, f.n))
 
     def values(s, idx):
         return s.evaluate(idx, rng=rng) if isinstance(s, RngRoundedStrategy) else s.evaluate(idx)
 
     return _chunk_sums(values(f, a), values(g, b))
+
+
+def _run_chunks(job, n_chunks: int, threads: int) -> list:
+    """[job(0), ..., job(n_chunks - 1)], run in the caller beside up to
+    threads - 1 helper threads, never more helpers than chunks or cores allow.
+
+    Each thread claims the next chunk index under a lock and stores its
+    result by index.  After the first exception no thread claims another
+    chunk, and the caller re-raises it once every helper has been joined.
+    """
+    results = [None] * n_chunks
+    errors = []
+    claims = iter(range(n_chunks))
+    lock = threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                i = None if errors else next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = job(i)
+            except BaseException as exc:  # re-raised by the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=run)
+               for _ in range(min(threads, n_chunks, os.cpu_count() or 1) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        run()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def estimate_strategy_stats(
@@ -370,7 +412,8 @@ def estimate_strategy_stats(
     cap and falls back to seeded Monte Carlo otherwise.  Monte Carlo
     results are unbiased with standard errors; identical seeds give
     identical estimates whatever ``threads``, which only sets how many
-    chunks run at once.
+    chunks run at once: the caller and up to ``threads - 1`` helper
+    threads, capped by the chunk count and ``os.cpu_count()``.
     """
     if threads < 1:
         raise ParameterRangeError(f"thread count must be positive, got {threads}")
@@ -405,10 +448,11 @@ def estimate_strategy_stats(
     chunk = max(1, min(MC_CHUNK_SAMPLES, BLOCK_CELLS // max(1, width)))
     sizes = np.diff([*range(0, n_samples, chunk), n_samples])
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda m, s: worker(f, g, dist, m, np.random.default_rng(s)),
-                         sizes, streams)
-        acc = np.sum(list(parts), axis=0)
+    parts = _run_chunks(
+        lambda i: worker(f, g, dist, sizes[i], np.random.default_rng(streams[i])),
+        len(sizes), threads,
+    )
+    acc = np.sum(parts, axis=0)
 
     m = float(n_samples)
     mean_f, mean_g, corr = acc[0] / m, acc[1] / m, acc[2] / m

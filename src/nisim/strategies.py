@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError
 from .spaces import FiniteSpace, json_floats, json_list, json_object
-from .util import CELL_CAP, kron_power, place_values
+from .util import CELL_CAP, flat_index, kron_power, place_values
 
 
 class Strategy:
@@ -53,11 +53,10 @@ class TableStrategy(Strategy):
         self.space = space
         self.n = n
         self.values = v
-        self._places = place_values(space.q, n)
 
     def evaluate(self, idx: np.ndarray) -> np.ndarray:
         idx = self._check_idx(idx)
-        return self.values[idx @ self._places]
+        return self.values[flat_index(idx, self.space.q)]
 
     def weights(self) -> np.ndarray:
         """Product-measure weights, aligned with the value order."""

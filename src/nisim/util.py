@@ -28,6 +28,17 @@ def place_values(q: int, n: int) -> np.ndarray:
     return np.array([q ** (n - 1 - i) for i in range(n)], dtype=dtype)
 
 
+def flat_index(idx: np.ndarray, q: int) -> np.ndarray:
+    """Row-major flat index of each row of the (m, n) atom-index batch ``idx``
+    (coordinate 0 most significant): ``idx @ place_values(q, n)`` by Horner's
+    rule in int64, without the integer matmul.  Needs q^n < 2^63."""
+    out = np.zeros(idx.shape[0], np.int64)
+    for j in range(idx.shape[1]):
+        out *= q
+        out += idx[:, j]
+    return out
+
+
 def contract_coordinates(values, matrix: np.ndarray, n: int) -> np.ndarray:
     """Apply ``matrix`` to each of the n coordinates of a row-major table.
 
@@ -91,19 +102,37 @@ def kron_power(a, n: int) -> np.ndarray:
 
 def draw_atoms(rng: np.random.Generator, probs, shape) -> np.ndarray:
     """Atom indices drawn from ``probs``, the values and generator state of
-    ``rng.choice(len(probs), size=shape, p=probs)``.
+    ``rng.choice(len(probs), size=shape, p=probs)``: ``draw_cells`` on the
+    1 x len(probs) table, whose column is the atom."""
+    return draw_cells(rng, np.reshape(probs, (1, -1)), shape)[1]
+
+
+def draw_cells(rng: np.random.Generator, table, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column atoms of joint draws from the qa x qb ``table``: the
+    values and generator state of
+    ``np.divmod(rng.choice(qa * qb, size=shape, p=table.ravel()), qb)``, in the
+    smallest unsigned dtype that holds qa * qb - 1.
 
     ``choice`` draws u = ``rng.random(shape)`` and binary-searches the
-    normalized CDF; here each index counts the CDF entries at or below u
-    instead, in the smallest unsigned dtype that holds len(probs) - 1.  The
-    K - 1 comparison passes beat the per-element search up to about
-    K = 180 atoms (2x at K = 64) and lose beyond.  ``probs`` must be
-    non-negative with a positive sum, which callers' spaces guarantee.
+    normalized joint CDF; here each CDF entry is compared with u once
+    instead.  The K - 1 comparison passes beat the per-element search
+    except for large K (a few hundred cells).  Entry j closes a row when
+    (j + 1) % qb == 0; since the CDF is nondecreasing, the row of a draw
+    is the number of those entries at or below u, and its column the
+    count of the others less (qb - 1) times its row.  The column count
+    stays below qa * qb, so it cannot wrap before the subtraction.
+    ``table`` must be non-negative with a positive sum, which callers'
+    spaces guarantee.
     """
-    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    table = np.asarray(table, dtype=float)
+    qb = table.shape[1]
+    cdf = np.cumsum(table.ravel())
     cdf /= cdf[-1]
     u = rng.random(shape)
-    idx = np.zeros(shape, np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx
+    dtype = np.min_scalar_type(len(cdf) - 1)
+    rows, cols = np.zeros(shape, dtype), np.zeros(shape, dtype)
+    for j, c in enumerate(cdf[:-1]):
+        count = rows if (j + 1) % qb == 0 else cols
+        count += u >= c
+    cols -= (qb - 1) * rows
+    return rows, cols

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nisim import JointDistribution, maximal_correlation
 from nisim import cli
@@ -679,7 +679,88 @@ def _argv(draw, paths):
     return argv
 
 
+HUGE = "1" + "0" * 400  # an integer beyond float range
+# per subcommand: (flag, or None for a positional; valid values, or None for a switch;
+# invalid values; required).  "@name" stands for fuzz_paths' file name, "@" for its directory.
+FILES = ["@broken.json", "@missing.json", "@", "@anti.json", "@function_n_negative.json"]
+RUNNABLE = {
+    "maxcorr": [(None, ["@triple.json", "@dsbs.json"], FILES + ["@dict.json"], True)],
+    "bounds": [("--dist", ["@triple.json", "@dsbs.json"], FILES, True)],
+    "fourier": [(None, ["@dict.json", "@tri2.json", "@parity.json"], FILES + ["@dsbs.json"], True),
+                ("--report", ["mean,var,influences", "degree,tail:1", "influences,tail:0"],
+                 ["tail:x", "tail:-1", "bogus", "mean,,var"], False)],
+    "regularity": [(None, ["@dict.json", "@tri2.json"], FILES + ["@parity.json"], True),
+                   ("--d", ["1", "2"], ["0", "-1", "abc", "1.5", HUGE], True),
+                   ("--tau", ["0.3", "0.1"], ["0", "1.5", "-0.2", "nan", "inf"], True),
+                   ("--mc", ["10", "500"], ["0", "-5"], False),
+                   ("--seed", ["0", "3"], ["-1"], False)],
+    "n0": [("--dist", ["@triple.json", "@dsbs.json"], FILES, True),
+           ("--delta", ["0.3", "0.5", "0.7"], DELTAS, True),
+           ("--constants", ["C_smooth=2", "C_tau=1,C_be=3"], CONSTANTS, False)],
+    "decide": [("--dist", ["@triple.json", "@dsbs.json"], FILES, True),
+               ("--target", ["dsbs:0.3", "dsbs:-0.3", "dsbs:0.9", "@anti.json"],
+                ["dsbs:nan", "dsbs:2", "dsbs:abc", *FILES], True),
+               ("--delta", ["0.3", "0.5", "0.7"], DELTAS, True),
+               ("--n", ["1", "2"], ["0", "-1"], False),
+               ("--report-n0", None, [], False),
+               ("--constants", ["C_smooth=2", "C_tau=1,C_be=3"], CONSTANTS, False)],
+    "simulate": [("--samples", ["1000", "2000"], ["0", "-1"], True),
+                 ("--dist", ["@dsbs.json"], FILES + ["@triple.json"], True),
+                 ("--f", ["@dict.json"], FILES + ["@parity.json", "@tri2.json"], True),
+                 ("--g", ["@dict.json"], FILES + ["@parity.json"], True),
+                 ("--seed", ["0", "3"], ["-1"], False),
+                 ("--target", ["dsbs:0.3", "@anti.json"], ["dsbs:2", *FILES], False),
+                 ("--force-mc", None, [], False),
+                 ("--threads", ["1", "2", "100000"], ["0", "-1"], False)],
+    "examples": [("--name", ["triple", "dsbs:0.3", "alpha:0.25"],
+                  ["dsbs:nan", "dsbs:2", "alpha:0", "nope"], True),
+                 ("--out", ["@out.json"], ["@", "@no_dir/out.json"], False)],
+}
+
+
+@st.composite
+def runnable_argvs(draw):
+    """(command, argv): every required flag and a drawn subset of the optional
+    ones with valid values, and at most one slot's value redrawn from its
+    invalid values or ``NUMBERS``, so most examples reach the computation.
+    ``--out`` draws no ``NUMBERS``: outputs stay inside the fuzz directory."""
+    command = draw(st.sampled_from(sorted(RUNNABLE)))
+    slots = [slot for slot in RUNNABLE[command] if slot[3] or draw(st.booleans())]
+    mutated = draw(st.sampled_from([None, *range(len(slots))]))
+    argv = [command]
+    for k, (flag, valid, invalid, _) in enumerate(slots):
+        argv += [flag] if flag else []
+        if valid is not None:
+            bad = invalid if flag == "--out" else invalid + NUMBERS
+            argv.append(draw(st.sampled_from(bad if k == mutated else valid)))
+    return command, argv
+
+
 class TestCliFuzz:
+    def test_runnable_argv_with_one_mutated_value_exits_cleanly(self, fuzz_paths):
+        # the any-argv fuzz almost never gets past argument checks; these
+        # examples mostly do, so a crash inside a computation shows
+        root = Path(fuzz_paths[0][0]).parent
+        exits = {command: set() for command in RUNNABLE}
+
+        @example(("regularity", ["regularity", "@dict.json", "--d", HUGE, "--tau", "0.3"]))
+        @given(case=runnable_argvs())
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        def run(case):
+            command, argv = case
+            argv = [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), argv
+            exits[command].add(code)
+
+        run()
+        assert all(0 in codes for codes in exits.values()), exits
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_any_argv_exits_cleanly(self, fuzz_paths, data):

@@ -355,25 +355,38 @@ class TestBruteForce:
         """On dyadic inputs every product and sum is exact, so the bound-ordered
         search must return the full enumeration's first maximum bit for bit;
         the DSBS's sign-symmetric pairs make exact ties.  One-row first blocks
-        put a stop test after almost every row."""
+        put a stop test after almost every row; at both block sizes some first
+        maximum (the skewed source's, among others) is visited in a later block
+        than another maximum."""
         monkeypatch.setattr(decision, "_FIRST_VISIT_ROWS", first_rows)
         quarters = np.arange(-4, 5) / 4.0
         three_eighths = np.arange(-2, 3) * 3.0 / 8.0
         table32 = JointDistribution(
             ["a", "b", "c"], ["x", "y"], np.array([[1, 2], [2, 1], [1, 1]]) / 8.0
         )
+        skew = JointDistribution(["a", "b"], ["x", "y"], [[0.25, 0.5], [0.0, 0.25]])
         cases = [
             (make_dsbs(0.5), 1, quarters), (make_dsbs(0.5), 2, three_eighths),
             (make_dsbs(0.25), 1, quarters), (make_dsbs(0.25), 2, three_eighths),
             (table32, 1, quarters), (table32, 2, np.array([-0.75, 0.0, 0.75])),
+            (skew, 2, np.array([-1.0, 0.0, 1.0])),
         ]
         windows = [  # (caps, centers, mean slack)
             ((0.0, 0.0), (0.0, 0.0), 0.0),
             ((0.25, 0.125), (0.25, -0.125), 1 / 16),
             ((0.5, 0.5), (0.0, 0.0), 0.0),
             ((0.0, 0.125), (-0.5, 0.375), 1 / 32),
+            ((0.5, 0.5), (0.25, -0.25), 0.0),
         ]
-        tied = 0
+
+        def visit_block(rows, C, wb, caps, centers, slack):
+            # the block of bound-ordered visits holding each f row (blocks double in size)
+            cap = caps[1] + slack + decision.ACCEPT_TOL
+            order = np.argsort(-_box_lp_max(C, wb, cap, centers[1])[1], kind="stable")
+            block = np.log2(np.argsort(order) // first_rows + 1).astype(int)
+            return block[rows]
+
+        tied = spread = 0
         for (dist, n, grid), (caps, centers, slack) in itertools.product(cases, windows):
             W, wa, wb = _tensor_weights(dist, n)
             F = np.array(list(itertools.product(grid, repeat=W.shape[0])))
@@ -390,9 +403,14 @@ class TestBruteForce:
             vals = (F @ W) @ G.T
             i, j = np.unravel_index(np.argmax(vals), vals.shape)
             tied += int(np.sum(vals == vals[i, j]) > 1)
+            # the first maximum visited in a later block than another maximum
+            blocks = visit_block(np.flatnonzero((vals == vals[i, j]).any(axis=1)), F @ W, wb,
+                                 caps, centers, slack)
+            spread += int(blocks[0] > blocks.min())
             assert res.best_value == vals[i, j]
             assert np.array_equal(res.f_values, F[i]) and np.array_equal(res.g_values, G[j])
         assert tied >= 10
+        assert spread >= 1
 
 
 def reference_alternate(weights, mean_caps, centers, seed=0):

@@ -118,6 +118,12 @@ class TestRegularityParams:
         assert rp.h_bound is None
         assert rp.h_bound_log10 > 10
 
+    @pytest.mark.parametrize("d", [10**400, math.inf])
+    def test_degree_beyond_float_range_names_the_flag(self, d):
+        # 10**400 once ended in a raw OverflowError from alpha * d
+        with pytest.raises(ParameterRangeError, match="--d"):
+            regularity_params(d, 0.3, 0.5)
+
     def test_monotone_in_tau(self):
         a = regularity_params(3, 0.3, 0.5)
         b = regularity_params(3, 0.1, 0.5)

@@ -3,6 +3,9 @@ empirical statistics harness."""
 
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -280,15 +283,90 @@ class TestEstimateStats:
             assert abs(est.mean_f - exact.mean_f) <= 4 * est.stderr_mean_f + 1e-6
             assert abs(est.mean_g - exact.mean_g) <= 4 * est.stderr_mean_g + 1e-6
 
-    @pytest.mark.parametrize("samples", [C - 1, C, C + 1, 7 * C // 2])
+    @pytest.mark.parametrize("samples", [C - 1, C, C + 1, 7 * C // 2, 8 * C + 1])
     @pytest.mark.parametrize("kind", sorted(MC_PAIRS))
-    def test_threads_deterministic(self, kind, samples):
-        # chunk boundaries and their streams depend on the seed only
+    def test_threads_deterministic(self, kind, samples, monkeypatch):
+        # chunk boundaries and their streams depend on the seed only; the core
+        # count is raised so that 3 and 8 threads run, beside fewer and more chunks
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         f, g, d = MC_PAIRS[kind]()
         outs = {json.dumps(estimate_strategy_stats(f, g, d, n_samples=samples, seed=5,
                                                    mode="monte_carlo", threads=t).as_dict())
-                for t in (1, 2, 3)}
+                for t in (1, 2, 3, 8)}
         assert len(outs) == 1
+
+    @pytest.mark.parametrize("threads, chunks, cores, started", [
+        (1, 10, 8, 0), (3, 1, 8, 0), (8, 5, 64, 4), (100_000, 10, 4, 3), (100_000, 10, None, 0),
+    ])
+    def test_helper_threads_are_capped(self, monkeypatch, threads, chunks, cores, started):
+        # helpers = min(threads, chunks, cores) - 1, counted through a Thread stub
+        starts = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountingThread)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(rounding, "BLOCK_CELLS", 100)  # 10 samples per chunk at n = 10
+        f = constant_strategy(DSBS5.row_space, 10, 1.0)
+        g = constant_strategy(DSBS5.col_space, 10, 1.0)
+        stats = estimate_strategy_stats(f, g, DSBS5, n_samples=10 * chunks, seed=2,
+                                        mode="monte_carlo", threads=threads)
+        assert stats.corr_fg == 1.0
+        assert len(starts) == started
+
+    def test_many_threads_claim_each_chunk_once(self, monkeypatch):
+        # more threads than cores on 300 small chunks, with fast thread switching:
+        # a chunk claimed twice or skipped would change the call count or the sums
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(rounding, "BLOCK_CELLS", 100)  # 10 samples per chunk at n = 10
+        lock, calls = threading.Lock(), []
+
+        class Counting(TableStrategy):
+            def evaluate(self, idx):
+                with lock:
+                    calls.append(len(idx))
+                return super().evaluate(idx)
+
+        values = np.random.default_rng(3).uniform(-1, 1, 2**10)
+        f = Counting(DSBS5.row_space, 10, values)
+        g = TableStrategy(DSBS5.col_space, 10, values[::-1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outs = [estimate_strategy_stats(f, g, DSBS5, n_samples=3000, seed=4,
+                                            mode="monte_carlo", threads=t).as_dict()
+                    for t in (1, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert json.dumps(outs[0]) == json.dumps(outs[1])
+        assert calls == [10] * 600
+
+    def test_chunk_error_reaches_the_caller(self, monkeypatch):
+        # the second chunk's evaluate raises; no chunk is claimed once the error is
+        # recorded, so at most one more evaluate runs, and every helper is joined
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(rounding, "BLOCK_CELLS", 100)
+        lock, calls = threading.Lock(), []
+
+        class Failing(TableStrategy):
+            def evaluate(self, idx):
+                with lock:
+                    calls.append(len(idx))
+                    if len(calls) == 2:
+                        raise ValueError("chunk failed")
+                return super().evaluate(idx)
+
+        f = Failing(DSBS5.row_space, 10, np.ones(2**10))
+        g = constant_strategy(DSBS5.col_space, 10, 1.0)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk failed"):
+            estimate_strategy_stats(f, g, DSBS5, n_samples=1000, seed=2, mode="monte_carlo",
+                                    threads=2)
+        assert threading.active_count() == before
+        assert 2 <= len(calls) <= 3
 
     def test_monte_carlo_does_not_depend_on_blas_threads(self, outputs_at_blas_threads):
         # a real-valued pair: a BLAS dot in the chunk sums changed the last

@@ -17,7 +17,7 @@ from nisim import (
     uniform_triple,
 )
 from nisim.spaces import FiniteSpace
-from nisim.util import draw_atoms, kron_power
+from nisim.util import draw_atoms, draw_cells, flat_index, kron_power, place_values
 
 
 class TestFiniteSpace:
@@ -196,6 +196,60 @@ class TestDrawAtoms:
         w[::7] = 0.0
         self._check(w / w.sum(), (500, 3), 9)
         self._check(np.array([1.0]), (50, 2), 9)
+
+
+class TestDrawCells:
+    """The joint draw returns ``rng.choice``'s cells split into rows and
+    columns, in the smallest unsigned dtype holding qa * qb - 1, and leaves
+    the generator in its state."""
+
+    @staticmethod
+    def _check(table, shape, seed):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows, cols = draw_cells(ours, table, shape)
+        k = table.size
+        ref_rows, ref_cols = np.divmod(theirs.choice(k, size=shape, p=table.ravel()),
+                                       table.shape[1])
+        assert rows.shape == cols.shape == ref_rows.shape
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        assert rows.dtype == cols.dtype == np.min_scalar_type(k - 1)
+        assert ours.random() == theirs.random()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_divmod_of_rng_choice(self, data):
+        qa = data.draw(st.integers(1, 20))
+        qb = data.draw(st.integers(1, max(1, 300 // qa)))
+        # weights from a drawn seed: hypothesis lists of up to 300 floats are slow
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        w = rng.random(qa * qb)
+        w[rng.random(qa * qb) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+        if w.sum() == 0.0:
+            w[-1] = 1.0
+        shape = (data.draw(st.integers(0, 200)), data.draw(st.integers(0, 5)))
+        self._check((w / w.sum()).reshape(qa, qb), shape, data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_line_tables_and_dtype_boundaries(self):
+        # 1 x q, q x 1, and tables whose cell count crosses the uint8 and uint16 limits
+        rng = np.random.default_rng(5)
+        for qa, qb in [(1, 7), (7, 1), (1, 1), (16, 16), (17, 16), (2, 150), (150, 2),
+                       (257, 256)]:
+            w = rng.random((qa, qb))
+            w[rng.random((qa, qb)) < 0.2] = 0.0
+            w.flat[-1] = 1.0
+            self._check(w / w.sum(), (300, 2) if qa * qb < 1000 else (20, 3), qa * qb)
+        self._check(np.full((2, 3), 1 / 6), (0, 4), 1)
+
+
+class TestFlatIndex:
+    def test_matches_place_value_product(self):
+        rng = np.random.default_rng(8)
+        for n in range(13):
+            for q in (1, 2, 3, 6):
+                idx = rng.integers(0, q, (50, n)).astype(np.uint8 if q < 4 else np.int64)
+                ref = idx @ place_values(q, n)
+                out = flat_index(idx, q)
+                assert out.dtype == np.int64 and np.array_equal(out, ref), (n, q)
 
 
 class TestTvDistance:
