@@ -10,10 +10,12 @@ or a file holds goes through the transforms as it is.  Degree sequences
 are encoded as base-q integers for canonical map keys, with the place
 values of ``util.place_values``.
 
-The functionals, the inverse transform and the restriction routine share
-one decode of the map into keys (int64 while q^n fits, Python ints past
-that), values and a digit matrix with one row per coefficient in
-``coeffs`` order.
+A ``FourierPolynomial`` stores its coefficients once, as a ``keys`` array
+(int64 while q^n fits, Python ints past that) and a ``values`` array in
+one order.  The functionals, the inverse transform and the restriction
+routine read those arrays and decode the keys into a digit matrix, one
+row per coefficient in that order; the operators build their results
+from arrays too.
 
 Coordinates are 0-based throughout.
 
@@ -25,6 +27,7 @@ can check the equivalence rather than rely on it.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -113,59 +116,89 @@ def sigma_decode(key: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _decode(poly: "FourierPolynomial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keys, coefficients and digit matrix, one row per coefficient in ``coeffs`` order."""
+def _decode(poly: "FourierPolynomial") -> np.ndarray:
+    """Digit matrix of the keys, one row per coefficient in ``keys`` order."""
     places = place_values(poly.q, poly.n)
-    size = len(poly.coeffs)
-    keys = np.fromiter(poly.coeffs, places.dtype, size)
-    values = np.fromiter(poly.coeffs.values(), float, size)
-    return keys, values, (keys[:, None] // places % poly.q).astype(np.int64)
+    return (poly.keys[:, None] // places % poly.q).astype(np.int64)
 
 
-def _degrees(poly: "FourierPolynomial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keys, coefficients and |sigma| of each coefficient, in ``coeffs`` order."""
-    keys, values, digits = _decode(poly)
-    return keys, values, np.count_nonzero(digits, axis=1)
-
-
-def _polynomial(basis, n: int, keys: np.ndarray, values: np.ndarray) -> "FourierPolynomial":
-    return FourierPolynomial(basis, n, dict(zip(keys.tolist(), values.tolist())))
+def _degrees(poly: "FourierPolynomial") -> np.ndarray:
+    """|sigma| of each coefficient, in ``keys`` order."""
+    return np.count_nonzero(_decode(poly), axis=1)
 
 
 # -- polynomials ---------------------------------------------------------
 
 
 class FourierPolynomial:
-    """Sparse coefficient table of a function in L2(A^n, mu^n)."""
+    """Sparse coefficient table of a function in L2(A^n, mu^n).
 
-    __slots__ = ("basis", "n", "coeffs")
+    ``keys`` holds the base-q degree-sequence keys and ``values`` their
+    coefficients, in the order the map or the operator gave them;
+    coefficients at or below ``COEFF_DROP_TOL`` in magnitude are dropped.
+    """
+
+    __slots__ = ("basis", "n", "keys", "values")
 
     def __init__(self, basis: OrthonormalBasis, n: int, coeffs: Mapping[int, float]):
+        top = basis.q**n
+        keys = []
+        for k in coeffs:
+            try:
+                k = operator.index(k)
+            except TypeError:
+                raise InputError(f"coefficient key {k!r} is not an integer") from None
+            if not 0 <= k < top:
+                raise InputError("coefficient key outside the degree-sequence range")
+            keys.append(k)
+        self._store(
+            basis, n, np.array(keys, dtype=place_values(basis.q, n).dtype),
+            np.array(list(coeffs.values()), dtype=float),
+        )
+
+    def _store(self, basis, n: int, keys: np.ndarray, values: np.ndarray) -> None:
+        kept = np.abs(values) > COEFF_DROP_TOL
         self.basis = basis
         self.n = n
-        self.coeffs = {
-            int(k): float(c) for k, c in coeffs.items() if abs(c) > COEFF_DROP_TOL
-        }
+        self.keys = keys[kept]
+        self.values = values[kept]
 
     @property
     def q(self) -> int:
         return self.basis.q
 
+    @property
+    def coeffs(self) -> dict[int, float]:
+        """A fresh ``{key: coefficient}`` dict in ``keys`` order, built on each
+        access: a copy, so writing to it leaves the polynomial unchanged."""
+        return dict(zip(self.keys.tolist(), self.values.tolist()))
+
     def degree(self) -> int:
-        return int(_degrees(self)[2].max(initial=0))
+        return int(_degrees(self).max(initial=0))
 
     def mean(self) -> float:
-        return self.coeffs.get(0, 0.0)
+        at = np.flatnonzero(self.keys == 0)
+        return float(self.values[at[0]]) if at.size else 0.0
 
+    # Python's sum, not np.sum, in both sums below: its left-to-right float
+    # rounding, and the int 0 of an empty sum, are what the CLI prints
     def variance(self) -> float:
-        return sum(c * c for k, c in self.coeffs.items() if k != 0)
+        rest = self.values[self.keys != 0]
+        return sum((rest * rest).tolist())
 
     def energy(self) -> float:
         """Sum of squared coefficients (equals E[f^2] by Parseval)."""
-        return sum(c * c for c in self.coeffs.values())
+        return sum((self.values * self.values).tolist())
 
     def l2_norm(self) -> float:
         return math.sqrt(self.energy())
+
+
+def _polynomial(basis, n: int, keys: np.ndarray, values: np.ndarray) -> FourierPolynomial:
+    """A polynomial straight from arrays whose keys are known to lie in range."""
+    poly = FourierPolynomial.__new__(FourierPolynomial)
+    poly._store(basis, n, keys, values)
+    return poly
 
 
 def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> FourierPolynomial:
@@ -176,8 +209,7 @@ def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> Fouri
         raise InputError("basis and value table live on different spaces")
     b = basis.chars * table.space.probs  # b[j, a] = mu(a) X_j(a)
     flat = contract_coordinates(table.values, b, table.n)
-    nz = np.nonzero(np.abs(flat) > COEFF_DROP_TOL)[0]
-    return FourierPolynomial(basis, table.n, {int(k): float(flat[k]) for k in nz})
+    return _polynomial(basis, table.n, np.arange(flat.size), flat)
 
 
 def inverse_transform(poly: FourierPolynomial) -> ValueTable:
@@ -188,9 +220,8 @@ def inverse_transform(poly: FourierPolynomial) -> ValueTable:
         raise ResourceLimitError(
             f"dense table needs {cells} cells, above the cap {CELL_CAP}"
         )
-    keys, values, _ = _decode(poly)
     arr = np.zeros(cells)
-    arr[keys] = values
+    arr[poly.keys] = poly.values
     return ValueTable(poly.basis.space, n, contract_coordinates(arr, poly.basis.chars.T, n))
 
 
@@ -206,41 +237,37 @@ def influence(poly: FourierPolynomial, i: int) -> float:
 
 def influences(poly: FourierPolynomial) -> np.ndarray:
     """All n coordinate influences at once."""
-    _, values, digits = _decode(poly)
-    rows, cols = np.nonzero(digits)
+    values = poly.values
+    rows, cols = np.nonzero(_decode(poly))
     # bincount adds each coordinate's squares in coefficient order, as a loop would
     return np.bincount(cols, weights=(values * values)[rows], minlength=poly.n).astype(float)
 
 
 def total_influence(poly: FourierPolynomial) -> float:
     """Sum over sigma of |sigma| * f_hat(sigma)^2."""
-    _, values, deg = _degrees(poly)
-    return float(deg @ (values * values))
+    return float(_degrees(poly) @ (poly.values * poly.values))
 
 
 def degree_tail_mass(poly: FourierPolynomial, d: int) -> float:
     """Fourier mass strictly above degree d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    _, values, deg = _degrees(poly)
-    return float(np.sum(values[deg > d] ** 2))
+    return float(np.sum(poly.values[_degrees(poly) > d] ** 2))
 
 
 def truncate_degree(poly: FourierPolynomial, d: int) -> FourierPolynomial:
     """Keep coefficients with |sigma| <= d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    keys, values, deg = _degrees(poly)
-    kept = deg <= d
-    return _polynomial(poly.basis, poly.n, keys[kept], values[kept])
+    kept = _degrees(poly) <= d
+    return _polynomial(poly.basis, poly.n, poly.keys[kept], poly.values[kept])
 
 
 def noise_operator(poly: FourierPolynomial, gamma: float) -> FourierPolynomial:
     """Coefficient-wise multiplier gamma^|sigma|; the mean is untouched."""
     if not 0.0 <= gamma <= 1.0:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
-    keys, values, deg = _degrees(poly)
-    return _polynomial(poly.basis, poly.n, keys, values * gamma**deg)
+    return _polynomial(poly.basis, poly.n, poly.keys, poly.values * gamma ** _degrees(poly))
 
 
 def noise_operator_kernel(table: ValueTable, gamma: float) -> ValueTable:
@@ -294,12 +321,12 @@ def restriction_columns(
     restrictions) multiplies only at nonzero digits, as ``chars[0]`` is 1,
     and is built in blocks no larger than the columns it feeds.
     """
-    _, values, digits = _decode(poly)
+    digits = _decode(poly)
     T = [i for i in range(poly.n) if i not in H]
     t_digits, t_of = np.unique(digits[:, T], axis=0, return_inverse=True)
     h_digits, h_of = np.unique(digits[:, H], axis=0, return_inverse=True)
     grouped = np.zeros((len(t_digits), len(h_digits)))
-    grouped[t_of, h_of] = values
+    grouped[t_of, h_of] = poly.values
     nonzero = [np.nonzero(h_digits[:, j])[0] for j in range(len(H))]
     columns = np.empty((len(t_digits), len(xi)))
     blocks = max(1, -(-len(h_digits) // max(len(t_digits), 1)))

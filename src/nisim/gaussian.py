@@ -64,7 +64,7 @@ def std_normal_cdf(x):
 def std_normal_quantile(p):
     """Phi^{-1}(p) for p strictly inside (0, 1); accepts scalars or arrays."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ParameterRangeError("quantile argument must lie strictly inside (0, 1)")
     return _elementwise(_ndtri, p)
 

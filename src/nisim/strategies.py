@@ -129,9 +129,6 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
         except ValueError:
             raise InputError("function JSON 'coeffs' keys must be integers") from None
         values = json_floats(list(d["coeffs"].values()), "function JSON 'coeffs' values")
-        top = space.q**n
-        if any(k < 0 or k >= top for k in keys):
-            raise InputError("coefficient key outside the degree-sequence range")
         return inverse_transform(FourierPolynomial(build_basis(space), n, dict(zip(keys, values))))
     raise InputError("function JSON needs either 'values' or 'coeffs'")
 

@@ -99,6 +99,8 @@ MALFORMED = {
     "function_n_negative": ("function", _function_json(n=-1, values=..., coeffs={})),
     "function_coeff_key": ("function", _function_json(values=..., coeffs={"x": 1.0})),
     "function_coeffs_list": ("function", _function_json(values=..., coeffs=[])),
+    # q = 2, n = 2: keys lie in [0, 4)
+    "function_coeff_key_range": ("function", _function_json(n=2, values=..., coeffs={"9": 1.0})),
     "function_values_string": ("function", _function_json(values="ab")),
     "function_values_nan": ("function", _function_json(values=[float("nan"), 1.0])),
     "function_space_number": ("function", _function_json(space=5)),
@@ -289,6 +291,18 @@ class TestCliBasics:
         assert payload["var"] == pytest.approx(1.0)
         assert payload["degree"] == 2
         assert payload["tail_mass_above_1"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value, mean", [(0.75, "0.75"), (0.0, "0.0")])
+    def test_fourier_constant_function_output(self, run_cli, tmp_path, value, mean):
+        fn = tmp_path / "const.json"
+        fn.write_text(_function_json(n=2, values=[value] * 4))
+        code, out, _ = run_cli("fourier", str(fn), "--report", "mean,var,degree,influences")
+        assert code == 0
+        assert out == (
+            '{\n  "degree": 0,\n  "influences": [\n    0.0,\n    0.0\n  ],\n'
+            f'  "mean": {mean},\n  "n": 2,\n  "nisim_format": 1,\n  "q": 2,\n'
+            '  "total_influence": 0.0,\n  "var": 0\n}\n'
+        )
 
     def test_regularity_monte_carlo_mode(self, run_cli, dict_fn_path):
         code, out, _ = run_cli(

@@ -30,6 +30,7 @@ from nisim import (
     transform,
     truncate_degree,
 )
+from nisim.errors import InputError
 from nisim.fourier import FourierPolynomial, sigma_decode, sigma_encode
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments, kron_power
@@ -444,9 +445,10 @@ class TestKeysPastInt64:
         for d in range(6):
             assert abs(degree_tail_mass(p, d) - sum(sq[k] for k in sq if deg[k] > d)) <= 1e-12
             kept = {k: c for k, c in p.coeffs.items() if deg[k] <= d}
-            assert truncate_degree(p, d).coeffs == kept
+            truncated = truncate_degree(p, d).coeffs
+            assert truncated == kept and list(truncated) == list(kept)
         noised = noise_operator(p, 0.7).coeffs
-        assert set(noised) == set(p.coeffs)
+        assert list(noised) == list(p.coeffs)
         for k, c in p.coeffs.items():
             assert abs(noised[k] - c * 0.7 ** deg[k]) <= 1e-12
 
@@ -459,8 +461,30 @@ class TestKeysPastInt64:
             expected[key] = expected.get(key, 0.0) + c * factor
         got = restrict(p, H, xi).coeffs
         assert max(got) > 2**63
+        # surviving keys come out in increasing order
+        assert list(got) == sorted(got)
         for key in set(got) | set(expected):
             assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12
+
+
+class TestPolynomialKeys:
+    """The constructor takes integer keys in [0, q^n) and keeps their order."""
+
+    @pytest.mark.parametrize("key", [4, 7, -1, 2**70])
+    def test_key_outside_range_is_rejected(self, key):
+        with pytest.raises(InputError, match="outside the degree-sequence range"):
+            FourierPolynomial(build_basis(BIT), 2, {0: 0.5, key: 1.0})
+
+    @pytest.mark.parametrize("key", [1.5, "1"])
+    def test_non_integer_key_is_rejected(self, key):
+        with pytest.raises(InputError, match="not an integer"):
+            FourierPolynomial(build_basis(BIT), 2, {key: 1.0})
+
+    def test_coeffs_is_an_ordered_copy(self):
+        p = FourierPolynomial(build_basis(BIT), 2, {np.int64(3): 1.0, 0: 0.5, 1: 1e-15})
+        p.coeffs[1] = 2.0
+        assert list(p.coeffs.items()) == [(3, 1.0), (0, 0.5)]
+        assert p.mean() == 0.5 and p.variance() == 1.0 and p.degree() == 2
 
 
 def sigma_degree_of(key, q, n):

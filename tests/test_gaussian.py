@@ -44,7 +44,7 @@ class TestUnivariate:
         assert np.all(np.diff(std_normal_cdf(xs)) >= 0)
 
     def test_quantile_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.3):
+        for bad in (0.0, 1.0, -0.2, 1.3, float("nan"), [0.5, float("nan")]):
             with pytest.raises(ParameterRangeError):
                 std_normal_quantile(bad)
 
