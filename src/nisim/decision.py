@@ -18,14 +18,15 @@ depth, and hands them down.  Each depth is searched one way: the grid is
 enumerated (the core of ``brute_force_bmip``) when it fits the work cap,
 else the alternation of ``oracle_max_balanced_ip`` proposes a pair that
 is snapped to the grid; the probe skips the oracle's upper bound.  Both
-engines' candidates are judged by one rule (``_judge``): the same mean
-windows, accept floor and result record.  Both engines solve their box
-LPs in batches with one closed-form knapsack (``_box_lp_max``): the
-alternation advances all its starts in lockstep, and the judge bounds
-every f row's best E[fg] at once and visits the f rows in descending
-bound order, stopping once no row left can reach the best value.  The
-core adds the reduction thresholds, exact re-verification of witnesses
-and labeled bounded-depth rejections.
+engines' candidates are judged by one rule (``_judge``), passed as plain
+values: each side's mean window as (center, half width) and the accept
+floor, which the core computes once per call and every depth shares.
+Both engines solve their box LPs in batches with one closed-form
+knapsack (``_box_lp_max``): the alternation advances all its starts in
+lockstep, and the judge bounds every f row's best E[fg] at once and
+visits the f rows in descending bound order, stopping once no row left
+can reach the best value.  The core adds the reduction thresholds, exact
+re-verification of witnesses and labeled bounded-depth rejections.
 ``decide_gap_nis`` frames it for a balanced target (centers 0) and
 ``decide_2x2`` for any binary target (Case II negates the second party).
 """
@@ -51,7 +52,14 @@ from .strategies import TableStrategy
 from .rounding import estimate_strategy_stats
 # unused here: perfbench's simulate workload and tracer read these as nisim.decision.*
 from .rounding import randomized_round, round_pair  # noqa: F401
-from .util import BLOCK_CELLS, all_assignments, ceil_tolerant, kron_power, log10_from_ln
+from .util import (
+    BLOCK_CELLS,
+    all_assignments,
+    ceil_tolerant,
+    kron_power,
+    log10_from_ln,
+    power_exceeds,
+)
 
 WORK_CAP = 10**8
 SIDE_MEM_CAP = 5 * 10**7
@@ -322,33 +330,17 @@ class BmipResult:
     g_values: np.ndarray | None
     mean_f: float | None
     mean_g: float | None
-    thresholds: dict
     feasible_pairs: bool
     mode: str = "enumeration"
-
-
-def _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid) -> dict:
-    return {
-        "rho_target": rho_target,
-        "corr_slack": corr_slack,
-        "mean_cap_f": mean_caps[0],
-        "mean_cap_g": mean_caps[1],
-        "mean_center_f": centers[0],
-        "mean_center_g": centers[1],
-        "mean_slack": mean_slack,
-        "grid_size": int(len(grid)),
-        "accept_floor": rho_target - corr_slack,
-    }
 
 
 def _tensor_weights(dist: JointDistribution, n: int):
     if n < 1:
         raise ParameterRangeError(f"power must be positive, got {n}")
     qa, qb = dist.shape
-    cells = (qa * qb) ** n
-    if cells > TABLE_CELL_CAP:
+    if power_exceeds(qa * qb, n, TABLE_CELL_CAP):
         raise ResourceLimitError(
-            f"tensor table needs {cells} cells, above the search cap {TABLE_CELL_CAP}"
+            f"tensor table needs {qa * qb}^{n} cells, above the search cap {TABLE_CELL_CAP}"
         )
     return (
         kron_power(dist.table, n),
@@ -364,16 +356,6 @@ def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
             f"{len(grid) ** k} grid assignments of width {k} exceed the memory cap"
         )
     return grid[all_assignments(len(grid), k)]
-
-
-def _exceeds_work_cap(grid_size: int, width: int) -> bool:
-    """Whether grid_size ** width > WORK_CAP, in exact integers.
-
-    Paper-grid searches reach 49,999 ** 72; a grid of two or more values
-    exceeds the cap from width bit_length(WORK_CAP) on, so the power is
-    only computed when it is small.
-    """
-    return grid_size > 1 and (width >= WORK_CAP.bit_length() or grid_size**width > WORK_CAP)
 
 
 def brute_force_bmip(
@@ -402,35 +384,34 @@ def brute_force_bmip(
     th = _search_thresholds(delta)
     mean_slack = th["mean_slack"] if mean_slack is None else mean_slack
     corr_slack = th["corr_slack"] if corr_slack is None else corr_slack
-    return _enumerate(
-        _tensor_weights(dist, n), grid,
-        _level_thresholds(rho_target, corr_slack, mean_caps, mean_centers, mean_slack, grid),
-    )
+    windows = [(c, cap + mean_slack + ACCEPT_TOL) for c, cap in zip(mean_centers, mean_caps)]
+    return _enumerate(_tensor_weights(dist, n), grid, windows, rho_target - corr_slack)
 
 
-def _enumerate(weights, grid, thresholds) -> BmipResult:
+def _enumerate(weights, grid, windows, floor) -> BmipResult:
     """``brute_force_bmip`` on one depth's tensor weights ``(W, wa, wb)``."""
     ka, kb = weights[0].shape
-    if _exceeds_work_cap(len(grid), ka + kb):
+    if power_exceeds(len(grid), ka + kb, WORK_CAP):
         raise ResourceLimitError(
             f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {WORK_CAP}; "
             "coarsen the grid"
         )
     return _judge(
         weights, _grid_assignments(grid, kb), lambda: _grid_assignments(grid, ka),
-        thresholds, "enumeration",
+        windows, floor, "enumeration",
     )
 
 
-def _judge(weights, G, f_rows, th, mode) -> BmipResult:
+def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     """The one acceptance rule of both search engines.
 
-    Keeps the candidate value rows whose means lie in their windows
-    (|rows.w - center| <= cap + mean_slack, up to ``ACCEPT_TOL``), takes the
-    best E[fg] over the kept pairs (first maximum in row-major order) and
-    accepts when it reaches the floor rho_target - corr_slack.  ``G`` holds
-    g's rows, which must lie in [-1, 1]; ``f_rows()`` builds f's only once
-    some g row fits.
+    Keeps the candidate value rows whose means lie in their windows: f's
+    and g's ``windows`` are (center, half_width) pairs, the half width
+    being cap + mean_slack + ``ACCEPT_TOL``.  Takes the best E[fg] over the
+    kept pairs (first maximum in row-major order) and accepts when it
+    reaches ``floor`` (rho_target - corr_slack) less ``ACCEPT_TOL``.  ``G``
+    holds g's rows, which must lie in [-1, 1]; ``f_rows()`` builds f's only
+    once some g row fits.
 
     The pairs are visited in bound order: g's knapsack over the box and g's
     window (``_box_lp_max``, one batch) bounds each f row's best E[fg] from
@@ -440,18 +421,13 @@ def _judge(weights, G, f_rows, th, mode) -> BmipResult:
     ``_BOUND_MARGIN``; no row left unvisited can then reach the best value.
     """
     W, wa, wb = weights
-    infeasible = BmipResult(False, -math.inf, None, None, None, None, th, False, mode)
-
-    def window(side):
-        return th[f"mean_cap_{side}"] + th["mean_slack"] + ACCEPT_TOL
-
-    def fitting(rows, w, side):
-        return rows[np.abs(rows @ w - th[f"mean_center_{side}"]) <= window(side)]
-
-    G = fitting(G, wb, "g")
+    (center_f, half_f), (center_g, half_g) = windows
+    infeasible = BmipResult(False, -math.inf, None, None, None, None, False, mode)
+    G = G[np.abs(G @ wb - center_g) <= half_g]
     if len(G) == 0:
         return infeasible
-    F = fitting(f_rows(), wa, "f")
+    F = f_rows()
+    F = F[np.abs(F @ wa - center_f) <= half_f]
     if len(F) == 0:
         return infeasible
 
@@ -459,7 +435,7 @@ def _judge(weights, G, f_rows, th, mode) -> BmipResult:
     # the knapsack holds about a dozen temporaries the size of its input
     chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
     bound = np.concatenate([
-        _box_lp_max(C[s : s + chunk], wb, window("g"), th["mean_center_g"])[1]
+        _box_lp_max(C[s : s + chunk], wb, half_g, center_g)[1]
         for s in range(0, len(C), chunk)
     ])
     order = np.argsort(-bound, kind="stable")
@@ -483,10 +459,9 @@ def _judge(weights, G, f_rows, th, mode) -> BmipResult:
         size = min(2 * size, most_rows)
     fv, gv = F[best_key // ng], G[best_key % ng]
 
-    accept = best_val >= th["accept_floor"] - ACCEPT_TOL
+    accept = best_val >= floor - ACCEPT_TOL
     return BmipResult(
-        accept, best_val, fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb),
-        th, True, mode,
+        accept, best_val, fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb), True, mode
     )
 
 
@@ -676,26 +651,25 @@ def _snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.where(values - lo <= hi - values, lo, hi)
 
 
-def _search_one_level(
-    weights, grid, rho_target, mean_caps, centers, mean_slack, corr_slack
-) -> BmipResult:
+def _search_one_level(weights, grid, mean_caps, windows, floor) -> BmipResult:
     """Full grid search when it fits the work cap, oracle probe otherwise.
 
-    The probe snaps the alternating oracle's pair to the grid.  An ACCEPT
-    from it is fully verified (grid-valued witness, thresholds re-checked
-    exactly); a non-accept carries no guarantee beyond the depths the
-    oracle explored.  Raises ``ResourceLimitError`` when the depth is beyond
-    the oracle too.
+    Both judge by ``windows`` and ``floor`` (see ``_judge``); the oracle's
+    alternation holds the means within ``mean_caps`` of the windows'
+    centers.  The probe snaps the alternating oracle's pair to the grid.
+    An ACCEPT from it is fully verified (grid-valued witness, thresholds
+    re-checked exactly); a non-accept carries no guarantee beyond the
+    depths the oracle explored.  Raises ``ResourceLimitError`` when the
+    depth is beyond the oracle too.
     """
-    thresholds = _level_thresholds(rho_target, corr_slack, mean_caps, centers, mean_slack, grid)
     try:
-        return _enumerate(weights, grid, thresholds)
+        return _enumerate(weights, grid, windows, floor)
     except ResourceLimitError:
         pass
-    _, f, g = _alternate(weights, mean_caps, centers)
+    _, f, g = _alternate(weights, mean_caps, [center for center, _ in windows])
     return _judge(
         weights, _snap_to_grid(g, grid)[None], lambda: _snap_to_grid(f, grid)[None],
-        thresholds, "oracle_probe",
+        windows, floor, "oracle_probe",
     )
 
 
@@ -718,13 +692,13 @@ def _n0_report(
 
 
 def _verify_accept(
-    fv, gv, dist, n, thresholds, centers, accept_floor_value
+    fv, gv, dist, n, cap, centers, accept_floor_value
 ) -> tuple[TableStrategy, TableStrategy, dict]:
-    """Re-evaluate a witness exactly and hard-assert it meets its thresholds."""
+    """Re-evaluate a witness exactly and hard-assert that its means lie within
+    ``cap`` of ``centers`` and its E[fg] reaches the floor, up to 1e-9."""
     f = TableStrategy(dist.row_space, n, fv)
     g = TableStrategy(dist.col_space, n, gv)
     stats = estimate_strategy_stats(f, g, dist, mode="exact")
-    cap = thresholds["mean_cap"] + thresholds["mean_slack"]
     if abs(stats.mean_f - centers[0]) > cap + 1e-9 or abs(stats.mean_g - centers[1]) > cap + 1e-9:
         raise AssertionError("accepted witness violates its mean caps on re-evaluation")
     if stats.corr_fg < accept_floor_value - 1e-9:
@@ -789,15 +763,14 @@ def _decide(
 
     if grid is None:
         grid = discretize_range(delta)
+    mean_caps = (th["mean_cap"], th["mean_cap"])
+    windows = [(c, cap + ACCEPT_TOL) for c in centers]
     probe_used = False
     n_used, cap_note = n_search, ""
     for n in range(1, n_search + 1):
         try:
             weights = _tensor_weights(dist, n)
-            result = _search_one_level(
-                weights, grid, rho_t - th["corr_margin"], (th["mean_cap"], th["mean_cap"]),
-                centers, th["mean_slack"], th["corr_slack"],
-            )
+            result = _search_one_level(weights, grid, mean_caps, windows, accept_floor)
         except ResourceLimitError as exc:
             if n == 1:
                 raise
@@ -807,7 +780,7 @@ def _decide(
         if result.accept:
             fv, gv = _calibrate_pair(result.f_values, result.g_values, weights, centers, rho_t)
             f, g, achieved = _verify_accept(
-                fv, gv, dist, n, th, centers, min(result.best_value, rho_t) - 1e-9
+                fv, gv, dist, n, cap, centers, min(result.best_value, rho_t) - 1e-9
             )
             search_max = result.best_value
             if case == "II":

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InputError, ParameterRangeError, ResourceLimitError
 from .spaces import FiniteSpace
 from .strategies import TableStrategy as ValueTable
-from .util import CELL_CAP, contract_coordinates, place_values
+from .util import CELL_CAP, contract_coordinates, place_values, power_exceeds
 
 ORTHONORMALITY_TOL = 1e-10
 GS_RESIDUAL_TOL = 1e-12
@@ -215,12 +215,9 @@ def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> Fouri
 def inverse_transform(poly: FourierPolynomial) -> ValueTable:
     """Pointwise values f(x) = sum_sigma f_hat(sigma) X_sigma(x)."""
     q, n = poly.q, poly.n
-    cells = q**n
-    if cells > CELL_CAP:
-        raise ResourceLimitError(
-            f"dense table needs {cells} cells, above the cap {CELL_CAP}"
-        )
-    arr = np.zeros(cells)
+    if power_exceeds(q, n, CELL_CAP):
+        raise ResourceLimitError(f"dense table needs {q}^{n} cells, above the cap {CELL_CAP}")
+    arr = np.zeros(q**n)
     arr[poly.keys] = poly.values
     return ValueTable(poly.basis.space, n, contract_coordinates(arr, poly.basis.chars.T, n))
 

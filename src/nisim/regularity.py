@@ -42,6 +42,7 @@ from .util import (
     draw_atoms,
     kron_power,
     log10_from_ln,
+    power_exceeds,
     wilson_interval,
 )
 
@@ -311,9 +312,9 @@ def restriction_regular_probability(
     q = poly.q
     space = poly.basis.space
     if mode == "exact":
-        if q ** len(H) > EXHAUSTIVE_RESTRICTION_CAP:
+        if power_exceeds(q, len(H), EXHAUSTIVE_RESTRICTION_CAP):
             raise ParameterRangeError(
-                f"{q ** len(H)} restrictions exceed the exhaustive cap "
+                f"{q}^{len(H)} restrictions exceed the exhaustive cap "
                 f"{EXHAUSTIVE_RESTRICTION_CAP}; use monte_carlo mode"
             )
         xi = all_assignments(q, len(H))

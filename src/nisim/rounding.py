@@ -30,12 +30,14 @@ more than the chunks or cores allow, none at ``threads=1``), each taking
 the next chunk index in turn.  A chunk draws its row and column atoms
 with ``util.draw_cells`` (``rng.choice``'s stream over the joint cells,
 without its binary search or a divmod into rows and columns) and
-flattens index rows with ``util.flat_index``.  A generic chunk makes no
-BLAS call: its sums are numpy reductions, which round the same whatever
-the size of the BLAS thread pool, and leave that pool's spinning workers
-asleep.  The lifted chunk keeps one BLAS gemv, counts times witness,
-because a reduction would move the last bits of the witness sums it
-thresholds.
+flattens index rows with ``util.flat_index``.  A chunk keeps four sums,
+of f, g, fg and (fg)^2; the joint's cells are formed once from their
+total (for +-1 outputs every sum is an exact integer).  A generic chunk
+makes no BLAS call: its sums are numpy reductions, which round the same
+whatever the size of the BLAS thread pool, and leave that pool's
+spinning workers asleep.  The lifted chunk keeps one BLAS gemv, counts
+times witness, because a reduction would move the last bits of the
+witness sums it thresholds.
 An rng-rounded strategy draws its coins from the chunk's generator, which
 the harness hands over through ``evaluate(idx, rng=...)``; exact
 enumeration refuses it, since its outputs are random.
@@ -63,6 +65,7 @@ from .util import (
     draw_cells,
     flat_index,
     kron_power,
+    power_exceeds,
 )
 
 # samples per Monte Carlo chunk: part of the stream layout, like the seed
@@ -85,7 +88,7 @@ class HybridStrategy:
         self.inner_values = np.asarray(self.inner_values, dtype=float).ravel()
         if self.inner_values.shape[0] != self.space.q**self.h:
             raise InputError(
-                f"expected {self.space.q ** self.h} inner values, got {self.inner_values.shape[0]}"
+                f"expected {self.space.q}^{self.h} inner values, got {self.inner_values.shape[0]}"
             )
         if self.polarity not in (-1, 1):
             raise ParameterRangeError("polarity must be +1 or -1")
@@ -310,17 +313,14 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
 
 
 def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
-    """Accumulator [sum f, sum g, sum fg, sum (fg)^2, pp, pm, mp, mm] of one chunk;
-    the cells are independent-rounding masses of [-1,1]-valued outputs.
+    """Accumulator [sum f, sum g, sum fg, sum (fg)^2] of one chunk.
 
     Every sum is a numpy reduction, never a BLAS call: a BLAS dot rounds
     by the size of its thread pool, and its spinning workers take a core
     from the chunk threads.
     """
     prod = vf * vg
-    fp, fm, gp, gm = 1 + vf, 1 - vf, 1 + vg, 1 - vg
-    cells = [0.25 * float((a * b).sum()) for a in (fp, fm) for b in (gp, gm)]
-    return np.array([vf.sum(), vg.sum(), prod.sum(), (prod * prod).sum(), *cells])
+    return np.array([vf.sum(), vg.sum(), prod.sum(), (prod * prod).sum()])
 
 
 def _lifted_pair_mc(
@@ -422,16 +422,16 @@ def estimate_strategy_stats(
     if f.space != dist.row_space or g.space != dist.col_space:
         raise InputError("strategies must live on the two sides of the source")
     qa, qb = dist.shape
-    cells = (qa * qb) ** f.n if f.n < 64 else math.inf
+    too_large = power_exceeds(qa * qb, f.n, CELL_CAP)
     if mode not in ("auto", "exact", "monte_carlo"):
         raise InputError(f"unknown mode {mode!r}")
     randomized = isinstance(f, RngRoundedStrategy) or isinstance(g, RngRoundedStrategy)
     if mode == "exact" and randomized:
         raise InputError("exact enumeration is undefined for randomized strategies")
-    if mode == "exact" or (mode == "auto" and cells <= CELL_CAP and not randomized):
-        if cells > CELL_CAP:
+    if mode == "exact" or (mode == "auto" and not too_large and not randomized):
+        if too_large:
             raise ParameterRangeError(
-                f"exact enumeration needs {cells} cells, above the cap {CELL_CAP}"
+                f"exact enumeration needs {qa * qb}^{f.n} cells, above the cap {CELL_CAP}"
             )
         return _exact_stats(f, g, dist)
     if n_samples < 1:
@@ -455,13 +455,19 @@ def estimate_strategy_stats(
     acc = np.sum(parts, axis=0)
 
     m = float(n_samples)
-    mean_f, mean_g, corr = acc[0] / m, acc[1] / m, acc[2] / m
+    sum_f, sum_g, sum_fg = acc[:3]
+    mean_f, mean_g, corr = sum_f / m, sum_g / m, sum_fg / m
     var_prod = max(0.0, acc[3] / m - corr**2)
     se_corr = math.sqrt(var_prod / m)
     se_f = math.sqrt(max(0.0, 1.0 - mean_f**2) / m)
     se_g = math.sqrt(max(0.0, 1.0 - mean_g**2) / m)
-    cellsums = np.clip(acc[4:8], 0.0, None)
-    joint = EmpiricalJoint2x2(cellsums / cellsums.sum(), n_samples=n_samples)
+    # the independent-rounding masses pp, pm, mp, mm of the outputs, times 4:
+    # sum (1 + f)(1 + g) = m + sum f + sum g + sum fg, and so on
+    cells = np.clip([
+        m + sum_f + sum_g + sum_fg, m + sum_f - sum_g - sum_fg,
+        m - sum_f + sum_g - sum_fg, m - sum_f - sum_g + sum_fg,
+    ], 0.0, None)
+    joint = EmpiricalJoint2x2(cells / cells.sum(), n_samples=n_samples)
     return StrategyStats(
         float(mean_f), float(mean_g), float(corr), se_f, se_g, se_corr,
         joint, n_samples, "lifted_monte_carlo" if lifted else "monte_carlo", seed,

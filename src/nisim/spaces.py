@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParameterRangeError, ResourceLimitError
-from .util import CELL_CAP, kron_power
+from .util import CELL_CAP, kron_power, power_exceeds
 
 SUM_TOL = 1e-12
 ATOM_SEPARATOR = "|"
@@ -354,10 +354,9 @@ def tensor_power(dist: JointDistribution, n: int) -> JointDistribution:
     if n < 1:
         raise ParameterRangeError(f"power must be a positive integer, got {n}")
     qa, qb = dist.shape
-    cells = (qa * qb) ** n
-    if cells > CELL_CAP:
+    if power_exceeds(qa * qb, n, CELL_CAP):
         raise ResourceLimitError(
-            f"tensor power needs {cells} cells, above the enumeration cap {CELL_CAP}"
+            f"tensor power needs {qa * qb}^{n} cells, above the enumeration cap {CELL_CAP}"
         )
     return JointDistribution(
         dist.row_space.power_atoms(n), dist.col_space.power_atoms(n),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError
 from .spaces import FiniteSpace, json_floats, json_list, json_object
-from .util import CELL_CAP, flat_index, kron_power, place_values
+from .util import CELL_CAP, flat_index, kron_power, place_values, power_exceeds
 
 
 class Strategy:
@@ -49,7 +49,7 @@ class TableStrategy(Strategy):
             raise ParameterRangeError("coordinate count must be nonnegative")
         v = np.asarray(values, dtype=float).ravel()
         if v.shape[0] != space.q**n:
-            raise InputError(f"expected {space.q ** n} values, got {v.shape[0]}")
+            raise InputError(f"expected {space.q}^{n} values, got {v.shape[0]}")
         self.space = space
         self.n = n
         self.values = v
@@ -110,9 +110,8 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
     n = d["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InputError(f"function JSON 'n' must be a nonnegative integer, got {n!r}")
-    # q >= 2 and n >= bit_length(cap) already give q**n >= 2**n > cap, so the
-    # power is only computed when it is small; the bound on n holds for q = 1 too
-    if n >= CELL_CAP.bit_length() or space.q**n > CELL_CAP:
+    # the bound on n holds for q = 1 too, where q^n never exceeds the cap
+    if n >= CELL_CAP.bit_length() or power_exceeds(space.q, n, CELL_CAP):
         raise InputError(
             f"function JSON 'n' = {n} is too large: n must stay below "
             f"{CELL_CAP.bit_length()} and {space.q}^n below the cap {CELL_CAP}"
@@ -124,12 +123,22 @@ def strategy_from_json_dict(d: dict) -> TableStrategy:
 
         if not isinstance(d["coeffs"], dict):
             raise InputError("function JSON 'coeffs' must be an object")
-        try:
-            keys = [int(k) for k in d["coeffs"]]
-        except ValueError:
-            raise InputError("function JSON 'coeffs' keys must be integers") from None
+        seen = {}  # coefficient -> the key that named it
+        for k in d["coeffs"]:
+            if not (isinstance(k, str) and k.isascii() and k.isdigit()):
+                raise InputError(f"function JSON 'coeffs' key {k!r} must be ASCII digits 0-9")
+            digits = k.lstrip("0") or "0"
+            # keys lie below q^n <= CELL_CAP, and int() refuses more than 4300 digits
+            if len(digits) > len(str(CELL_CAP)):
+                raise InputError("coefficient key outside the degree-sequence range")
+            key = int(digits)
+            if key in seen:
+                raise InputError(
+                    f"function JSON 'coeffs' keys {seen[key]!r} and {k!r} name one coefficient"
+                )
+            seen[key] = k
         values = json_floats(list(d["coeffs"].values()), "function JSON 'coeffs' values")
-        return inverse_transform(FourierPolynomial(build_basis(space), n, dict(zip(keys, values))))
+        return inverse_transform(FourierPolynomial(build_basis(space), n, dict(zip(seen, values))))
     raise InputError("function JSON needs either 'values' or 'coeffs'")
 
 

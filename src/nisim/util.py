@@ -21,6 +21,18 @@ def all_assignments(q: int, h: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether base ** exp > cap (cap >= 1), in exact integers.
+
+    Paper-grid searches reach 49,999 ** 72 and caller inputs far more; a
+    base of two or more exceeds the cap from exp = bit_length(cap) on, so
+    the power is only computed when it is small.  Messages print such a
+    count as ``base^exp``: Python will not print an int of more than 4300
+    digits.
+    """
+    return base > 1 and (exp >= cap.bit_length() or base**exp > cap)
+
+
 def place_values(q: int, n: int) -> np.ndarray:
     """Place value q^(n-1-i) of coordinate i in the row-major layout (coordinate 0
     most significant): int64 while q^n fits, else Python ints."""

@@ -101,6 +101,19 @@ MALFORMED = {
     "function_coeffs_list": ("function", _function_json(values=..., coeffs=[])),
     # q = 2, n = 2: keys lie in [0, 4)
     "function_coeff_key_range": ("function", _function_json(n=2, values=..., coeffs={"9": 1.0})),
+    # keys are ASCII digit strings, and no two of them name the same coefficient
+    "function_coeff_key_underscore": (
+        "function", _function_json(n=3, values=..., coeffs={"0_3": 1.0, "5": 0.5})),
+    "function_coeff_key_spaces": (
+        "function", _function_json(n=3, values=..., coeffs={" 5 ": 0.5})),
+    "function_coeff_key_arabic_digit": (
+        "function", _function_json(n=3, values=..., coeffs={"\u0663": 0.25})),
+    "function_coeff_key_plus": ("function", _function_json(n=3, values=..., coeffs={"+1": 0.1})),
+    "function_coeff_key_twice": (
+        "function", _function_json(n=3, values=..., coeffs={"3": 1.0, "03": 0.5})),
+    # past Python's 4300-digit limit on int(str)
+    "function_coeff_key_long": (
+        "function", _function_json(n=3, values=..., coeffs={"1" * 5000: 0.5})),
     "function_values_string": ("function", _function_json(values="ab")),
     "function_values_nan": ("function", _function_json(values=[float("nan"), 1.0])),
     "function_space_number": ("function", _function_json(space=5)),

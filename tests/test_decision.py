@@ -32,13 +32,25 @@ from nisim import (
     tv_distance,
     uniform_triple,
 )
+from nisim import (
+    FiniteSpace,
+    FourierPolynomial,
+    build_basis,
+    gaussian_simulator_strategy,
+    inverse_transform,
+    restriction_regular_probability,
+    tensor_power,
+)
 from nisim import decision
 from nisim.decision import (
-    _alternate, _box_lp_max, _correlation_ceiling, _search_one_level, _tensor_weights,
+    ACCEPT_TOL, _alternate, _box_lp_max, _correlation_ceiling, _search_one_level,
+    _tensor_weights,
 )
-from nisim.util import all_assignments
+from nisim.strategies import strategy_from_json_dict
+from nisim.util import all_assignments, power_exceeds
 
 TRIPLE = uniform_triple()
+THREE = FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
 COARSE = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
@@ -182,7 +194,7 @@ class TestParameterChain:
 
 
 def log_space_exceeds_work_cap(grid_size, width):
-    """The log-space rule ``_exceeds_work_cap`` replaced, kept as its reference."""
+    """The log-space work-cap rule ``power_exceeds`` replaced, kept as its reference."""
     if grid_size < 2:
         return False
     log_pairs = width * math.log(grid_size)
@@ -199,12 +211,12 @@ class TestWorkCap:
     )
     def test_boundaries(self, grid_size, width, exceeds):
         assert decision.WORK_CAP == 10**8
-        assert decision._exceeds_work_cap(grid_size, width) is exceeds
+        assert power_exceeds(grid_size, width, decision.WORK_CAP) is exceeds
 
     def test_empty_and_one_value_grids_never_exceed(self):
         for grid_size in (0, 1):
             for width in (0, 1, 26, 27, 72, 10**6):
-                assert not decision._exceeds_work_cap(grid_size, width)
+                assert not power_exceeds(grid_size, width, decision.WORK_CAP)
 
     def test_matches_the_log_space_rule(self):
         # every grid near the width-th root of the cap, where the rules could part
@@ -214,9 +226,38 @@ class TestWorkCap:
             pairs += [(g, width) for g in range(max(0, root - 50), root + 50)]
         pairs += [(49_999, w) for w in range(80)]
         for grid_size, width in pairs:
-            assert decision._exceeds_work_cap(grid_size, width) == log_space_exceeds_work_cap(
-                grid_size, width
+            assert power_exceeds(grid_size, width, decision.WORK_CAP) == (
+                log_space_exceeds_work_cap(grid_size, width)
             ), (grid_size, width)
+
+    # 4^10000 and 3^10000 have more digits than Python prints as an int
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: tensor_power(make_dsbs(0.5), 10**4), ResourceLimitError, r"4\^10000"),
+            (lambda: brute_force_bmip(make_dsbs(0.5), 10**4, 0.5, 0.5, (0.1, 0.1)),
+             ResourceLimitError, r"4\^10000"),
+            (lambda: oracle_max_balanced_ip(make_dsbs(0.5), 10**4, (0.1, 0.1)),
+             ResourceLimitError, r"4\^10000"),
+            (lambda: inverse_transform(FourierPolynomial(build_basis(THREE), 10**4, {})),
+             ResourceLimitError, r"3\^10000"),
+            (lambda: TableStrategy(THREE, 10**4, [1.0]), InputError, r"3\^10000"),
+            (lambda: estimate_strategy_stats(
+                *gaussian_simulator_strategy(make_dsbs(0.5), 0.0, 10**4), make_dsbs(0.5),
+                mode="exact"), ParameterRangeError, r"4\^10000"),
+            (lambda: restriction_regular_probability(
+                FourierPolynomial(build_basis(THREE), 10**4, {}), range(10**4), 0.1),
+             ParameterRangeError, r"3\^10000"),
+            (lambda: strategy_from_json_dict(
+                {"n": 10**4, "space": {"atoms": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+                 "values": [1.0]}), InputError, "too large"),
+        ],
+        ids=["tensor_power", "brute_force_bmip", "oracle", "inverse_transform",
+             "TableStrategy", "exact_stats", "restriction_probability", "function_json"],
+    )
+    def test_entry_points_refuse_huge_powers(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestBruteForce:
@@ -309,15 +350,14 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             brute_force_bmip(dist, 3, 0.5, 0.02, (0.05, 0.05))
         res = _search_one_level(
-            _tensor_weights(dist, 3), discretize_range(0.02), rho_target=0.5,
-            mean_caps=(0.05, 0.05), centers=(0.0, 0.0), mean_slack=0.02**2 / 5,
-            corr_slack=0.02**2 / 4,
+            _tensor_weights(dist, 3), discretize_range(0.02), mean_caps=(0.05, 0.05),
+            windows=[(0.0, 0.05 + 0.02**2 / 5 + ACCEPT_TOL)] * 2, floor=0.5 - 0.02**2 / 4,
         )
         assert res.mode == "oracle_probe"
         # no snapped pair has mean exactly 0, so the probe's pair fails its windows
         res = _search_one_level(
-            _tensor_weights(dist, 3), discretize_range(0.02), rho_target=0.5,
-            mean_caps=(0.0, 0.0), centers=(0.0, 0.0), mean_slack=0.0, corr_slack=0.0,
+            _tensor_weights(dist, 3), discretize_range(0.02), mean_caps=(0.0, 0.0),
+            windows=[(0.0, ACCEPT_TOL)] * 2, floor=0.5,
         )
         assert (res.mode, res.feasible_pairs, res.best_value) == ("oracle_probe", False, -math.inf)
 
