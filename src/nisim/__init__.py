@@ -59,7 +59,7 @@ from .gaussian import (
     std_normal_quantile,
     threshold_for_mean,
 )
-from .strategies import Strategy, TableStrategy, constant_strategy, dictator_strategy
+from .strategies import Strategy, TableStrategy
 from .rounding import (
     HybridStrategy,
     LiftedStrategy,

@@ -11,11 +11,18 @@ are encoded as base-q integers for canonical map keys, with the place
 values of ``util.place_values``.
 
 A ``FourierPolynomial`` stores its coefficients once, as a ``keys`` array
-(int64 while q^n fits, Python ints past that) and a ``values`` array in
-one order.  The functionals, the inverse transform and the restriction
-routine read those arrays and decode the keys into a digit matrix, one
-row per coefficient in that order; the operators build their results
-from arrays too.
+(in ``util.key_dtype``: int64 while q^n fits, Python ints past that) and a
+``values`` array in one order.  The functionals, the inverse transform and
+the restriction routine read those arrays and decode the keys into a digit
+matrix, one row per coefficient in that order; the operators build their
+results from arrays too.  A caller that needs several functionals of one
+polynomial decodes it once and hands the digits to the private helpers
+(``_influences``, ``_tail_mass``, ``_truncate``).
+
+A restriction groups the coefficients by their surviving and their
+restricted digits, each pattern re-encoded as one integer by Horner's rule
+(``util.flat_index``), so grouping is a 1-D integer ``np.unique`` whose
+order is the lexicographic order of the digit rows.
 
 Coordinates are 0-based throughout.
 
@@ -35,7 +42,14 @@ import numpy as np
 from .errors import InputError, ParameterRangeError, ResourceLimitError
 from .spaces import FiniteSpace
 from .strategies import TableStrategy as ValueTable
-from .util import CELL_CAP, contract_coordinates, place_values, power_exceeds
+from .util import (
+    CELL_CAP,
+    contract_coordinates,
+    flat_index,
+    key_dtype,
+    place_values,
+    power_exceeds,
+)
 
 ORTHONORMALITY_TOL = 1e-10
 GS_RESIDUAL_TOL = 1e-12
@@ -122,9 +136,9 @@ def _decode(poly: "FourierPolynomial") -> np.ndarray:
     return (poly.keys[:, None] // places % poly.q).astype(np.int64)
 
 
-def _degrees(poly: "FourierPolynomial") -> np.ndarray:
-    """|sigma| of each coefficient, in ``keys`` order."""
-    return np.count_nonzero(_decode(poly), axis=1)
+def _degrees(digits: np.ndarray) -> np.ndarray:
+    """|sigma| of each row of a digit matrix."""
+    return np.count_nonzero(digits, axis=1)
 
 
 # -- polynomials ---------------------------------------------------------
@@ -152,7 +166,7 @@ class FourierPolynomial:
                 raise InputError("coefficient key outside the degree-sequence range")
             keys.append(k)
         self._store(
-            basis, n, np.array(keys, dtype=place_values(basis.q, n).dtype),
+            basis, n, np.array(keys, dtype=key_dtype(basis.q, n)),
             np.array(list(coeffs.values()), dtype=float),
         )
 
@@ -174,7 +188,7 @@ class FourierPolynomial:
         return dict(zip(self.keys.tolist(), self.values.tolist()))
 
     def degree(self) -> int:
-        return int(_degrees(self).max(initial=0))
+        return int(_degrees(_decode(self)).max(initial=0))
 
     def mean(self) -> float:
         at = np.flatnonzero(self.keys == 0)
@@ -234,37 +248,55 @@ def influence(poly: FourierPolynomial, i: int) -> float:
 
 def influences(poly: FourierPolynomial) -> np.ndarray:
     """All n coordinate influences at once."""
+    return _influences(poly, _decode(poly))
+
+
+def _influences(poly: FourierPolynomial, digits: np.ndarray) -> np.ndarray:
+    """``influences`` from the polynomial's digit matrix."""
     values = poly.values
-    rows, cols = np.nonzero(_decode(poly))
+    rows, cols = np.nonzero(digits)
     # bincount adds each coordinate's squares in coefficient order, as a loop would
     return np.bincount(cols, weights=(values * values)[rows], minlength=poly.n).astype(float)
 
 
 def total_influence(poly: FourierPolynomial) -> float:
     """Sum over sigma of |sigma| * f_hat(sigma)^2."""
-    return float(_degrees(poly) @ (poly.values * poly.values))
+    return float(_degrees(_decode(poly)) @ (poly.values * poly.values))
 
 
 def degree_tail_mass(poly: FourierPolynomial, d: int) -> float:
     """Fourier mass strictly above degree d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    return float(np.sum(poly.values[_degrees(poly) > d] ** 2))
+    return _tail_mass(poly, _degrees(_decode(poly)), d)
+
+
+def _tail_mass(poly: FourierPolynomial, degrees: np.ndarray, d: int) -> float:
+    """``degree_tail_mass`` from the coefficients' degrees."""
+    return float(np.sum(poly.values[degrees > d] ** 2))
 
 
 def truncate_degree(poly: FourierPolynomial, d: int) -> FourierPolynomial:
     """Keep coefficients with |sigma| <= d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    kept = _degrees(poly) <= d
-    return _polynomial(poly.basis, poly.n, poly.keys[kept], poly.values[kept])
+    return _truncate(poly, _degrees(_decode(poly)), d)[0]
+
+
+def _truncate(
+    poly: FourierPolynomial, degrees: np.ndarray, d: int
+) -> tuple[FourierPolynomial, np.ndarray]:
+    """``truncate_degree`` from the coefficients' degrees, with the kept-row mask."""
+    kept = degrees <= d
+    return _polynomial(poly.basis, poly.n, poly.keys[kept], poly.values[kept]), kept
 
 
 def noise_operator(poly: FourierPolynomial, gamma: float) -> FourierPolynomial:
     """Coefficient-wise multiplier gamma^|sigma|; the mean is untouched."""
     if not 0.0 <= gamma <= 1.0:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
-    return _polynomial(poly.basis, poly.n, poly.keys, poly.values * gamma ** _degrees(poly))
+    factors = gamma ** _degrees(_decode(poly))
+    return _polynomial(poly.basis, poly.n, poly.keys, poly.values * factors)
 
 
 def noise_operator_kernel(table: ValueTable, gamma: float) -> ValueTable:
@@ -312,30 +344,42 @@ def restriction_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Restrictions fixing the sorted coordinates ``H`` to each row of atom indices ``xi``.
 
-    Returns the surviving keys, their digit matrix and their coefficients,
-    one column per restriction.  Coefficients are grouped by surviving and
-    by restricted pattern; the character table (restricted patterns x
-    restrictions) multiplies only at nonzero digits, as ``chars[0]`` is 1,
-    and is built in blocks no larger than the columns it feeds.
+    Returns the surviving keys (in ``util.key_dtype`` of the surviving
+    coordinates), their digit matrix and their coefficients, one column per
+    restriction.  Coefficients are grouped by surviving and by restricted
+    pattern: each pattern is one Horner integer, and the 1-D ``np.unique``
+    of those integers sorts the patterns in lexicographic digit order.  The
+    character table (restricted patterns x restrictions) is built one
+    (coordinate, digit >= 1) pair at a time, multiplying the rows holding
+    that digit by one gathered row of ``chars``; digit 0 is skipped, as
+    ``chars[0]`` is 1.  The table is built in blocks no larger than the
+    columns it feeds.
     """
     digits = _decode(poly)
     T = [i for i in range(poly.n) if i not in H]
-    t_digits, t_of = np.unique(digits[:, T], axis=0, return_inverse=True)
-    h_digits, h_of = np.unique(digits[:, H], axis=0, return_inverse=True)
+    t_cols, h_cols = digits[:, T], digits[:, H]
+    t_keys, t_first, t_of = np.unique(
+        flat_index(t_cols, poly.q), return_index=True, return_inverse=True)
+    _, h_first, h_of = np.unique(
+        flat_index(h_cols, poly.q), return_index=True, return_inverse=True)
+    t_digits, h_digits = t_cols[t_first], h_cols[h_first]
     grouped = np.zeros((len(t_digits), len(h_digits)))
     grouped[t_of, h_of] = poly.values
-    nonzero = [np.nonzero(h_digits[:, j])[0] for j in range(len(H))]
+    factors = [
+        (j, d, rows) for j in range(len(H)) for d in range(1, poly.q)
+        if (rows := np.flatnonzero(h_digits[:, j] == d)).size
+    ]
+    chars = poly.basis.chars
     columns = np.empty((len(t_digits), len(xi)))
     blocks = max(1, -(-len(h_digits) // max(len(t_digits), 1)))
     lo = 0
     for part in np.array_split(xi, blocks):
         table = np.ones((len(h_digits), len(part)))
-        for j, rows in enumerate(nonzero):
-            table[rows] *= poly.basis.chars[h_digits[rows, j][:, None], part[:, j]]
+        for j, d, rows in factors:
+            table[rows] *= chars[d, part[:, j]]
         np.matmul(grouped, table, out=columns[:, lo : lo + len(part)])
         lo += len(part)
-    places = place_values(poly.q, len(T))
-    return t_digits.astype(places.dtype) @ places, t_digits, columns
+    return t_keys, t_digits, columns
 
 
 # -- hypercontractivity ----------------------------------------------------

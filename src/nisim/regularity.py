@@ -30,15 +30,18 @@ import numpy as np
 from .errors import InputError, ParameterRangeError
 from .fourier import (
     FourierPolynomial,
+    _decode,
+    _degrees,
+    _influences,
+    _tail_mass,
+    _truncate,
     hypercontractivity_constant,
-    influences,
-    degree_tail_mass,
     restriction_columns,
-    truncate_degree,
 )
 from .util import (
     all_assignments,
     ceil_tolerant,
+    check_atom_rows,
     draw_atoms,
     kron_power,
     log10_from_ln,
@@ -220,13 +223,20 @@ def high_influence_set(poly: FourierPolynomial, beta: float) -> tuple[int, ...]:
 
     Guaranteed no larger than deg/beta coordinates when Var <= 1.
     """
+    return _high_influence_set(poly, _decode(poly), beta)
+
+
+def _high_influence_set(
+    poly: FourierPolynomial, digits: np.ndarray, beta: float
+) -> tuple[int, ...]:
+    """``high_influence_set`` from the polynomial's digit matrix."""
     if beta <= 0.0:
         raise ParameterRangeError(f"influence cutoff must be positive, got {beta}")
     if poly.variance() > 1.0 + VAR_TOL:
         raise InputError(
             f"variance {poly.variance():.6g} exceeds 1; normalize before extracting"
         )
-    inf = influences(poly)
+    inf = _influences(poly, digits)
     return tuple(int(i) for i in np.nonzero(inf >= beta)[0])
 
 
@@ -239,23 +249,30 @@ def joint_high_influence_set(
     """Union of the two parties' high-influence sets of the degree-d truncations.
 
     Requires tail mass above d at most eta on both sides; the union has at
-    most h_p + h_q coordinates.
+    most h_p + h_q coordinates.  Each side's keys are decoded once, for its
+    tail mass, its truncation and the truncation's influences.
     """
     if params_q is None:
         params_q = params_p
     if p.n != q.n:
         raise InputError("the two functions must have the same coordinate count")
+    truncations = []
     for poly, params, side in ((p, params_p, "first"), (q, params_q, "second")):
-        tail = degree_tail_mass(poly, params.d)
+        if params.d < 0:
+            raise ParameterRangeError("degree cutoff must be nonnegative")
+        digits = _decode(poly)
+        degrees = _degrees(digits)
+        tail = _tail_mass(poly, degrees, params.d)
         if tail > params.eta + 1e-12:
             raise InputError(
                 f"{side} function has tail mass {tail:.6g} above degree {params.d}, "
                 f"exceeding the budget eta = {params.eta:.6g}"
             )
+        trunc, kept = _truncate(poly, degrees, params.d)
+        truncations.append((trunc, digits[kept], params.beta))
     if params_p.beta <= 0.0 or params_q.beta <= 0.0:
         raise ParameterRangeError("beta underflowed; instance is out of enumerable range")
-    h_p = high_influence_set(truncate_degree(p, params_p.d), params_p.beta)
-    h_q = high_influence_set(truncate_degree(q, params_q.d), params_q.beta)
+    h_p, h_q = (_high_influence_set(*side) for side in truncations)
     return tuple(sorted(set(h_p) | set(h_q)))
 
 
@@ -285,11 +302,17 @@ def restriction_influences_at(
     """Influence of every surviving coordinate for each restriction in a batch.
 
     Returns shape (m, n - |H|), columns ordered by surviving coordinate.
+    ``xi_atoms`` must be an (m, |H|) batch of integer atom indices in [0, q),
+    one column per restricted coordinate in sorted order.
     """
     H = sorted(set(int(i) for i in H))
-    _, digits, columns = restriction_columns(poly, H, np.asarray(xi_atoms))
+    xi = check_atom_rows(xi_atoms, len(H), poly.q)
+    _, digits, columns = restriction_columns(poly, H, xi)
     columns *= columns
-    return columns.T @ (digits != 0)
+    # support (|T| x patterns) times squares (patterns x m): with the m
+    # restrictions as the product's rows instead, each BLAS thread packs its
+    # own patterns x m/threads panel of the squares
+    return ((digits != 0).T.astype(float) @ columns).T
 
 
 def restriction_regular_probability(

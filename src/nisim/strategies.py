@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError
 from .spaces import FiniteSpace, json_floats, json_list, json_object
-from .util import CELL_CAP, flat_index, kron_power, place_values, power_exceeds
+from .util import CELL_CAP, check_atom_rows, flat_index, kron_power, power_exceeds
 
 
 class Strategy:
@@ -28,14 +28,7 @@ class Strategy:
         raise NotImplementedError
 
     def _check_idx(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.ndim != 2 or idx.shape[1] != self.n:
-            raise InputError(f"index batch must have shape (m, {self.n})")
-        if idx.dtype.kind not in "iu":
-            raise InputError(f"atom indices must be integers, got dtype {idx.dtype}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.space.q):
-            raise InputError(f"atom indices must lie in [0, {self.space.q})")
-        return idx
+        return check_atom_rows(idx, self.n, self.space.q)
 
 
 class TableStrategy(Strategy):
@@ -80,19 +73,6 @@ class TableStrategy(Strategy):
             },
             "values": self.values.tolist(),
         }
-
-
-def constant_strategy(space: FiniteSpace, n: int, value: float) -> TableStrategy:
-    return TableStrategy(space, n, np.full(space.q**n, float(value)))
-
-
-def dictator_strategy(space: FiniteSpace, n: int, coord: int, values) -> TableStrategy:
-    """f(x) = values[x_coord]; handy for tests and demos."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[0] != space.q:
-        raise InputError("need one value per atom")
-    digit = np.arange(space.q**n) // place_values(space.q, n)[coord] % space.q
-    return TableStrategy(space, n, v[digit])
 
 
 def strategy_from_json_dict(d: dict) -> TableStrategy:

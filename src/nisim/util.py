@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
 CEIL_REL_SLACK = 1e-9
 # the largest dense table: tensor powers, exact enumeration, value tables
 CELL_CAP = 10**8
@@ -33,22 +35,41 @@ def power_exceeds(base: int, exp: int, cap: int) -> bool:
     return base > 1 and (exp >= cap.bit_length() or base**exp > cap)
 
 
+def key_dtype(q: int, n: int):
+    """dtype of flat indices into q^n cells: int64 while q^n <= 2^63 (the largest
+    index, q^n - 1, fits), else object for Python ints."""
+    return object if power_exceeds(q, n, 2**63) else np.int64
+
+
 def place_values(q: int, n: int) -> np.ndarray:
     """Place value q^(n-1-i) of coordinate i in the row-major layout (coordinate 0
-    most significant): int64 while q^n fits, else Python ints."""
-    dtype = np.int64 if q**n <= 2**63 else object
-    return np.array([q ** (n - 1 - i) for i in range(n)], dtype=dtype)
+    most significant), in ``key_dtype(q, n)``."""
+    return np.array([q ** (n - 1 - i) for i in range(n)], dtype=key_dtype(q, n))
 
 
 def flat_index(idx: np.ndarray, q: int) -> np.ndarray:
     """Row-major flat index of each row of the (m, n) atom-index batch ``idx``
     (coordinate 0 most significant): ``idx @ place_values(q, n)`` by Horner's
-    rule in int64, without the integer matmul.  Needs q^n < 2^63."""
-    out = np.zeros(idx.shape[0], np.int64)
+    rule in ``key_dtype(q, n)``, without the integer matmul.  Each step stays
+    below q^n, so int64 never wraps."""
+    out = np.zeros(idx.shape[0], key_dtype(q, idx.shape[1]))
     for j in range(idx.shape[1]):
         out *= q
         out += idx[:, j]
     return out
+
+
+def check_atom_rows(idx, width: int, q: int) -> np.ndarray:
+    """``idx`` as an array, after checking that it is an (m, width) batch of
+    integer atom indices in [0, q); ``InputError`` otherwise."""
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.shape[1] != width:
+        raise InputError(f"index batch must have shape (m, {width})")
+    if idx.dtype.kind not in "iu":
+        raise InputError(f"atom indices must be integers, got dtype {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= q):
+        raise InputError(f"atom indices must lie in [0, {q})")
+    return idx
 
 
 def contract_coordinates(values, matrix: np.ndarray, n: int) -> np.ndarray:

@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nisim import TableStrategy
+from nisim.util import all_assignments
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -26,3 +30,15 @@ def outputs_at_blas_threads():
         return outs
 
     return run
+
+
+def constant_table(space, n: int, value: float) -> TableStrategy:
+    """The table that is ``value`` on all q^n rows."""
+    return TableStrategy(space, n, np.full(space.q**n, float(value)))
+
+
+def dictator_table(space, n: int, coord: int, values) -> TableStrategy:
+    """The table f(x) = values[x_coord]: ``all_assignments`` lists the rows in
+    the table's row-major order."""
+    digit = all_assignments(space.q, n)[:, coord]
+    return TableStrategy(space, n, np.asarray(values, dtype=float)[digit])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constant_table
 from nisim import (
     ChainConstants,
     JointDistribution,
@@ -18,7 +19,6 @@ from nisim import (
     Target2x2,
     alpha_component_graph,
     brute_force_bmip,
-    constant_strategy,
     decide_2x2,
     decide_gap_nis,
     discretize_range,
@@ -601,13 +601,13 @@ class TestOracle:
 
 class TestRandomizedRound:
     def test_constant_one(self):
-        f = constant_strategy(TRIPLE.row_space, 1, 1.0)
+        f = constant_table(TRIPLE.row_space, 1, 1.0)
         r = randomized_round(f, seed=1)
         idx = np.zeros((50, 1), dtype=int)
         assert np.all(r.evaluate(idx) == 1.0)
 
     def test_zero_function_is_fair_coin(self):
-        f = constant_strategy(TRIPLE.row_space, 1, 0.0)
+        f = constant_table(TRIPLE.row_space, 1, 0.0)
         r = randomized_round(f, seed=2)
         idx = np.zeros((200000, 1), dtype=int)
         assert abs(np.mean(r.evaluate(idx))) < 0.01
@@ -658,7 +658,7 @@ class TestRandomizedRound:
         assert np.array_equal(r.evaluate(other_block), out)
 
     def test_source_mode_resolution_error(self):
-        f = constant_strategy(TRIPLE.row_space, 1, 0.0)
+        f = constant_table(TRIPLE.row_space, 1, 0.0)
         with pytest.raises(ParameterRangeError, match="resolution"):
             randomized_round(f, mode="source", extra_coords=3, resolution=1e-9)
 

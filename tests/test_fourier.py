@@ -30,10 +30,12 @@ from nisim import (
     transform,
     truncate_degree,
 )
+from nisim import fourier
 from nisim.errors import InputError
-from nisim.fourier import FourierPolynomial, sigma_decode, sigma_encode
+from nisim.fourier import FourierPolynomial, restriction_columns, sigma_decode, sigma_encode
+from nisim.regularity import restriction_influences_at, restriction_regular_probability
 from nisim.spaces import FiniteSpace
-from nisim.util import all_assignments, kron_power
+from nisim.util import all_assignments, kron_power, place_values
 
 BIT = FiniteSpace(["+1", "-1"], [0.5, 0.5])
 
@@ -467,8 +469,107 @@ class TestKeysPastInt64:
             assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12
 
 
+def reference_restriction_columns(poly, H, xi):
+    """``restriction_columns`` as it was built before grouping by 1-D keys:
+    row-wise ``np.unique(..., axis=0)`` over the digit columns and a 2-D
+    gather of the character table."""
+    places = place_values(poly.q, poly.n)
+    digits = (poly.keys[:, None] // places % poly.q).astype(np.int64)
+    T = [i for i in range(poly.n) if i not in H]
+    t_digits, t_of = np.unique(digits[:, T], axis=0, return_inverse=True)
+    h_digits, h_of = np.unique(digits[:, H], axis=0, return_inverse=True)
+    grouped = np.zeros((len(t_digits), len(h_digits)))
+    grouped[t_of, h_of] = poly.values
+    nonzero = [np.nonzero(h_digits[:, j])[0] for j in range(len(H))]
+    columns = np.empty((len(t_digits), len(xi)))
+    blocks = max(1, -(-len(h_digits) // max(len(t_digits), 1)))
+    lo = 0
+    for part in np.array_split(xi, blocks):
+        table = np.ones((len(h_digits), len(part)))
+        for j, rows in enumerate(nonzero):
+            table[rows] *= poly.basis.chars[h_digits[rows, j][:, None], part[:, j]]
+        np.matmul(grouped, table, out=columns[:, lo : lo + len(part)])
+        lo += len(part)
+    places = place_values(poly.q, len(T))
+    return t_digits.astype(places.dtype) @ places, t_digits, columns
+
+
+def random_sparse_polynomial(rng, q, n, count):
+    """Up to ``count`` random coefficients of any degree up to n."""
+    basis = build_basis(random_space(rng, q))
+    coeffs = {}
+    for _ in range(count):
+        digits = [0] * n
+        degree = int(rng.integers(0, n + 1))
+        for i in rng.choice(n, size=degree, replace=False):
+            digits[i] = int(rng.integers(1, q))
+        coeffs[sigma_encode(digits, q)] = float(rng.standard_normal())
+    return FourierPolynomial(basis, n, coeffs)
+
+
+# (q, n, |H|, restrictions, coefficients): int64 and object keys, no and all
+# coordinates restricted, one and many restrictions, an empty polynomial
+RESTRICTION_SWEEP = [
+    (2, 1, 0, 1, 2), (2, 1, 1, 2, 2), (2, 6, 3, 64, 40), (3, 5, 0, 7, 60),
+    (3, 5, 5, 243, 60), (4, 4, 2, 1, 200), (2, 12, 6, 300, 0), (2, 63, 13, 500, 150),
+    (2, 64, 1, 1, 150), (2, 70, 35, 40, 120), (2, 70, 70, 3, 100), (3, 41, 0, 5, 80),
+    (3, 45, 20, 1, 90), (4, 32, 16, 600, 150), (4, 40, 5, 2, 300), (3, 9, 4, 81, 700),
+]
+
+
+class TestRestrictionColumns:
+    """The 1-D-key grouping and per-digit character rows give the row-wise
+    build's keys, digits and columns to the bit."""
+
+    @pytest.mark.parametrize("q, n, k, m, count", RESTRICTION_SWEEP)
+    def test_matches_the_row_wise_build_bit_for_bit(self, q, n, k, m, count):
+        rng = np.random.default_rng([q, n, k, m, count])
+        p = random_sparse_polynomial(rng, q, n, count)
+        H = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
+        xi = rng.integers(q, size=(m, k))
+        keys, digits, columns = restriction_columns(p, H, xi)
+        ref_keys, ref_digits, ref_columns = reference_restriction_columns(p, H, xi)
+        assert keys.dtype == ref_keys.dtype and keys.tolist() == ref_keys.tolist()
+        assert digits.dtype == ref_digits.dtype and np.array_equal(digits, ref_digits)
+        assert columns.shape == ref_columns.shape
+        assert columns.tobytes() == ref_columns.tobytes()
+        # the influence product in its new layout sums the same nonnegative
+        # terms, in an order BLAS picks per layout (and per thread count):
+        # two orders of k such terms differ by at most 2k rounding units
+        got = restriction_influences_at(p, H, xi)
+        ref = (ref_columns * ref_columns).T @ (ref_digits != 0)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=2 * max(len(ref_digits), 1) * 2.0**-52,
+                                   atol=0)
+
+    def test_no_row_wise_unique(self, monkeypatch):
+        real = np.unique
+
+        def unique(*args, **kwargs):
+            assert kwargs.get("axis") is None, "row-wise np.unique in a restriction"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", unique)
+        rng = np.random.default_rng(9)
+        p = random_sparse_polynomial(rng, 3, 8, 120)
+        restrict(p, [1, 4], [0, 2])
+        restriction_regular_probability(p, [0, 3, 5], tau=0.2)
+        restriction_regular_probability(p, [0, 3, 5], tau=0.2, mode="monte_carlo", samples=50)
+
+
 class TestPolynomialKeys:
     """The constructor takes integer keys in [0, q^n) and keeps their order."""
+
+    def test_key_dtype_is_judged_without_place_values(self, monkeypatch):
+        def place_values(q, n):
+            raise AssertionError("the constructor built the place values")
+
+        monkeypatch.setattr(fourier, "place_values", place_values)
+        basis = build_basis(BIT)
+        assert FourierPolynomial(basis, 63, {2**63 - 1: 1.0}).keys.dtype == np.int64
+        assert FourierPolynomial(basis, 64, {2**64 - 1: 1.0}).keys.dtype == object
+        triple = build_basis(FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5]))
+        assert FourierPolynomial(triple, 10**4, {}).keys.dtype == object
 
     @pytest.mark.parametrize("key", [4, 7, -1, 2**70])
     def test_key_outside_range_is_rejected(self, key):

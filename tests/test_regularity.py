@@ -1,5 +1,6 @@
 """Smoothing/regularity parameter recipes and the restriction machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from nisim import (
     restriction_regular_probability,
     smoothing_params,
     transform,
+    truncate_degree,
 )
+from nisim import fourier, regularity
 from nisim.fourier import FourierPolynomial, restrict, sigma_decode
 from nisim.regularity import restriction_influences_at, smoothing_params_from_log_eta
 from nisim.spaces import FiniteSpace
@@ -174,6 +177,27 @@ class TestJointHighInfluenceSet:
         with pytest.raises(InputError, match="tail mass"):
             joint_high_influence_set(parity, parity, rp)
 
+    def test_decodes_each_side_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        p = random_low_degree(rng, 5, 3)
+        q = random_low_degree(rng, 5, 3)
+        rp = dataclasses.replace(regularity_params(2, 0.4, 0.5), beta=0.05, eta=1.0)
+        expected = joint_high_influence_set(p, q, rp)
+        composed = set(high_influence_set(truncate_degree(p, 2), 0.05)) | set(
+            high_influence_set(truncate_degree(q, 2), 0.05))
+        assert expected == tuple(sorted(composed)) and expected
+        calls = []
+        real = fourier._decode
+
+        def decode(poly):
+            calls.append(poly)
+            return real(poly)
+
+        monkeypatch.setattr(fourier, "_decode", decode)
+        monkeypatch.setattr(regularity, "_decode", decode)
+        assert joint_high_influence_set(p, q, rp) == expected
+        assert calls == [p, q]
+
     def test_matches_exhaustive_influence_scan(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -226,6 +250,12 @@ class TestRestrictionRegularProbability:
             r = restrict(p, H, list(assignment))
             assert np.allclose(row, influences(r), atol=1e-12)
 
+
+    @pytest.mark.parametrize("xi", [[[5]], [[-1]], [[0.0]], [[True]], [0], [[0, 1]], [[[0]]]])
+    def test_bad_batches_are_rejected(self, xi):
+        p = random_low_degree(np.random.default_rng(4), 3, 2)
+        with pytest.raises(InputError, match="index batch|atom indices"):
+            restriction_influences_at(p, [1], np.array(xi))
 
     @pytest.mark.parametrize("H", [[], [0, 1, 2]])
     def test_batch_influences_with_none_or_all_restricted(self, H):

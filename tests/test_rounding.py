@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import constant_table, dictator_table
 from nisim import rounding
 from nisim import (
     EmpiricalJoint2x2,
@@ -18,8 +19,6 @@ from nisim import (
     ParameterRangeError,
     TableStrategy,
     berry_esseen_sample_count,
-    constant_strategy,
-    dictator_strategy,
     estimate_strategy_stats,
     gamma_under,
     gaussian_simulator_strategy,
@@ -76,10 +75,10 @@ class TestTableStrategy:
 
     def test_dictator_and_constant(self):
         s = DSBS5.row_space
-        d = dictator_strategy(s, 2, 1, [1.0, -1.0])
+        d = dictator_table(s, 2, 1, [1.0, -1.0])
         idx = all_assignments(2, 2)
         assert np.array_equal(d.evaluate(idx), [1, -1, 1, -1])
-        c = constant_strategy(s, 2, 0.4)
+        c = constant_table(s, 2, 0.4)
         assert np.all(c.evaluate(idx) == 0.4)
 
     def test_exact_mean(self):
@@ -173,8 +172,8 @@ class TestEstimateStats:
     def test_dictator_pair_exact(self):
         for rho in (0.2, 0.5, 0.8):
             d = make_dsbs(rho)
-            f = dictator_strategy(d.row_space, 1, 0, [1.0, -1.0])
-            g = dictator_strategy(d.col_space, 1, 0, [1.0, -1.0])
+            f = dictator_table(d.row_space, 1, 0, [1.0, -1.0])
+            g = dictator_table(d.col_space, 1, 0, [1.0, -1.0])
             stats = estimate_strategy_stats(f, g, d, mode="exact")
             assert stats.corr_fg == pytest.approx(rho, abs=1e-12)
             assert stats.mean_f == pytest.approx(0.0, abs=1e-12)
@@ -191,8 +190,8 @@ class TestEstimateStats:
 
     def test_constant_pair_tv_to_perfect(self):
         d = make_dsbs(1.0)
-        f = constant_strategy(d.row_space, 1, 1.0)
-        g = constant_strategy(d.col_space, 1, 1.0)
+        f = constant_table(d.row_space, 1, 1.0)
+        g = constant_table(d.col_space, 1, 1.0)
         stats = estimate_strategy_stats(f, g, d, mode="exact")
         assert stats.corr_fg == 1.0
         target = EmpiricalJoint2x2([0.5, 0.0, 0.0, 0.5])
@@ -209,8 +208,8 @@ class TestEstimateStats:
 
     def test_self_negation_is_minus_one(self):
         d = make_dsbs(1.0)
-        f = dictator_strategy(d.row_space, 1, 0, [1.0, -1.0])
-        g = dictator_strategy(d.col_space, 1, 0, [-1.0, 1.0])
+        f = dictator_table(d.row_space, 1, 0, [1.0, -1.0])
+        g = dictator_table(d.col_space, 1, 0, [-1.0, 1.0])
         stats = estimate_strategy_stats(f, g, d, mode="exact")
         assert stats.corr_fg == pytest.approx(-1.0, abs=1e-12)
 
@@ -310,8 +309,8 @@ class TestEstimateStats:
         monkeypatch.setattr(threading, "Thread", CountingThread)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         monkeypatch.setattr(rounding, "BLOCK_CELLS", 100)  # 10 samples per chunk at n = 10
-        f = constant_strategy(DSBS5.row_space, 10, 1.0)
-        g = constant_strategy(DSBS5.col_space, 10, 1.0)
+        f = constant_table(DSBS5.row_space, 10, 1.0)
+        g = constant_table(DSBS5.col_space, 10, 1.0)
         stats = estimate_strategy_stats(f, g, DSBS5, n_samples=10 * chunks, seed=2,
                                         mode="monte_carlo", threads=threads)
         assert stats.corr_fg == 1.0
@@ -360,7 +359,7 @@ class TestEstimateStats:
                 return super().evaluate(idx)
 
         f = Failing(DSBS5.row_space, 10, np.ones(2**10))
-        g = constant_strategy(DSBS5.col_space, 10, 1.0)
+        g = constant_table(DSBS5.col_space, 10, 1.0)
         before = threading.active_count()
         with pytest.raises(ValueError, match="chunk failed"):
             estimate_strategy_stats(f, g, DSBS5, n_samples=1000, seed=2, mode="monte_carlo",
@@ -404,8 +403,8 @@ class TestEstimateStats:
 
         monkeypatch.setattr(rounding, "_generic_pair_mc", spy)
         n = 8
-        f = constant_strategy(DSBS5.row_space, n, 1.0)
-        g = constant_strategy(DSBS5.col_space, n, -1.0)
+        f = constant_table(DSBS5.row_space, n, 1.0)
+        g = constant_table(DSBS5.col_space, n, -1.0)
         stats = estimate_strategy_stats(f, g, DSBS5, n_samples=5000, seed=1,
                                         mode="monte_carlo", threads=2)
         assert stats.corr_fg == -1.0
@@ -418,8 +417,8 @@ class TestEstimateStats:
                 estimate_strategy_stats(f, g, DSBS5, n_samples=100, threads=threads)
 
     def test_coordinate_mismatch(self):
-        f = constant_strategy(DSBS5.row_space, 2, 1.0)
-        g = constant_strategy(DSBS5.col_space, 3, 1.0)
+        f = constant_table(DSBS5.row_space, 2, 1.0)
+        g = constant_table(DSBS5.col_space, 3, 1.0)
         with pytest.raises(InputError, match="coordinate"):
             estimate_strategy_stats(f, g, DSBS5)
 

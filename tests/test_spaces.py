@@ -251,6 +251,15 @@ class TestFlatIndex:
                 out = flat_index(idx, q)
                 assert out.dtype == np.int64 and np.array_equal(out, ref), (n, q)
 
+    @pytest.mark.parametrize("q, n", [(2, 63), (2, 64), (3, 40), (3, 41), (5, 70)])
+    def test_python_ints_past_int64(self, q, n):
+        idx = np.random.default_rng([q, n]).integers(0, q, (20, n))
+        idx[0] = q - 1  # the largest index, q^n - 1
+        out = flat_index(idx, q)
+        assert out.dtype == (object if q**n > 2**63 else np.int64)
+        assert out.tolist() == (idx.astype(object) @ place_values(q, n)).tolist()
+        assert out[0] == q**n - 1
+
 
 class TestTvDistance:
     def test_identical(self):
