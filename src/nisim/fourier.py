@@ -22,7 +22,13 @@ polynomial decodes it once and hands the digits to the private helpers
 A restriction groups the coefficients by their surviving and their
 restricted digits, each pattern re-encoded as one integer by Horner's rule
 (``util.flat_index``), so grouping is a 1-D integer ``np.unique`` whose
-order is the lexicographic order of the digit rows.
+order is the lexicographic order of the digit rows.  A batch of
+restrictions shares one plan (``_RestrictionPlan``: the decode, both
+groupings, the grouped coefficient matrix and the character-table
+factors), built once per call; the plan then builds the columns of one
+block of restrictions at a time.  ``restriction_columns`` keeps every
+column; ``regularity.restriction_influences_at`` keeps one block of at
+most ``util.SCRATCH_CELLS`` cells per temporary.
 
 Coordinates are 0-based throughout.
 
@@ -112,22 +118,7 @@ def build_basis(space: FiniteSpace) -> OrthonormalBasis:
     return OrthonormalBasis(space, np.array(chars))
 
 
-# -- degree-sequence encoding -------------------------------------------
-
-
-def sigma_encode(sigma: Sequence[int], q: int) -> int:
-    key = 0
-    for s in sigma:
-        key = key * q + int(s)
-    return key
-
-
-def sigma_decode(key: int, q: int, n: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        key, r = divmod(key, q)
-        digits.append(r)
-    return tuple(reversed(digits))
+# -- degree-sequence keys ------------------------------------------------
 
 
 def _decode(poly: "FourierPolynomial") -> np.ndarray:
@@ -260,8 +251,12 @@ def _influences(poly: FourierPolynomial, digits: np.ndarray) -> np.ndarray:
 
 
 def total_influence(poly: FourierPolynomial) -> float:
-    """Sum over sigma of |sigma| * f_hat(sigma)^2."""
-    return float(_degrees(_decode(poly)) @ (poly.values * poly.values))
+    """Sum over sigma of |sigma| * f_hat(sigma)^2.
+
+    An elementwise product and a numpy sum, not a BLAS dot, whose rounding
+    would follow the size of the BLAS thread pool.
+    """
+    return float(np.sum(_degrees(_decode(poly)) * (poly.values * poly.values)))
 
 
 def degree_tail_mass(poly: FourierPolynomial, d: int) -> float:
@@ -339,6 +334,50 @@ def restrict(
     return _polynomial(poly.basis, poly.n - len(H), keys, columns[:, 0])
 
 
+class _RestrictionPlan:
+    """What every block of restrictions fixing the sorted coordinates ``H``
+    shares: the surviving keys (in ``util.key_dtype`` of the surviving
+    coordinates) and digit matrix, the coefficients grouped into a
+    (surviving pattern x restricted pattern) matrix, and the (coordinate,
+    digit >= 1, restricted-pattern rows) factors of the character table.
+    Each pattern is one Horner integer, and the 1-D ``np.unique`` of those
+    integers sorts the patterns in lexicographic digit order."""
+
+    __slots__ = ("keys", "digits", "grouped", "factors", "chars")
+
+    def __init__(self, poly: FourierPolynomial, H: list[int]):
+        digits = _decode(poly)
+        T = [i for i in range(poly.n) if i not in H]
+        t_cols, h_cols = digits[:, T], digits[:, H]
+        self.keys, t_first, t_of = np.unique(
+            flat_index(t_cols, poly.q), return_index=True, return_inverse=True)
+        _, h_first, h_of = np.unique(
+            flat_index(h_cols, poly.q), return_index=True, return_inverse=True)
+        self.digits, h_digits = t_cols[t_first], h_cols[h_first]
+        self.grouped = np.zeros((len(self.digits), len(h_digits)))
+        self.grouped[t_of, h_of] = poly.values
+        self.factors = [
+            (j, d, rows) for j in range(len(H)) for d in range(1, poly.q)
+            if (rows := np.flatnonzero(h_digits[:, j] == d)).size
+        ]
+        self.chars = poly.basis.chars
+
+    def columns(self, xi: np.ndarray, out: np.ndarray | None = None,
+                table: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of the restrictions to the rows of ``xi``, one column
+        each, in ``out`` when given.  The character table (restricted patterns
+        x rows, in ``table`` when given) is built one factor at a time,
+        multiplying the rows holding that digit by one gathered row of
+        ``chars``; digit 0 is skipped, as ``chars[0]`` is 1."""
+        if table is None:
+            table = np.ones((self.grouped.shape[1], len(xi)))
+        else:
+            table.fill(1.0)
+        for j, d, rows in self.factors:
+            table[rows] *= self.chars[d, xi[:, j]]
+        return np.matmul(self.grouped, table, out=out)
+
+
 def restriction_columns(
     poly: FourierPolynomial, H: list[int], xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,40 +385,17 @@ def restriction_columns(
 
     Returns the surviving keys (in ``util.key_dtype`` of the surviving
     coordinates), their digit matrix and their coefficients, one column per
-    restriction.  Coefficients are grouped by surviving and by restricted
-    pattern: each pattern is one Horner integer, and the 1-D ``np.unique``
-    of those integers sorts the patterns in lexicographic digit order.  The
-    character table (restricted patterns x restrictions) is built one
-    (coordinate, digit >= 1) pair at a time, multiplying the rows holding
-    that digit by one gathered row of ``chars``; digit 0 is skipped, as
-    ``chars[0]`` is 1.  The table is built in blocks no larger than the
-    columns it feeds.
+    restriction.  The columns are built in blocks of restrictions whose
+    character tables are no larger than the columns they feed.
     """
-    digits = _decode(poly)
-    T = [i for i in range(poly.n) if i not in H]
-    t_cols, h_cols = digits[:, T], digits[:, H]
-    t_keys, t_first, t_of = np.unique(
-        flat_index(t_cols, poly.q), return_index=True, return_inverse=True)
-    _, h_first, h_of = np.unique(
-        flat_index(h_cols, poly.q), return_index=True, return_inverse=True)
-    t_digits, h_digits = t_cols[t_first], h_cols[h_first]
-    grouped = np.zeros((len(t_digits), len(h_digits)))
-    grouped[t_of, h_of] = poly.values
-    factors = [
-        (j, d, rows) for j in range(len(H)) for d in range(1, poly.q)
-        if (rows := np.flatnonzero(h_digits[:, j] == d)).size
-    ]
-    chars = poly.basis.chars
-    columns = np.empty((len(t_digits), len(xi)))
-    blocks = max(1, -(-len(h_digits) // max(len(t_digits), 1)))
+    plan = _RestrictionPlan(poly, H)
+    t, h = plan.grouped.shape
+    columns = np.empty((t, len(xi)))
     lo = 0
-    for part in np.array_split(xi, blocks):
-        table = np.ones((len(h_digits), len(part)))
-        for j, d, rows in factors:
-            table[rows] *= chars[d, part[:, j]]
-        np.matmul(grouped, table, out=columns[:, lo : lo + len(part)])
+    for part in np.array_split(xi, max(1, -(-h // max(t, 1)))):
+        plan.columns(part, out=columns[:, lo : lo + len(part)])
         lo += len(part)
-    return t_keys, t_digits, columns
+    return plan.keys, plan.digits, columns
 
 
 # -- hypercontractivity ----------------------------------------------------

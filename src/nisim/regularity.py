@@ -17,6 +17,15 @@ The beta recipe 1/beta = K (log K)^d with K = (2 C4)^d / (c^d tau) and
 c = alpha d / e is only self-consistent while log K >= max(1, alpha d / 2)
 (the validity floor of the restriction tail bound it is derived from);
 outside that regime K is raised to the floor and the result is flagged.
+
+``restriction_regular_probability`` judges every restriction of the
+high-influence set (exact mode) or a sample of them (Monte Carlo mode)
+through ``restriction_influences_at``, which streams the restrictions
+through one ``fourier`` restriction plan in blocks: each block's columns
+(at most ``util.SCRATCH_CELLS`` cells, as is its character table) are
+squared and multiplied by the support straight into the (|T| x
+restrictions) result, so no array holds the coefficients of every
+restriction at once.
 """
 
 from __future__ import annotations
@@ -30,15 +39,16 @@ import numpy as np
 from .errors import InputError, ParameterRangeError
 from .fourier import (
     FourierPolynomial,
+    _RestrictionPlan,
     _decode,
     _degrees,
     _influences,
     _tail_mass,
     _truncate,
     hypercontractivity_constant,
-    restriction_columns,
 )
 from .util import (
+    SCRATCH_CELLS,
     all_assignments,
     ceil_tolerant,
     check_atom_rows,
@@ -307,12 +317,21 @@ def restriction_influences_at(
     """
     H = sorted(set(int(i) for i in H))
     xi = check_atom_rows(xi_atoms, len(H), poly.q)
-    _, digits, columns = restriction_columns(poly, H, xi)
-    columns *= columns
-    # support (|T| x patterns) times squares (patterns x m): with the m
-    # restrictions as the product's rows instead, each BLAS thread packs its
-    # own patterns x m/threads panel of the squares
-    return ((digits != 0).T.astype(float) @ columns).T
+    plan = _RestrictionPlan(poly, H)
+    support = (plan.digits != 0).T.astype(float)
+    out = np.empty((len(support), len(xi)))
+    t, h = plan.grouped.shape
+    step = max(1, min(len(xi), SCRATCH_CELLS // max(1, t, h, len(support))))
+    table, squares = np.empty((h, step)), np.empty((t, step))
+    for lo in range(0, len(xi), step):
+        part = xi[lo : lo + step]
+        block = plan.columns(part, squares[:, : len(part)], table[:, : len(part)])
+        block *= block
+        # support (|T| x patterns) times squares (patterns x block): with the
+        # restrictions as the product's rows instead, each BLAS thread packs
+        # its own patterns x block/threads panel of the squares
+        np.matmul(support, block, out=out[:, lo : lo + len(part)])
+    return out.T
 
 
 def restriction_regular_probability(

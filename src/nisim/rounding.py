@@ -30,8 +30,13 @@ more than the chunks or cores allow, none at ``threads=1``), each taking
 the next chunk index in turn.  A chunk draws its row and column atoms
 with ``util.draw_cells`` (``rng.choice``'s stream over the joint cells,
 without its binary search or a divmod into rows and columns) and
-flattens index rows with ``util.flat_index``.  A chunk keeps four sums,
-of f, g, fg and (fg)^2; the joint's cells are formed once from their
+flattens index rows with ``util.flat_index``.  Beyond the arrays with one
+entry per row, no chunk temporary holds more than ``util.SCRATCH_CELLS``
+cells: ``draw_cells`` draws its uniforms in blocks of whole rows, and the
+lifted chunk, once every prefix cell is drawn, runs the multinomial
+counts, the gemvs and the outputs on row blocks of that size.  The blocks
+continue one whole-chunk call's stream, so the draws are unchanged.
+A chunk keeps four sums, of f, g, fg and (fg)^2; the joint's cells are formed once from their
 total (for +-1 outputs every sum is an exact integer).  A generic chunk
 makes no BLAS call: its sums are numpy reductions, which round the same
 whatever the size of the BLAS thread pool, and leave that pool's
@@ -60,6 +65,7 @@ from .strategies import Strategy
 from .util import (
     BLOCK_CELLS,
     CELL_CAP,
+    SCRATCH_CELLS,
     all_assignments,
     contract_coordinates,
     draw_cells,
@@ -317,10 +323,13 @@ def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
 
     Every sum is a numpy reduction, never a BLAS call: a BLAS dot rounds
     by the size of its thread pool, and its spinning workers take a core
-    from the chunk threads.
+    from the chunk threads.  The product is squared in place, so no second
+    row-long temporary is made.
     """
     prod = vf * vg
-    return np.array([vf.sum(), vg.sum(), prod.sum(), (prod * prod).sum()])
+    sums = [vf.sum(), vg.sum(), prod.sum()]
+    prod *= prod
+    return np.array([*sums, prod.sum()])
 
 
 def _lifted_pair_mc(
@@ -330,15 +339,26 @@ def _lifted_pair_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One chunk through the multinomial sufficient statistic for the suffix block."""
+    """One chunk through the multinomial sufficient statistic for the suffix block.
+
+    The prefix cells of every row are drawn first; the multinomial counts,
+    their witness sums and the outputs then follow in row blocks, which
+    continue the one-call stream.  The outputs are +-1, so each sum is an
+    exact integer and the block sums add up to the whole chunk's.
+    """
     qa, qb = dist.shape
     pjoint = dist.table.ravel()
     a, b = draw_cells(rng, dist.table, (n_samples, f.h))
     pa, pb = flat_index(a, qa), flat_index(b, qb)
-    counts = rng.multinomial(f.w, pjoint, size=n_samples)
-    vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
-    vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
-    return _chunk_sums(vf, vg)
+    wf, wg = np.repeat(f.witness, qb), np.tile(g.witness, qa)
+    acc = np.zeros(4)
+    step = max(1, SCRATCH_CELLS // len(pjoint))
+    for lo in range(0, n_samples, step):
+        counts = rng.multinomial(f.w, pjoint, size=min(step, n_samples - lo))
+        vf = f.output_for(pa[lo : lo + step], counts @ wf)
+        vg = g.output_for(pb[lo : lo + step], counts @ wg)
+        acc += _chunk_sums(vf, vg)
+    return acc
 
 
 def _generic_pair_mc(

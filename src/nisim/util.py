@@ -13,6 +13,11 @@ CEIL_REL_SLACK = 1e-9
 CELL_CAP = 10**8
 # array cells one batch may hold: search blocks, Monte Carlo chunks
 BLOCK_CELLS = 2 * 10**7
+# array cells one temporary inside a batch may hold: restriction blocks, row
+# blocks of a Monte Carlo chunk.  The allocator keeps freed temporaries
+# resident, so this bounds the working set; blocks this size still keep BLAS
+# and the per-block numpy calls efficient
+SCRATCH_CELLS = 2**17
 
 
 def all_assignments(q: int, h: int) -> np.ndarray:
@@ -153,7 +158,10 @@ def draw_cells(rng: np.random.Generator, table, shape) -> tuple[np.ndarray, np.n
     (j + 1) % qb == 0; since the CDF is nondecreasing, the row of a draw
     is the number of those entries at or below u, and its column the
     count of the others less (qb - 1) times its row.  The column count
-    stays below qa * qb, so it cannot wrap before the subtraction.
+    stays below qa * qb, so it cannot wrap before the subtraction.  The
+    uniforms are drawn in blocks of whole rows (along the first axis) of at
+    most ``SCRATCH_CELLS`` cells: ``random`` fills row-major, so the blocks
+    are the one call's stream, and the temporaries stay block-sized.
     ``table`` must be non-negative with a positive sum, which callers'
     spaces guarantee.
     """
@@ -161,11 +169,18 @@ def draw_cells(rng: np.random.Generator, table, shape) -> tuple[np.ndarray, np.n
     qb = table.shape[1]
     cdf = np.cumsum(table.ravel())
     cdf /= cdf[-1]
-    u = rng.random(shape)
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     dtype = np.min_scalar_type(len(cdf) - 1)
     rows, cols = np.zeros(shape, dtype), np.zeros(shape, dtype)
-    for j, c in enumerate(cdf[:-1]):
-        count = rows if (j + 1) % qb == 0 else cols
-        count += u >= c
-    cols -= (qb - 1) * rows
+    step = max(1, SCRATCH_CELLS // max(1, math.prod(shape[1:])))
+    u = np.empty((min(step, shape[0]), *shape[1:]))
+    mask = np.empty(u.shape, bool)
+    for lo in range(0, shape[0], step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        ub, mb = u[: len(r)], mask[: len(r)]
+        rng.random(out=ub)
+        for j, cj in enumerate(cdf[:-1]):
+            count = r if (j + 1) % qb == 0 else c
+            count += np.greater_equal(ub, cj, out=mb)
+        c -= (qb - 1) * r
     return rows, cols

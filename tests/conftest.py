@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,35 @@ def outputs_at_blas_threads():
         return outs
 
     return run
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` traces (numpy's array buffers
+    included) while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sigma_encode(sigma, q: int) -> int:
+    """Base-q key of the degree sequence ``sigma``, coordinate 0 most
+    significant: the scalar oracle for the library's key layout."""
+    key = 0
+    for s in sigma:
+        key = key * q + int(s)
+    return key
+
+
+def sigma_decode(key: int, q: int, n: int) -> tuple[int, ...]:
+    """The n base-q digits of ``key``, coordinate 0 first (``sigma_encode``'s inverse)."""
+    digits = []
+    for _ in range(n):
+        key, r = divmod(key, q)
+        digits.append(r)
+    return tuple(reversed(digits))
 
 
 def constant_table(space, n: int, value: float) -> TableStrategy:

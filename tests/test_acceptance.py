@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from conftest import sigma_decode
 from nisim import (
     ChainConstants,
     JointDistribution,
@@ -43,7 +44,7 @@ from nisim import (
     uniform_triple,
     witsenhausen_bounds,
 )
-from nisim.fourier import FourierPolynomial, restrict, sigma_decode
+from nisim.fourier import FourierPolynomial, restrict
 from nisim.regularity import restriction_influences_at
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments, kron_power

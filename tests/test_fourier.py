@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sigma_decode, sigma_encode
 from nisim import (
     ParameterRangeError,
     ValueTable,
@@ -32,7 +33,7 @@ from nisim import (
 )
 from nisim import fourier
 from nisim.errors import InputError
-from nisim.fourier import FourierPolynomial, restriction_columns, sigma_decode, sigma_encode
+from nisim.fourier import FourierPolynomial, restriction_columns
 from nisim.regularity import restriction_influences_at, restriction_regular_probability
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments, kron_power, place_values
@@ -201,6 +202,21 @@ class TestInfluence:
                 scale = 1.0 / math.sqrt(var)
                 p = FourierPolynomial(basis, 3, {k: c * scale for k, c in p.coeffs.items()})
             assert total_influence(p) <= p.degree() * max(p.variance(), 1e-12) + 1e-9
+
+    def test_total_influence_does_not_depend_on_blas_threads(self, outputs_at_blas_threads):
+        # dense q = 3, n = 9 (19,683 coefficients): a BLAS dot of the degrees
+        # and the squares rounded by the size of the BLAS thread pool
+        code = (
+            "import numpy as np\n"
+            "from nisim import FiniteSpace, ValueTable, noise_operator, total_influence, transform\n"
+            "for seed in range(4):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    space = FiniteSpace(['a', 'b', 'c'], rng.dirichlet(np.full(3, 6.0)))\n"
+            "    p = transform(ValueTable(space, 9, rng.choice([-1.0, 1.0], size=3**9)))\n"
+            "    print(total_influence(noise_operator(p, 0.9)).hex())\n"
+        )
+        outs = outputs_at_blas_threads(code)
+        assert outs[0] == outs[1]
 
     def test_out_of_range_coordinate(self):
         p = transform(ValueTable(BIT, 2, [1, 1, 1, 1]))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sigma_decode, sigma_encode, traced_peak
 from nisim import (
     InputError,
     ParameterRangeError,
@@ -25,10 +26,10 @@ from nisim import (
     truncate_degree,
 )
 from nisim import fourier, regularity
-from nisim.fourier import FourierPolynomial, restrict, sigma_decode
+from nisim.fourier import FourierPolynomial, restrict
 from nisim.regularity import restriction_influences_at, smoothing_params_from_log_eta
 from nisim.spaces import FiniteSpace
-from nisim.util import all_assignments
+from nisim.util import SCRATCH_CELLS, all_assignments
 
 BIT = FiniteSpace(["+1", "-1"], [0.5, 0.5])
 BIT_BASIS = build_basis(BIT)
@@ -310,3 +311,36 @@ class TestRestrictionInfluenceTailBound:
             freq = count / trials
             slack = 3 * math.sqrt(bound * (1 - bound) / trials) + 1e-3
             assert freq <= bound + slack
+
+
+class TestRestrictionWorkingSet:
+    """Restrictions stream through one plan in blocks of ``SCRATCH_CELLS``
+    cells: beyond the arrays with an entry per restriction (the assignments,
+    their weights and the influences), the traced peak stays within a fixed
+    budget, however many restrictions there are."""
+
+    @staticmethod
+    def _polynomial(k, t):
+        # 300 random patterns on k + t coordinates: about 300 surviving and
+        # 300 restricted patterns, so all restrictions' columns at once would
+        # hold 300 cells per restriction
+        rng = np.random.default_rng([k, t])
+        coeffs = {}
+        while len(coeffs) < 300:
+            coeffs[sigma_encode(rng.integers(2, size=k + t), 2)] = float(rng.standard_normal())
+        return FourierPolynomial(BIT_BASIS, k + t, coeffs)
+
+    @pytest.mark.parametrize("mode, k, count", [
+        ("exact", 12, 2**12), ("exact", 14, 2**14),
+        ("monte_carlo", 14, 3000), ("monte_carlo", 14, 20_000),
+    ])
+    def test_peak_beyond_per_restriction_arrays_is_bounded(self, mode, k, count):
+        t = 10
+        p = self._polynomial(k, t)
+        H = list(range(k))
+        peak = traced_peak(lambda: restriction_regular_probability(
+            p, H, tau=0.5, mode=mode, samples=count, seed=1))
+        # the assignments (int64, built through meshgrid), weights and influences
+        per_restriction = count * 8 * (2 * k + 2 * t + 2)
+        # a block's character table and squared columns, and the plan
+        assert peak <= per_restriction + 4 * SCRATCH_CELLS * 8

@@ -1,6 +1,7 @@
 """Strategies, the Gaussian simulator, the threshold lift, and the
 empirical statistics harness."""
 
+import inspect
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import constant_table, dictator_table
-from nisim import rounding
+from conftest import constant_table, dictator_table, traced_peak
+from nisim import rounding, util
 from nisim import (
     EmpiricalJoint2x2,
     HybridStrategy,
@@ -29,7 +30,7 @@ from nisim import (
     uniform_triple,
 )
 from nisim.strategies import strategy_from_json
-from nisim.util import all_assignments
+from nisim.util import SCRATCH_CELLS, all_assignments, flat_index
 
 DSBS5 = make_dsbs(0.5)
 C = rounding.MC_CHUNK_SAMPLES
@@ -421,6 +422,112 @@ class TestEstimateStats:
         g = constant_table(DSBS5.col_space, 3, 1.0)
         with pytest.raises(InputError, match="coordinate"):
             estimate_strategy_stats(f, g, DSBS5)
+
+
+def _lifted_pair(dist, h, w, seed):
+    """Lifts of random threshold forms with an h-coordinate prefix, the second
+    antipodal."""
+    rng = np.random.default_rng(seed)
+    qa, qb = dist.shape
+    f = HybridStrategy(dist.row_space, h, rng.uniform(-0.6, 0.6, qa**h))
+    g = HybridStrategy(dist.col_space, h, rng.uniform(-0.6, 0.6, qb**h), polarity=-1)
+    return lift_hybrid(f, dist, w, side="row"), lift_hybrid(g, dist, w, side="col")
+
+
+def reference_lifted_chunk(f, g, dist, n_samples, rng):
+    """The lifted chunk body before row blocks: every prefix cell through one
+    ``rng.choice``, every row's counts through one ``multinomial``, one gemv
+    per side over the whole chunk and one set of sums."""
+    qa, qb = dist.shape
+    pjoint = dist.table.ravel()
+    a, b = np.divmod(rng.choice(qa * qb, size=(n_samples, f.h), p=pjoint), qb)
+    pa, pb = flat_index(a, qa), flat_index(b, qb)
+    counts = rng.multinomial(f.w, pjoint, size=n_samples)
+    vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
+    vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
+    prod = vf * vg
+    return np.array([vf.sum(), vg.sum(), prod.sum(), (prod * prod).sum()])
+
+
+class TestLiftedChunkBlocks:
+    """The lifted chunk runs its counts, gemvs and outputs in row blocks after
+    drawing every prefix cell: its sums and the generator's next draw are the
+    unblocked body's, whatever the block and thread counts."""
+
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    @pytest.mark.parametrize("dist", [DSBS5, uniform_triple()], ids=["2x2", "3x3"])
+    @pytest.mark.parametrize("rows, cells", [
+        (C - 1, None), (C // 2 + 3, None), (1, None), (1000, 37 * 9), (37, 37 * 9), (5, 1),
+    ])
+    def test_chunk_matches_the_unblocked_body(self, h, dist, rows, cells, monkeypatch):
+        # cells shrinks the block (rows that are no multiple of it, one-row blocks)
+        if cells is not None:
+            monkeypatch.setattr(rounding, "SCRATCH_CELLS", cells)
+            monkeypatch.setattr(util, "SCRATCH_CELLS", cells)
+        f, g = _lifted_pair(dist, h, 300, h)
+        ours, theirs = np.random.default_rng(rows), np.random.default_rng(rows)
+        got = rounding._lifted_pair_mc(f, g, dist, rows, ours)
+        assert got.tobytes() == reference_lifted_chunk(f, g, dist, rows, theirs).tobytes()
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    def test_estimates_match_the_unblocked_body_at_one_and_two_threads(self, h, monkeypatch):
+        d = uniform_triple()
+        f, g = _lifted_pair(d, h, 300, h)
+        samples = 2 * C + 12_345
+        got = [json.dumps(estimate_strategy_stats(f, g, d, samples, seed=8, threads=t).as_dict())
+               for t in (1, 2)]
+        monkeypatch.setattr(rounding, "_lifted_pair_mc", reference_lifted_chunk)
+        ref = json.dumps(estimate_strategy_stats(f, g, d, samples, seed=8).as_dict())
+        assert got == [ref, ref]
+
+    def test_chunks_match_the_unblocked_body_at_both_blas_thread_counts(
+            self, outputs_at_blas_threads):
+        code = "\n".join([
+            "import numpy as np",
+            "from nisim import HybridStrategy, lift_hybrid, make_dsbs, rounding, uniform_triple",
+            "from nisim.util import flat_index",
+            inspect.getsource(_lifted_pair),
+            inspect.getsource(reference_lifted_chunk),
+            "for d in (make_dsbs(0.5), uniform_triple()):",
+            "    for h in (0, 1, 2):",
+            "        f, g = _lifted_pair(d, h, 300, h)",
+            "        rows = rounding.MC_CHUNK_SAMPLES - 1 - h",
+            "        got = rounding._lifted_pair_mc(f, g, d, rows, np.random.default_rng(h))",
+            "        ref = reference_lifted_chunk(f, g, d, rows, np.random.default_rng(h))",
+            "        print(got.tobytes() == ref.tobytes(), got.tobytes().hex())",
+        ])
+        outs = outputs_at_blas_threads(code)
+        assert outs[0] == outs[1]
+        assert outs[0].split().count(b"True") == 6
+
+
+class TestChunkWorkingSet:
+    """A chunk's temporaries come in row blocks of ``SCRATCH_CELLS`` cells:
+    beyond the arrays with an entry per row (index rows, prefix keys, output
+    values), one chunk's traced peak stays within a fixed budget, however many
+    rows the chunk has."""
+
+    @pytest.mark.parametrize("rows", [2**14, C])
+    def test_generic_chunk(self, rows):
+        n = 16
+        rng = np.random.default_rng(3)
+        f = TableStrategy(DSBS5.row_space, n, np.sign(rng.uniform(-1, 1, 2**n)))
+        g = TableStrategy(DSBS5.col_space, n, np.sign(rng.uniform(-1, 1, 2**n)))
+        peak = traced_peak(lambda: estimate_strategy_stats(f, g, DSBS5, rows, mode="monte_carlo"))
+        # two uint8 index rows and a few arrays of 8 bytes per sample; a block's
+        # uniforms and their comparison mask
+        assert peak <= rows * (2 * n + 6 * 8) + 2 * SCRATCH_CELLS * 8
+
+    @pytest.mark.parametrize("rows", [2**14, C])
+    def test_lifted_chunk(self, rows):
+        d = uniform_triple()
+        h = 2
+        f, g = _lifted_pair(d, h, 300, 4)
+        peak = traced_peak(lambda: estimate_strategy_stats(f, g, d, rows, mode="monte_carlo"))
+        # two uint8 prefix rows and two int64 prefix keys per sample; a block's
+        # counts, their float copy and a few vectors of one entry per block row
+        assert peak <= rows * (2 * h + 2 * 8) + 4 * SCRATCH_CELLS * 8
 
 
 class TestSimulatorContracts:
