@@ -9,7 +9,7 @@ mass, which this demo walks through on small examples.
 import numpy as np
 
 from nisim import (
-    ValueTable,
+    TableStrategy,
     build_basis,
     degree_tail_mass,
     hypercontractive_norm_bound,
@@ -36,7 +36,7 @@ vals = []
 for x in range(8):
     bits = [1 if (x >> k) & 1 == 0 else -1 for k in (2, 1, 0)]
     vals.append(1.0 if sum(bits) > 0 else -1.0)
-maj = transform(ValueTable(bit, 3, vals))
+maj = transform(TableStrategy(bit, 3, vals))
 print("  coefficients:", {k: round(c, 4) for k, c in sorted(maj.coeffs.items())})
 print("  influences:", influences(maj).tolist(), " (each bit matters equally)")
 print("  mass above degree 1:", round(degree_tail_mass(maj, 1), 6))
@@ -45,7 +45,7 @@ print()
 print("Noising pushes coefficient mass down by gamma^degree:")
 noised = noise_operator(maj, 0.8)
 print("  at gamma=0.8:", {k: round(c, 4) for k, c in sorted(noised.coeffs.items())})
-kernel_route = noise_operator_kernel(ValueTable(bit, 3, vals), 0.8)
+kernel_route = noise_operator_kernel(TableStrategy(bit, 3, vals), 0.8)
 spectral_route = inverse_transform(noised)
 print("  kernel route minus spectral route, sup norm:",
       float(np.abs(kernel_route.values - spectral_route.values).max()))

@@ -10,7 +10,7 @@ guarantee, and the verdict says so).
 import numpy as np
 
 from nisim import (
-    Target2x2,
+    EmpiricalJoint2x2,
     decide_2x2,
     decide_gap_nis,
     estimate_strategy_stats,
@@ -67,14 +67,14 @@ verdict = decide_gap_nis(triple, 0.25, delta, 1, grid=grid)
 fr, gr = round_pair(verdict.witness_f, verdict.witness_g, mode="rng", seed=7)
 stats = estimate_strategy_stats(fr, gr, triple, n_samples=10**6, seed=3,
                                 mode="monte_carlo")
-target = Target2x2.from_dsbs(0.25)
+target = EmpiricalJoint2x2.from_dsbs(0.25)
 print(f"  empirical table {stats.joint.probs.round(4).tolist()}")
 print(f"  TV to DSBS(0.25) = {tv_distance(stats.joint, target):.4f}"
       f"  (guarantee: <= {8 * delta})")
 
 print()
 print("General binary targets split into two cases by moment comparison:")
-anti = Target2x2.from_table([[0.0, 0.5], [0.5, 0.0]])
+anti = EmpiricalJoint2x2.from_table([[0.0, 0.5], [0.5, 0.0]])
 print(f"  target U = -V uniform: case {anti.case}, E[UV] = {anti.corr_uv}")
 verdict = decide_2x2(make_dsbs(0.5), anti, 0.2, 1, grid=grid)
 print(f"  from DSBS(0.5) at budget 0.2: {verdict.decision}, achieved {verdict.achieved}")

@@ -23,7 +23,6 @@ from .maxcorr import CorrelationReport, maximal_correlation, witsenhausen_bounds
 from .fourier import (
     FourierPolynomial,
     OrthonormalBasis,
-    ValueTable,
     build_basis,
     concentration_bound,
     degree_tail_mass,
@@ -73,7 +72,6 @@ from .rounding import (
 from .decision import (
     ChainConstants,
     ParameterChain,
-    Target2x2,
     Verdict,
     brute_force_bmip,
     decide_2x2,

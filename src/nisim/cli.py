@@ -18,7 +18,6 @@ import numpy as np
 from .corpus import corpus_entry, examples_corpus
 from .decision import (
     ChainConstants,
-    Target2x2,
     decide_2x2,
     decide_gap_nis,
     n0_chain,
@@ -32,7 +31,7 @@ from .regularity import (
     joint_high_influence_set,
 )
 from .rounding import estimate_strategy_stats
-from .spaces import JointDistribution, json_floats, tv_distance
+from .spaces import EmpiricalJoint2x2, JointDistribution, json_floats, tv_distance
 from .strategies import strategy_from_json
 
 FORMAT_VERSION = 1
@@ -59,20 +58,20 @@ def _load_strategy(path: str):
     return strategy_from_json(_read_text(path))
 
 
-def _parse_target(text: str) -> Target2x2:
+def _parse_target(text: str) -> EmpiricalJoint2x2:
     if text.startswith("dsbs:"):
         try:
             rho = float(text.split(":", 1)[1])
         except ValueError:
             raise NisimError(f"cannot parse correlation in target {text!r}") from None
-        return Target2x2.from_dsbs(rho)
+        return EmpiricalJoint2x2.from_dsbs(rho)
     try:
         d = json.loads(_read_text(text))
     except json.JSONDecodeError as exc:
         raise NisimError(f"target file {text!r} is not valid JSON: {exc}") from None
     if not isinstance(d, dict) or "probs" not in d:
         raise NisimError(f"target file {text!r} needs a 'probs' 2x2 table")
-    return Target2x2.from_table(json_floats(d["probs"], f"target file {text!r} 'probs'"))
+    return EmpiricalJoint2x2.from_table(json_floats(d["probs"], f"target file {text!r} 'probs'"))
 
 
 def _parse_constants(text: str | None) -> ChainConstants:

@@ -274,7 +274,7 @@ def _check_grid(grid) -> np.ndarray:
 # -- targets and verdicts ---------------------------------------------------------
 
 
-# a 2x2 target is its outcome table; the second name keeps Target2x2 callers working
+# a 2x2 target is its outcome table; perfbench/workloads imports this second name
 Target2x2 = EmpiricalJoint2x2
 
 

@@ -4,31 +4,31 @@ Functions f in L2(A^n, mu^n) are represented two ways: as dense value
 tables (row-major over atom-index tuples, coordinate 0 most significant)
 and as sparse coefficient maps over degree sequences sigma in Z_q^n,
 relative to a fixed orthonormal basis with the constant function first.
-The dense table is the strategy layer's ``TableStrategy``, which this
-module also exports as ``ValueTable``, so a function the search returns
-or a file holds goes through the transforms as it is.  Degree sequences
-are encoded as base-q integers for canonical map keys, with the place
-values of ``util.place_values``.
+The dense table is the strategy layer's ``TableStrategy``, so a function
+the search returns or a file holds goes through the transforms as it is.
+Degree sequences are encoded as base-q integers for canonical map keys,
+with the place values of ``util.place_values``.
 
 A ``FourierPolynomial`` stores its coefficients once, as a ``keys`` array
 (in ``util.key_dtype``: int64 while q^n fits, Python ints past that) and a
-``values`` array in one order.  The functionals, the inverse transform and
-the restriction routine read those arrays and decode the keys into a digit
-matrix, one row per coefficient in that order; the operators build their
-results from arrays too.  A caller that needs several functionals of one
-polynomial decodes it once and hands the digits to the private helpers
-(``_influences``, ``_tail_mass``, ``_truncate``).
+``values`` array in one order.  Its read-only ``digits`` matrix, one row
+per coefficient in that order, is decoded from the keys on first use and
+kept; ``degrees`` counts each row's nonzero digits.  The functionals and
+the restriction routine read ``digits``, and the operators that keep
+coefficients (truncation, noise, restriction) hand the kept rows to their
+result, so a polynomial is decoded at most once however many functionals
+read it.
 
 A restriction groups the coefficients by their surviving and their
 restricted digits, each pattern re-encoded as one integer by Horner's rule
 (``util.flat_index``), so grouping is a 1-D integer ``np.unique`` whose
 order is the lexicographic order of the digit rows.  A batch of
-restrictions shares one plan (``_RestrictionPlan``: the decode, both
-groupings, the grouped coefficient matrix and the character-table
-factors), built once per call; the plan then builds the columns of one
-block of restrictions at a time.  ``restriction_columns`` keeps every
-column; ``regularity.restriction_influences_at`` keeps one block of at
-most ``util.SCRATCH_CELLS`` cells per temporary.
+restrictions shares one plan (``_RestrictionPlan``: both groupings of the
+polynomial's digits, the grouped coefficient matrix and the
+character-table factors), built once per call; the plan then builds the
+columns of one block of restrictions at a time.  ``restriction_columns``
+keeps every column; ``regularity.restriction_influences_at`` keeps one
+block of at most ``util.SCRATCH_CELLS`` cells per temporary.
 
 Coordinates are 0-based throughout.
 
@@ -46,16 +46,19 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, ParameterRangeError, ResourceLimitError
-from .spaces import FiniteSpace
-from .strategies import TableStrategy as ValueTable
+from .spaces import FiniteSpace, json_floats
+from .strategies import TableStrategy
 from .util import (
     CELL_CAP,
     contract_coordinates,
     flat_index,
+    index_digits,
     key_dtype,
-    place_values,
     power_exceeds,
 )
+
+# perfbench/workloads imports this second name of the dense table
+ValueTable = TableStrategy
 
 ORTHONORMALITY_TOL = 1e-10
 GS_RESIDUAL_TOL = 1e-12
@@ -118,21 +121,12 @@ def build_basis(space: FiniteSpace) -> OrthonormalBasis:
     return OrthonormalBasis(space, np.array(chars))
 
 
-# -- degree-sequence keys ------------------------------------------------
+# -- polynomials ---------------------------------------------------------
 
 
 def _decode(poly: "FourierPolynomial") -> np.ndarray:
     """Digit matrix of the keys, one row per coefficient in ``keys`` order."""
-    places = place_values(poly.q, poly.n)
-    return (poly.keys[:, None] // places % poly.q).astype(np.int64)
-
-
-def _degrees(digits: np.ndarray) -> np.ndarray:
-    """|sigma| of each row of a digit matrix."""
-    return np.count_nonzero(digits, axis=1)
-
-
-# -- polynomials ---------------------------------------------------------
+    return index_digits(poly.keys, poly.q, poly.n)
 
 
 class FourierPolynomial:
@@ -141,11 +135,19 @@ class FourierPolynomial:
     ``keys`` holds the base-q degree-sequence keys and ``values`` their
     coefficients, in the order the map or the operator gave them;
     coefficients at or below ``COEFF_DROP_TOL`` in magnitude are dropped.
+    The coefficients must be finite numbers.
     """
 
-    __slots__ = ("basis", "n", "keys", "values")
+    __slots__ = ("basis", "n", "keys", "values", "_digits")
 
     def __init__(self, basis: OrthonormalBasis, n: int, coeffs: Mapping[int, float]):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InputError(f"coordinate count {n!r} is not an integer") from None
+        if n < 0:
+            raise ParameterRangeError("coordinate count must be nonnegative")
+        values = json_floats(list(coeffs.values()), "coefficients")
         top = basis.q**n
         keys = []
         for k in coeffs:
@@ -156,21 +158,34 @@ class FourierPolynomial:
             if not 0 <= k < top:
                 raise InputError("coefficient key outside the degree-sequence range")
             keys.append(k)
-        self._store(
-            basis, n, np.array(keys, dtype=key_dtype(basis.q, n)),
-            np.array(list(coeffs.values()), dtype=float),
-        )
+        self._store(basis, n, np.array(keys, dtype=key_dtype(basis.q, n)), values)
 
-    def _store(self, basis, n: int, keys: np.ndarray, values: np.ndarray) -> None:
+    def _store(self, basis, n: int, keys: np.ndarray, values: np.ndarray,
+               digits: np.ndarray | None = None) -> None:
         kept = np.abs(values) > COEFF_DROP_TOL
         self.basis = basis
         self.n = n
         self.keys = keys[kept]
         self.values = values[kept]
+        self._digits = None if digits is None else digits[kept]
 
     @property
     def q(self) -> int:
         return self.basis.q
+
+    @property
+    def digits(self) -> np.ndarray:
+        """Read-only (len(keys), n) int64 digit matrix of the keys, row i the
+        degree sequence of coefficient i; decoded on first use."""
+        if self._digits is None:
+            self._digits = _decode(self)
+        self._digits.setflags(write=False)
+        return self._digits
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """|sigma| of each coefficient, in ``keys`` order."""
+        return np.count_nonzero(self.digits, axis=1)
 
     @property
     def coeffs(self) -> dict[int, float]:
@@ -179,7 +194,7 @@ class FourierPolynomial:
         return dict(zip(self.keys.tolist(), self.values.tolist()))
 
     def degree(self) -> int:
-        return int(_degrees(_decode(self)).max(initial=0))
+        return int(self.degrees.max(initial=0))
 
     def mean(self) -> float:
         at = np.flatnonzero(self.keys == 0)
@@ -199,14 +214,16 @@ class FourierPolynomial:
         return math.sqrt(self.energy())
 
 
-def _polynomial(basis, n: int, keys: np.ndarray, values: np.ndarray) -> FourierPolynomial:
-    """A polynomial straight from arrays whose keys are known to lie in range."""
+def _polynomial(basis, n: int, keys: np.ndarray, values: np.ndarray,
+                digits: np.ndarray | None = None) -> FourierPolynomial:
+    """A polynomial straight from arrays whose keys are known to lie in range
+    and whose ``digits``, when given, are the keys' digit rows."""
     poly = FourierPolynomial.__new__(FourierPolynomial)
-    poly._store(basis, n, keys, values)
+    poly._store(basis, n, keys, values, digits)
     return poly
 
 
-def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> FourierPolynomial:
+def transform(table: TableStrategy, basis: OrthonormalBasis | None = None) -> FourierPolynomial:
     """Coefficients f_hat(sigma) = <f, X_sigma> under the product measure."""
     if basis is None:
         basis = build_basis(table.space)
@@ -217,14 +234,14 @@ def transform(table: ValueTable, basis: OrthonormalBasis | None = None) -> Fouri
     return _polynomial(basis, table.n, np.arange(flat.size), flat)
 
 
-def inverse_transform(poly: FourierPolynomial) -> ValueTable:
+def inverse_transform(poly: FourierPolynomial) -> TableStrategy:
     """Pointwise values f(x) = sum_sigma f_hat(sigma) X_sigma(x)."""
     q, n = poly.q, poly.n
     if power_exceeds(q, n, CELL_CAP):
         raise ResourceLimitError(f"dense table needs {q}^{n} cells, above the cap {CELL_CAP}")
     arr = np.zeros(q**n)
     arr[poly.keys] = poly.values
-    return ValueTable(poly.basis.space, n, contract_coordinates(arr, poly.basis.chars.T, n))
+    return TableStrategy(poly.basis.space, n, contract_coordinates(arr, poly.basis.chars.T, n))
 
 
 # -- spectral functionals -------------------------------------------------
@@ -239,13 +256,8 @@ def influence(poly: FourierPolynomial, i: int) -> float:
 
 def influences(poly: FourierPolynomial) -> np.ndarray:
     """All n coordinate influences at once."""
-    return _influences(poly, _decode(poly))
-
-
-def _influences(poly: FourierPolynomial, digits: np.ndarray) -> np.ndarray:
-    """``influences`` from the polynomial's digit matrix."""
     values = poly.values
-    rows, cols = np.nonzero(digits)
+    rows, cols = np.nonzero(poly.digits)
     # bincount adds each coordinate's squares in coefficient order, as a loop would
     return np.bincount(cols, weights=(values * values)[rows], minlength=poly.n).astype(float)
 
@@ -256,45 +268,34 @@ def total_influence(poly: FourierPolynomial) -> float:
     An elementwise product and a numpy sum, not a BLAS dot, whose rounding
     would follow the size of the BLAS thread pool.
     """
-    return float(np.sum(_degrees(_decode(poly)) * (poly.values * poly.values)))
+    return float(np.sum(poly.degrees * (poly.values * poly.values)))
 
 
 def degree_tail_mass(poly: FourierPolynomial, d: int) -> float:
     """Fourier mass strictly above degree d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    return _tail_mass(poly, _degrees(_decode(poly)), d)
-
-
-def _tail_mass(poly: FourierPolynomial, degrees: np.ndarray, d: int) -> float:
-    """``degree_tail_mass`` from the coefficients' degrees."""
-    return float(np.sum(poly.values[degrees > d] ** 2))
+    return float(np.sum(poly.values[poly.degrees > d] ** 2))
 
 
 def truncate_degree(poly: FourierPolynomial, d: int) -> FourierPolynomial:
     """Keep coefficients with |sigma| <= d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    return _truncate(poly, _degrees(_decode(poly)), d)[0]
-
-
-def _truncate(
-    poly: FourierPolynomial, degrees: np.ndarray, d: int
-) -> tuple[FourierPolynomial, np.ndarray]:
-    """``truncate_degree`` from the coefficients' degrees, with the kept-row mask."""
-    kept = degrees <= d
-    return _polynomial(poly.basis, poly.n, poly.keys[kept], poly.values[kept]), kept
+    kept = poly.degrees <= d
+    return _polynomial(poly.basis, poly.n, poly.keys[kept], poly.values[kept],
+                       poly.digits[kept])
 
 
 def noise_operator(poly: FourierPolynomial, gamma: float) -> FourierPolynomial:
     """Coefficient-wise multiplier gamma^|sigma|; the mean is untouched."""
     if not 0.0 <= gamma <= 1.0:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
-    factors = gamma ** _degrees(_decode(poly))
-    return _polynomial(poly.basis, poly.n, poly.keys, poly.values * factors)
+    factors = gamma ** poly.degrees
+    return _polynomial(poly.basis, poly.n, poly.keys, poly.values * factors, poly.digits)
 
 
-def noise_operator_kernel(table: ValueTable, gamma: float) -> ValueTable:
+def noise_operator_kernel(table: TableStrategy, gamma: float) -> TableStrategy:
     """Markov-kernel form of the noise operator, applied to a value table.
 
     Each coordinate is kept with probability gamma and resampled from mu
@@ -305,7 +306,7 @@ def noise_operator_kernel(table: ValueTable, gamma: float) -> ValueTable:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
     q, mu = table.space.q, table.space.probs
     kernel = gamma * np.eye(q) + (1.0 - gamma) * np.tile(mu, (q, 1))
-    return ValueTable(table.space, table.n, contract_coordinates(table.values, kernel, table.n))
+    return TableStrategy(table.space, table.n, contract_coordinates(table.values, kernel, table.n))
 
 
 def restrict(
@@ -317,9 +318,7 @@ def restrict(
     P_xi_hat(sigma_T) = sum over sigma_H of P_hat(sigma_H o sigma_T) X_sigma_H(xi);
     the result is re-indexed over the surviving coordinates in order.
     """
-    H = sorted(set(int(i) for i in coords))
-    if any(i < 0 or i >= poly.n for i in H):
-        raise ParameterRangeError(f"restricted coordinates must lie in [0, {poly.n})")
+    H = restricted_coordinates(poly, coords)
     assignment = list(assignment)
     if len(assignment) != len(H):
         raise InputError(f"need {len(H)} assigned atoms, got {len(assignment)}")
@@ -330,8 +329,20 @@ def restrict(
     for a in xi:
         if not 0 <= a < space.q:
             raise InputError(f"atom index {a} outside the space")
-    keys, _, columns = restriction_columns(poly, H, np.array([xi], dtype=np.int64))
-    return _polynomial(poly.basis, poly.n - len(H), keys, columns[:, 0])
+    keys, digits, columns = restriction_columns(poly, H, np.array([xi], dtype=np.int64))
+    return _polynomial(poly.basis, poly.n - len(H), keys, columns[:, 0], digits)
+
+
+def restricted_coordinates(poly: FourierPolynomial, coords: Iterable[int]) -> list[int]:
+    """The coordinates ``coords`` sorted, without repeats: ``InputError`` for a
+    non-integer, ``ParameterRangeError`` for one outside [0, poly.n)."""
+    try:
+        H = sorted({operator.index(i) for i in coords})
+    except TypeError:
+        raise InputError("restricted coordinates must be integers") from None
+    if H and (H[0] < 0 or H[-1] >= poly.n):
+        raise ParameterRangeError(f"restricted coordinates must lie in [0, {poly.n})")
+    return H
 
 
 class _RestrictionPlan:
@@ -346,9 +357,8 @@ class _RestrictionPlan:
     __slots__ = ("keys", "digits", "grouped", "factors", "chars")
 
     def __init__(self, poly: FourierPolynomial, H: list[int]):
-        digits = _decode(poly)
         T = [i for i in range(poly.n) if i not in H]
-        t_cols, h_cols = digits[:, T], digits[:, H]
+        t_cols, h_cols = poly.digits[:, T], poly.digits[:, H]
         self.keys, t_first, t_of = np.unique(
             flat_index(t_cols, poly.q), return_index=True, return_inverse=True)
         _, h_first, h_of = np.unique(
@@ -379,16 +389,17 @@ class _RestrictionPlan:
 
 
 def restriction_columns(
-    poly: FourierPolynomial, H: list[int], xi: np.ndarray
+    poly: FourierPolynomial, H: Iterable[int], xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restrictions fixing the sorted coordinates ``H`` to each row of atom indices ``xi``.
+    """Restrictions fixing the coordinates ``H`` to each row of atom indices ``xi``,
+    one column of ``xi`` per coordinate of ``H`` in sorted order.
 
     Returns the surviving keys (in ``util.key_dtype`` of the surviving
     coordinates), their digit matrix and their coefficients, one column per
     restriction.  The columns are built in blocks of restrictions whose
     character tables are no larger than the columns they feed.
     """
-    plan = _RestrictionPlan(poly, H)
+    plan = _RestrictionPlan(poly, restricted_coordinates(poly, H))
     t, h = plan.grouped.shape
     columns = np.empty((t, len(xi)))
     lo = 0

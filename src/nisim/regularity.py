@@ -40,12 +40,11 @@ from .errors import InputError, ParameterRangeError
 from .fourier import (
     FourierPolynomial,
     _RestrictionPlan,
-    _decode,
-    _degrees,
-    _influences,
-    _tail_mass,
-    _truncate,
+    degree_tail_mass,
     hypercontractivity_constant,
+    influences,
+    restricted_coordinates,
+    truncate_degree,
 )
 from .util import (
     SCRATCH_CELLS,
@@ -233,20 +232,13 @@ def high_influence_set(poly: FourierPolynomial, beta: float) -> tuple[int, ...]:
 
     Guaranteed no larger than deg/beta coordinates when Var <= 1.
     """
-    return _high_influence_set(poly, _decode(poly), beta)
-
-
-def _high_influence_set(
-    poly: FourierPolynomial, digits: np.ndarray, beta: float
-) -> tuple[int, ...]:
-    """``high_influence_set`` from the polynomial's digit matrix."""
     if beta <= 0.0:
         raise ParameterRangeError(f"influence cutoff must be positive, got {beta}")
     if poly.variance() > 1.0 + VAR_TOL:
         raise InputError(
             f"variance {poly.variance():.6g} exceeds 1; normalize before extracting"
         )
-    inf = _influences(poly, digits)
+    inf = influences(poly)
     return tuple(int(i) for i in np.nonzero(inf >= beta)[0])
 
 
@@ -259,8 +251,8 @@ def joint_high_influence_set(
     """Union of the two parties' high-influence sets of the degree-d truncations.
 
     Requires tail mass above d at most eta on both sides; the union has at
-    most h_p + h_q coordinates.  Each side's keys are decoded once, for its
-    tail mass, its truncation and the truncation's influences.
+    most h_p + h_q coordinates.  The truncations keep their polynomial's
+    digit rows, so each side is decoded at most once.
     """
     if params_q is None:
         params_q = params_p
@@ -268,21 +260,16 @@ def joint_high_influence_set(
         raise InputError("the two functions must have the same coordinate count")
     truncations = []
     for poly, params, side in ((p, params_p, "first"), (q, params_q, "second")):
-        if params.d < 0:
-            raise ParameterRangeError("degree cutoff must be nonnegative")
-        digits = _decode(poly)
-        degrees = _degrees(digits)
-        tail = _tail_mass(poly, degrees, params.d)
+        tail = degree_tail_mass(poly, params.d)
         if tail > params.eta + 1e-12:
             raise InputError(
                 f"{side} function has tail mass {tail:.6g} above degree {params.d}, "
                 f"exceeding the budget eta = {params.eta:.6g}"
             )
-        trunc, kept = _truncate(poly, degrees, params.d)
-        truncations.append((trunc, digits[kept], params.beta))
+        truncations.append((truncate_degree(poly, params.d), params.beta))
     if params_p.beta <= 0.0 or params_q.beta <= 0.0:
         raise ParameterRangeError("beta underflowed; instance is out of enumerable range")
-    h_p, h_q = (_high_influence_set(*side) for side in truncations)
+    h_p, h_q = (high_influence_set(*side) for side in truncations)
     return tuple(sorted(set(h_p) | set(h_q)))
 
 
@@ -315,7 +302,7 @@ def restriction_influences_at(
     ``xi_atoms`` must be an (m, |H|) batch of integer atom indices in [0, q),
     one column per restricted coordinate in sorted order.
     """
-    H = sorted(set(int(i) for i in H))
+    H = restricted_coordinates(poly, H)
     xi = check_atom_rows(xi_atoms, len(H), poly.q)
     plan = _RestrictionPlan(poly, H)
     support = (plan.digits != 0).T.astype(float)
@@ -348,9 +335,7 @@ def restriction_regular_probability(
     product measure) when they fit the cap; ``mode="monte_carlo"`` samples.
     Estimates carry a Wilson 95% interval (degenerate for exact mode).
     """
-    H = sorted(set(int(i) for i in H))
-    if any(i < 0 or i >= poly.n for i in H):
-        raise ParameterRangeError(f"restricted coordinates must lie in [0, {poly.n})")
+    H = restricted_coordinates(poly, H)
     q = poly.q
     space = poly.basis.space
     if mode == "exact":

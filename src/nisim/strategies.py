@@ -32,10 +32,8 @@ class Strategy:
 
 
 class TableStrategy(Strategy):
-    """Dense value table over all q^n coordinate tuples (row-major).
-
-    This is also the Fourier layer's value table, ``fourier.ValueTable``.
-    """
+    """Dense value table over all q^n coordinate tuples (row-major); also the
+    Fourier layer's value table."""
 
     def __init__(self, space: FiniteSpace, n: int, values):
         if n < 0:

@@ -21,11 +21,9 @@ SCRATCH_CELLS = 2**17
 
 
 def all_assignments(q: int, h: int) -> np.ndarray:
-    """All q^h atom-index tuples, lexicographic, shape (q^h, h)."""
-    if h == 0:
-        return np.zeros((1, 0), dtype=int)
-    grids = np.meshgrid(*[np.arange(q)] * h, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    """All q^h atom-index tuples, lexicographic, shape (q^h, h): the digits of
+    every row-major flat index in order."""
+    return index_digits(np.arange(q**h), q, h)
 
 
 def power_exceeds(base: int, exp: int, cap: int) -> bool:
@@ -62,6 +60,15 @@ def flat_index(idx: np.ndarray, q: int) -> np.ndarray:
         out *= q
         out += idx[:, j]
     return out
+
+
+def index_digits(flat: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The (m, n) int64 digit matrix of the row-major flat indices ``flat``
+    (``flat_index``'s inverse), coordinate 0 first.  One (m, n) quotient
+    array, reduced mod q in place."""
+    digits = flat[:, None] // place_values(q, n)
+    digits %= q
+    return digits.astype(np.int64, copy=False)
 
 
 def check_atom_rows(idx, width: int, q: int) -> np.ndarray:

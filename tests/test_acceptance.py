@@ -13,9 +13,9 @@ import numpy as np
 from conftest import sigma_decode
 from nisim import (
     ChainConstants,
+    EmpiricalJoint2x2,
     JointDistribution,
-    Target2x2,
-    ValueTable,
+    TableStrategy,
     berry_esseen_sample_count,
     bivariate_cdf,
     brute_force_bmip,
@@ -199,8 +199,8 @@ def test_criterion_4_noise_and_smoothing():
                 for _ in range(10):
                     fv = np.clip(rng.standard_normal(2**n), -1, 1)
                     gv = np.clip(rng.standard_normal(2**n), -1, 1)
-                    pf = transform(ValueTable(dist.row_space, n, fv), basis_a)
-                    pg = transform(ValueTable(dist.col_space, n, gv), basis_b)
+                    pf = transform(TableStrategy(dist.row_space, n, fv), basis_a)
+                    pg = transform(TableStrategy(dist.col_space, n, gv), basis_b)
                     f1 = inverse_transform(noise_operator(pf, sp.gamma)).values
                     g1 = inverse_transform(noise_operator(pg, sp.gamma)).values
                     before = fv @ table_n.table @ gv
@@ -340,7 +340,7 @@ def test_criterion_8_decision_soundness():
             stats = estimate_strategy_stats(
                 fr, gr, dist, n_samples=10**6, seed=9, mode="monte_carlo"
             )
-            target = Target2x2.from_dsbs(rho)
+            target = EmpiricalJoint2x2.from_dsbs(rho)
             margin = 3 * (stats.stderr_mean_f + stats.stderr_mean_g + stats.stderr_corr)
             assert tv_distance(stats.joint, target) <= 8 * delta + margin
 

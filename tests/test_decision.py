@@ -10,13 +10,13 @@ import pytest
 from conftest import constant_table
 from nisim import (
     ChainConstants,
+    EmpiricalJoint2x2,
     JointDistribution,
     InputError,
     NisimError,
     ParameterRangeError,
     ResourceLimitError,
     TableStrategy,
-    Target2x2,
     alpha_component_graph,
     brute_force_bmip,
     decide_2x2,
@@ -384,7 +384,7 @@ class TestBruteForce:
         with pytest.raises(error, match="value grid"):
             decide_gap_nis(dsbs, 0.9, 0.3, 1, grid=grid)
         with pytest.raises(error, match="value grid"):
-            decide_2x2(dsbs, Target2x2.from_dsbs(0.9), 0.3, 1, grid=grid)
+            decide_2x2(dsbs, EmpiricalJoint2x2.from_dsbs(0.9), 0.3, 1, grid=grid)
         with pytest.raises(error, match="value grid"):
             brute_force_bmip(dsbs, 1, 0.9, 0.3, (0.1, 0.1), grid=grid)
 
@@ -712,7 +712,7 @@ class TestDecideGapNis:
         fr, gr = round_pair(v.witness_f, v.witness_g, mode="rng", seed=33)
         stats = estimate_strategy_stats(fr, gr, TRIPLE, n_samples=10**6, seed=6,
                                         mode="monte_carlo")
-        target = Target2x2.from_dsbs(0.25)
+        target = EmpiricalJoint2x2.from_dsbs(0.25)
         assert tv_distance(stats.joint, target) <= 8 * delta
 
     def test_depth_two_strictly_helps_on_the_triple(self):
@@ -782,7 +782,7 @@ class TestDecideGapNis:
         assert "searched n <= 6" in v.caveat
         assert "depth 7 exceeds a search cap" in v.caveat
         assert "at most 64 variables per side" in v.caveat
-        target = Target2x2.from_table([[0.415, 0.085], [0.085, 0.415]])
+        target = EmpiricalJoint2x2.from_table([[0.415, 0.085], [0.085, 0.415]])
         w = decide_2x2(make_dsbs(0.5), target, 0.05, 9)
         assert (w.reason, w.n_used) == ("bounded-depth", 6)
         assert "(case I): searched n <= 6" in w.caveat
@@ -809,16 +809,16 @@ class TestDecideGapNis:
 
 class TestDecide2x2:
     def test_dsbs_target_matches_gap_nis(self):
-        target = Target2x2.from_dsbs(0.25)
+        target = EmpiricalJoint2x2.from_dsbs(0.25)
         a = decide_2x2(TRIPLE, target, 0.05, 1, grid=COARSE)
         b = decide_gap_nis(TRIPLE, 0.25, 0.05, 1, grid=COARSE)
         assert a.decision == b.decision
         assert a.achieved["corr_fg"] == pytest.approx(b.achieved["corr_fg"], abs=1e-9)
 
     def test_case_tags(self):
-        assert Target2x2.from_dsbs(0.3).case == "I"
-        assert Target2x2.from_dsbs(-0.3).case == "II"
-        t = Target2x2.from_table([[0.4, 0.2], [0.2, 0.2]])
+        assert EmpiricalJoint2x2.from_dsbs(0.3).case == "I"
+        assert EmpiricalJoint2x2.from_dsbs(-0.3).case == "II"
+        t = EmpiricalJoint2x2.from_table([[0.4, 0.2], [0.2, 0.2]])
         assert t.case == ("I" if t.corr_uv >= t.mean_u * t.mean_v else "II")
 
     def test_independent_target_accepted_via_constants(self):
@@ -831,7 +831,7 @@ class TestDecide2x2:
             (1 - mean_u + mean_v - mean_u * mean_v) / 4,
             (1 - mean_u - mean_v + mean_u * mean_v) / 4,
         ]
-        target = Target2x2.from_table(np.array(probs).reshape(2, 2))
+        target = EmpiricalJoint2x2.from_table(np.array(probs).reshape(2, 2))
         v = decide_2x2(make_dsbs(0.5), target, 0.2, 1)
         assert v.accepted
         assert abs(v.achieved["mean_f"] - mean_u) <= 8 * 0.2 / 3 + 0.2**2 / 5 + 1e-9
@@ -845,7 +845,7 @@ class TestDecide2x2:
         # case I target with shifted means; the witness calibrates down to
         # the target correlation and rounds within the TV guarantee
         delta = 0.1
-        target = Target2x2.from_table(
+        target = EmpiricalJoint2x2.from_table(
             np.array([0.4, 0.2, 0.15, 0.25]).reshape(2, 2)
         )
         assert target.case == "I"
@@ -872,7 +872,7 @@ class TestDecide2x2:
     def test_case_two_anti_dictator_verdict(self):
         # target U = -V uniform from DSBS(0.5): the oracle run fixes ACCEPT,
         # since the reachable minimum -0.5 is below E[UV] + 3 delta + slack
-        target = Target2x2.from_table([[0.0, 0.5], [0.5, 0.0]])
+        target = EmpiricalJoint2x2.from_table([[0.0, 0.5], [0.5, 0.0]])
         assert target.case == "II"
         assert target.corr_uv == -1.0
         v = decide_2x2(make_dsbs(0.5), target, 0.2, 1, grid=COARSE)
@@ -880,7 +880,7 @@ class TestDecide2x2:
         assert v.achieved["corr_fg"] == pytest.approx(-0.5, abs=1e-9)
 
     def test_case_two_rejects_when_floor_unreachable(self):
-        target = Target2x2.from_table([[0.0, 0.5], [0.5, 0.0]])
+        target = EmpiricalJoint2x2.from_table([[0.0, 0.5], [0.5, 0.0]])
         v = decide_2x2(make_dsbs(0.5), target, 0.05, 1, grid=COARSE)
         assert not v.accepted
         assert v.reason == "maximal-correlation-ceiling"

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import sigma_decode, sigma_encode
 from nisim import (
     ParameterRangeError,
-    ValueTable,
+    TableStrategy,
     build_basis,
     concentration_bound,
     degree_tail_mass,
@@ -31,7 +31,7 @@ from nisim import (
     transform,
     truncate_degree,
 )
-from nisim import fourier
+from nisim import fourier, util
 from nisim.errors import InputError
 from nisim.fourier import FourierPolynomial, restriction_columns
 from nisim.regularity import restriction_influences_at, restriction_regular_probability
@@ -47,10 +47,10 @@ def random_space(rng, q):
 
 
 def random_table(rng, space, n):
-    return ValueTable(space, n, rng.standard_normal(space.q**n))
+    return TableStrategy(space, n, rng.standard_normal(space.q**n))
 
 
-def pointwise_influence(table: ValueTable, i: int) -> float:
+def pointwise_influence(table: TableStrategy, i: int) -> float:
     """E over the other coordinates of the conditional variance at coordinate i."""
     q, n = table.space.q, table.n
     probs = table.space.probs
@@ -89,12 +89,12 @@ class TestBasis:
 
 class TestTransform:
     def test_constant(self):
-        p = transform(ValueTable(BIT, 3, np.ones(8)))
+        p = transform(TableStrategy(BIT, 3, np.ones(8)))
         assert p.coeffs == {0: 1.0}
 
     def test_product_character(self):
         vals = [a * b for a in (1, -1) for b in (1, -1)]
-        p = transform(ValueTable(BIT, 2, vals))
+        p = transform(TableStrategy(BIT, 2, vals))
         assert set(p.coeffs) == {sigma_encode((1, 1), 2)}
         assert p.coeffs[3] == pytest.approx(1.0)
 
@@ -114,7 +114,7 @@ class TestTransform:
         rng = np.random.default_rng(17)
         s = random_space(rng, 3)
         basis = build_basis(s)
-        w = ValueTable(s, 3, np.ones(27)).weights()
+        w = TableStrategy(s, 3, np.ones(27)).weights()
         for _ in range(20):
             f = random_table(rng, s, 3)
             g = random_table(rng, s, 3)
@@ -129,7 +129,7 @@ class TestTransform:
     def test_zero_coordinates(self, c):
         """n = 0: one value, the constant coefficient; |c| <= 1e-14 is dropped."""
         s = random_space(np.random.default_rng(5), 3)
-        table = ValueTable(s, 0, [c])
+        table = TableStrategy(s, 0, [c])
         p = transform(table)
         assert p.coeffs == ({0: c} if abs(c) > 1e-14 else {})
         back = inverse_transform(FourierPolynomial(build_basis(s), 0, {0: c}))
@@ -148,7 +148,8 @@ class TestTransform:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         for first in ("nisim.fourier", "nisim.strategies"):
             code = (f"import {first}\nimport nisim\n"
-                    "print(nisim.ValueTable is nisim.TableStrategy is nisim.fourier.ValueTable)")
+                    "print(nisim.TableStrategy is nisim.fourier.TableStrategy"
+                    " is nisim.fourier.ValueTable)")
             out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                  capture_output=True, text=True).stdout
             assert out.strip() == "True", first
@@ -165,7 +166,7 @@ class TestTransform:
 class TestInfluence:
     def test_dictator(self):
         vals = [a for a in (1, -1) for _ in (0, 1)]
-        p = transform(ValueTable(BIT, 2, vals))
+        p = transform(TableStrategy(BIT, 2, vals))
         assert influence(p, 0) == pytest.approx(1.0)
         assert influence(p, 1) == pytest.approx(0.0)
 
@@ -173,7 +174,7 @@ class TestInfluence:
         vals = []
         for bits in itertools.product((1, -1), repeat=3):
             vals.append(1.0 if sum(bits) > 0 else -1.0)
-        p = transform(ValueTable(BIT, 3, vals))
+        p = transform(TableStrategy(BIT, 3, vals))
         assert np.allclose(influences(p), 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
@@ -208,18 +209,18 @@ class TestInfluence:
         # and the squares rounded by the size of the BLAS thread pool
         code = (
             "import numpy as np\n"
-            "from nisim import FiniteSpace, ValueTable, noise_operator, total_influence, transform\n"
+            "from nisim import FiniteSpace, TableStrategy, noise_operator, total_influence, transform\n"
             "for seed in range(4):\n"
             "    rng = np.random.default_rng(seed)\n"
             "    space = FiniteSpace(['a', 'b', 'c'], rng.dirichlet(np.full(3, 6.0)))\n"
-            "    p = transform(ValueTable(space, 9, rng.choice([-1.0, 1.0], size=3**9)))\n"
+            "    p = transform(TableStrategy(space, 9, rng.choice([-1.0, 1.0], size=3**9)))\n"
             "    print(total_influence(noise_operator(p, 0.9)).hex())\n"
         )
         outs = outputs_at_blas_threads(code)
         assert outs[0] == outs[1]
 
     def test_out_of_range_coordinate(self):
-        p = transform(ValueTable(BIT, 2, [1, 1, 1, 1]))
+        p = transform(TableStrategy(BIT, 2, [1, 1, 1, 1]))
         with pytest.raises(ParameterRangeError):
             influence(p, 2)
 
@@ -227,12 +228,12 @@ class TestInfluence:
 class TestDegreeOperations:
     def test_parity_tail(self):
         vals = [a * b * c for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-        p = transform(ValueTable(BIT, 3, vals))
+        p = transform(TableStrategy(BIT, 3, vals))
         assert degree_tail_mass(p, 2) == pytest.approx(1.0)
         assert degree_tail_mass(p, 3) == 0.0
 
     def test_constant_tail(self):
-        p = transform(ValueTable(BIT, 2, np.ones(4)))
+        p = transform(TableStrategy(BIT, 2, np.ones(4)))
         assert degree_tail_mass(p, 0) == 0.0
 
     def test_truncate_at_n_is_identity(self):
@@ -296,7 +297,7 @@ class TestNoiseOperator:
         assert noise_operator(p, 0.42).mean() == p.mean()
 
     def test_range_error(self):
-        p = transform(ValueTable(BIT, 1, [1.0, -1.0]))
+        p = transform(TableStrategy(BIT, 1, [1.0, -1.0]))
         with pytest.raises(ParameterRangeError):
             noise_operator(p, 1.5)
 
@@ -304,7 +305,7 @@ class TestNoiseOperator:
 class TestRestriction:
     def test_parity_substitution(self):
         vals = [a * b for a in (1, -1) for b in (1, -1)]
-        p = transform(ValueTable(BIT, 2, vals))
+        p = transform(TableStrategy(BIT, 2, vals))
         r = restrict(p, [0], ["-1"])
         assert r.n == 1
         assert r.coeffs == {1: -1.0}
@@ -360,6 +361,42 @@ class TestRestriction:
                 )
                 assert avg == pytest.approx(influence(p, i), abs=1e-9)
 
+    @pytest.mark.parametrize("H", [[-1], [3], [0, 3]])
+    def test_coordinates_outside_the_polynomial_are_rejected(self, H):
+        p = random_sparse_polynomial(np.random.default_rng(17), 2, 3, 6)
+        xi = np.zeros((2, len(H)), dtype=np.int64)
+        calls = [
+            lambda: restrict(p, H, [0] * len(H)),
+            lambda: restriction_columns(p, H, xi),
+            lambda: restriction_influences_at(p, H, xi),
+            lambda: restriction_regular_probability(p, H, tau=0.5),
+            lambda: restriction_regular_probability(p, H, tau=0.5, mode="monte_carlo",
+                                                    samples=5),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterRangeError, match="restricted coordinates"):
+                call()
+
+    def test_coordinates_must_be_integers(self):
+        p = random_sparse_polynomial(np.random.default_rng(17), 2, 3, 6)
+        xi = np.zeros((1, 1), dtype=np.int64)
+        for call in (lambda: restrict(p, [1.7], [0]),
+                     lambda: restriction_influences_at(p, [1.0], xi)):
+            with pytest.raises(InputError, match="must be integers"):
+                call()
+        assert restrict(p, np.array([1]), [0]).coeffs == restrict(p, [1], [0]).coeffs
+
+    def test_coordinates_are_sorted_and_deduplicated(self):
+        p = random_sparse_polynomial(np.random.default_rng(18), 3, 5, 40)
+        xi = all_assignments(3, 2)
+        for H in ([3, 1], [1, 3, 1]):
+            assert restrict(p, H, [2, 0]).coeffs == restrict(p, [1, 3], [2, 0]).coeffs
+            for got, want in zip(restriction_columns(p, H, xi),
+                                 restriction_columns(p, [1, 3], xi)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(restriction_influences_at(p, H, xi),
+                                          restriction_influences_at(p, [1, 3], xi))
+
     def test_expected_variance_never_grows(self):
         rng = np.random.default_rng(16)
         s = random_space(rng, 3)
@@ -393,7 +430,7 @@ class TestHypercontractivity:
             hypercontractivity_constant(0.3, 1.5)
 
     def test_degree_zero_bound_is_l2(self):
-        p = transform(ValueTable(BIT, 2, np.full(4, 2.5)))
+        p = transform(TableStrategy(BIT, 2, np.full(4, 2.5)))
         assert hypercontractive_norm_bound(p, 4.0) == pytest.approx(2.5)
 
     def test_fourth_norm_bounded_on_random_low_degree(self):
@@ -580,7 +617,7 @@ class TestPolynomialKeys:
         def place_values(q, n):
             raise AssertionError("the constructor built the place values")
 
-        monkeypatch.setattr(fourier, "place_values", place_values)
+        monkeypatch.setattr(util, "place_values", place_values)
         basis = build_basis(BIT)
         assert FourierPolynomial(basis, 63, {2**63 - 1: 1.0}).keys.dtype == np.int64
         assert FourierPolynomial(basis, 64, {2**64 - 1: 1.0}).keys.dtype == object
@@ -591,6 +628,19 @@ class TestPolynomialKeys:
     def test_key_outside_range_is_rejected(self, key):
         with pytest.raises(InputError, match="outside the degree-sequence range"):
             FourierPolynomial(build_basis(BIT), 2, {0: 0.5, key: 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), None, float("inf"), -float("inf"), "x"])
+    def test_coefficient_that_is_not_a_finite_number_is_rejected(self, value):
+        with pytest.raises(InputError, match="finite numbers"):
+            FourierPolynomial(build_basis(BIT), 2, {0: 0.5, 1: value})
+
+    def test_coordinate_count_must_be_a_nonnegative_integer(self):
+        basis = build_basis(BIT)
+        with pytest.raises(ParameterRangeError, match="nonnegative"):
+            FourierPolynomial(basis, -1, {0: 1.0})
+        with pytest.raises(InputError, match="not an integer"):
+            FourierPolynomial(basis, 2.5, {0: 1.0})
+        assert FourierPolynomial(basis, np.int64(2), {3: 1.0}).n == 2
 
     @pytest.mark.parametrize("key", [1.5, "1"])
     def test_non_integer_key_is_rejected(self, key):
@@ -606,6 +656,41 @@ class TestPolynomialKeys:
 
 def sigma_degree_of(key, q, n):
     return sum(1 for digit in sigma_decode(key, q, n) if digit)
+
+
+class TestDigits:
+    """A polynomial decodes its keys once; the operators that keep
+    coefficients hand their kept digit rows on."""
+
+    def test_operators_carry_the_digits_of_their_result(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        for p in (random_sparse_polynomial(rng, 3, 8, 120),
+                  transform(random_table(rng, random_space(rng, 3), 4))):
+            p.digits
+            decoded = []
+            monkeypatch.setattr(fourier, "_decode", lambda poly: decoded.append(poly))
+            # gamma = 0 and 1e-9 drop coefficients: the mask applies to the digits
+            results = [truncate_degree(p, 2), noise_operator(p, 0.5), noise_operator(p, 0.0),
+                       noise_operator(p, 1e-9), restrict(p, [1, 2], [0, 2])]
+            carried = [r.digits for r in results]
+            assert decoded == []
+            monkeypatch.undo()
+            for r, digits in zip(results, carried):
+                assert digits.dtype == np.int64 and digits.shape == (len(r.keys), r.n)
+                np.testing.assert_array_equal(digits, fourier._decode(r))
+
+    def test_digits_are_read_only(self):
+        p = random_sparse_polynomial(np.random.default_rng(20), 2, 5, 10)
+        for poly in (p, truncate_degree(p, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                poly.digits[0, 0] = 1
+            with pytest.raises(AttributeError):
+                poly.digits = np.zeros_like(poly.digits)
+
+    def test_digits_past_int64(self):
+        p = FourierPolynomial(build_basis(BIT), 64, {2**64 - 1: 1.0, 2**63: 0.5})
+        np.testing.assert_array_equal(p.digits, [[1] * 64, [1] + [0] * 63])
+        assert p.digits.dtype == np.int64 and p.degrees.tolist() == [64, 1]
 
 
 class TestSigmaCodec:

@@ -10,7 +10,7 @@ from conftest import sigma_decode, sigma_encode, traced_peak
 from nisim import (
     InputError,
     ParameterRangeError,
-    ValueTable,
+    TableStrategy,
     build_basis,
     high_influence_set,
     hypercontractivity_constant,
@@ -25,7 +25,7 @@ from nisim import (
     transform,
     truncate_degree,
 )
-from nisim import fourier, regularity
+from nisim import fourier
 from nisim.fourier import FourierPolynomial, restrict
 from nisim.regularity import restriction_influences_at, smoothing_params_from_log_eta
 from nisim.spaces import FiniteSpace
@@ -137,11 +137,11 @@ class TestRegularityParams:
 class TestHighInfluenceSet:
     def test_dictator(self):
         vals = [a for a in (1, -1) for _ in range(4)]
-        p = transform(ValueTable(BIT, 3, vals))
+        p = transform(TableStrategy(BIT, 3, vals))
         assert high_influence_set(p, 0.5) == (0,)
 
     def test_constant(self):
-        p = transform(ValueTable(BIT, 2, np.ones(4) * 0.3))
+        p = transform(TableStrategy(BIT, 2, np.ones(4) * 0.3))
         assert high_influence_set(p, 0.01) == ()
 
     def test_size_bound(self):
@@ -161,19 +161,19 @@ class TestHighInfluenceSet:
 class TestJointHighInfluenceSet:
     def test_same_dictator(self):
         vals = [a for a in (1, -1) for _ in (0, 1)]
-        p = transform(ValueTable(BIT, 2, vals))
+        p = transform(TableStrategy(BIT, 2, vals))
         rp = regularity_params(1, 0.3, 0.5)
         assert joint_high_influence_set(p, p, rp) == (0,)
 
     def test_union_of_dictators(self):
-        f = transform(ValueTable(BIT, 2, [1, 1, -1, -1]))  # depends on coord 0
-        g = transform(ValueTable(BIT, 2, [1, -1, 1, -1]))  # depends on coord 1
+        f = transform(TableStrategy(BIT, 2, [1, 1, -1, -1]))  # depends on coord 0
+        g = transform(TableStrategy(BIT, 2, [1, -1, 1, -1]))  # depends on coord 1
         rp = regularity_params(1, 0.3, 0.5)
         assert joint_high_influence_set(f, g, rp) == (0, 1)
 
     def test_tail_precondition_reported(self):
         vals = [a * b * c for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-        parity = transform(ValueTable(BIT, 3, vals))
+        parity = transform(TableStrategy(BIT, 3, vals))
         rp = regularity_params(2, 0.3, 0.5)
         with pytest.raises(InputError, match="tail mass"):
             joint_high_influence_set(parity, parity, rp)
@@ -184,8 +184,8 @@ class TestJointHighInfluenceSet:
         q = random_low_degree(rng, 5, 3)
         rp = dataclasses.replace(regularity_params(2, 0.4, 0.5), beta=0.05, eta=1.0)
         expected = joint_high_influence_set(p, q, rp)
-        composed = set(high_influence_set(truncate_degree(p, 2), 0.05)) | set(
-            high_influence_set(truncate_degree(q, 2), 0.05))
+        h_p = high_influence_set(truncate_degree(p, 2), 0.05)
+        composed = set(h_p) | set(high_influence_set(truncate_degree(q, 2), 0.05))
         assert expected == tuple(sorted(composed)) and expected
         calls = []
         real = fourier._decode
@@ -194,10 +194,19 @@ class TestJointHighInfluenceSet:
             calls.append(poly)
             return real(poly)
 
+        def fresh(poly):
+            return FourierPolynomial(poly.basis, poly.n, poly.coeffs)
+
         monkeypatch.setattr(fourier, "_decode", decode)
-        monkeypatch.setattr(regularity, "_decode", decode)
+        p, q = fresh(p), fresh(q)
         assert joint_high_influence_set(p, q, rp) == expected
         assert calls == [p, q]
+        assert joint_high_influence_set(p, q, rp) == expected
+        assert calls == [p, q]
+        calls.clear()
+        p = fresh(p)
+        assert joint_high_influence_set(p, p, rp) == h_p
+        assert calls == [p]
 
     def test_matches_exhaustive_influence_scan(self):
         rng = np.random.default_rng(7)
@@ -223,12 +232,12 @@ class TestRestrictionRegularProbability:
             assert r.estimate == 1.0
 
     def test_constant_function(self):
-        p = transform(ValueTable(BIT, 3, np.full(8, 0.7)))
+        p = transform(TableStrategy(BIT, 3, np.full(8, 0.7)))
         assert restriction_regular_probability(p, [0], tau=0.05).estimate == 1.0
 
     def test_dictator_cases(self):
         vals = [a for a in (1, -1) for _ in range(4)]
-        p = transform(ValueTable(BIT, 3, vals))
+        p = transform(TableStrategy(BIT, 3, vals))
         assert restriction_regular_probability(p, [0], tau=0.2).estimate == 1.0
         assert restriction_regular_probability(p, [], tau=0.5).estimate == 0.0
 
@@ -262,7 +271,7 @@ class TestRestrictionRegularProbability:
     def test_batch_influences_with_none_or_all_restricted(self, H):
         rng = np.random.default_rng(7)
         space = FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
-        table = ValueTable(space, 3, rng.standard_normal(27))
+        table = TableStrategy(space, 3, rng.standard_normal(27))
         p = transform(table)
         xi = all_assignments(3, len(H))
         batch = restriction_influences_at(p, H, xi)
@@ -340,7 +349,17 @@ class TestRestrictionWorkingSet:
         H = list(range(k))
         peak = traced_peak(lambda: restriction_regular_probability(
             p, H, tau=0.5, mode=mode, samples=count, seed=1))
-        # the assignments (int64, built through meshgrid), weights and influences
+        # the assignments (int64), weights and influences
         per_restriction = count * 8 * (2 * k + 2 * t + 2)
         # a block's character table and squared columns, and the plan
         assert peak <= per_restriction + 4 * SCRATCH_CELLS * 8
+
+    def test_assignments_peak_near_their_own_size(self):
+        # one (q^h, h) quotient array, reduced mod q in place; a meshgrid
+        # build and its stacked copy peak at twice the result
+        out = []
+        peak = traced_peak(lambda: out.append(all_assignments(2, 14)))
+        grids = np.meshgrid(*[np.arange(2)] * 14, indexing="ij")
+        np.testing.assert_array_equal(out[0], np.stack([g.ravel() for g in grids], axis=1))
+        assert out[0].dtype == np.int64
+        assert peak <= 1.25 * out[0].nbytes

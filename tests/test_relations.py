@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nisim import EmpiricalJoint2x2, JointDistribution, Target2x2, decide_2x2
+from nisim import EmpiricalJoint2x2, JointDistribution, decide_2x2
 from nisim.decision import WORK_CAP
 from nisim.maxcorr import merge_rows
 
@@ -95,7 +95,7 @@ def test_relabelling_atoms_keeps_the_verdict(dist, target, delta, n, grid, data)
 @RELATIONS
 @given(sources(), targets(), DELTAS, DEPTHS, GRIDS)
 def test_party_swap_keeps_the_verdict(dist, target, delta, n, grid):
-    swapped = Target2x2.from_table(target.table.T)
+    swapped = EmpiricalJoint2x2.from_table(target.table.T)
     g = grid_for(dist, n, *grid)
     assert_same_verdict(
         decide(dist, target, delta, n, g), decide(transpose(dist), swapped, delta, n, g)
@@ -107,7 +107,7 @@ def test_party_swap_keeps_the_verdict(dist, target, delta, n, grid):
 def test_negating_v_flips_the_case_but_not_the_verdict(dist, target, delta, n, grid):
     # at corr = mean_u * mean_v both targets are Case I
     assume(abs(target.corr_uv - target.mean_u * target.mean_v) > 1e-9)
-    negated = Target2x2.from_table(target.table[:, ::-1])
+    negated = EmpiricalJoint2x2.from_table(target.table[:, ::-1])
     g = grid_for(dist, n, *grid)
     v, w = decide(dist, target, delta, n, g), decide(dist, negated, delta, n, g)
     assert {v.thresholds["case"], w.thresholds["case"]} == {"I", "II"}
