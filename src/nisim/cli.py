@@ -158,9 +158,9 @@ def _cmd_regularity(args) -> None:
     alpha = min(strat.space.alpha, 0.5)
     params = regularity_params(args.d, args.tau, alpha)
     H = joint_high_influence_set(poly, poly, params)
-    mode = "monte_carlo" if args.mc else "exact"
+    mode = "exact" if args.mc is None else "monte_carlo"
     prob = restriction_regular_probability(
-        poly, H, args.tau, mode=mode, samples=args.mc or 10000, seed=args.seed
+        poly, H, args.tau, mode=mode, samples=args.mc, seed=args.seed
     )
     _emit(
         {
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true",
                       help="exhaustive restriction enumeration (the default)")
-    mode.add_argument("--mc", type=int, default=0, metavar="SAMPLES",
+    mode.add_argument("--mc", type=int, default=None, metavar="SAMPLES",
                       help="Monte Carlo restriction sampling instead of exact")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_regularity)

@@ -14,21 +14,26 @@ A ``FourierPolynomial`` stores its coefficients once, as a ``keys`` array
 ``values`` array in one order.  Its read-only ``digits`` matrix, one row
 per coefficient in that order, is decoded from the keys on first use and
 kept; ``degrees`` counts each row's nonzero digits.  The functionals and
-the restriction routine read ``digits``, and the operators that keep
+the restriction plan read ``digits``, and the operators that keep
 coefficients (truncation, noise, restriction) hand the kept rows to their
-result, so a polynomial is decoded at most once however many functionals
-read it.
+result (the matrix itself when they keep every row), so a polynomial is
+decoded at most once however many functionals read it.
 
 A restriction groups the coefficients by their surviving and their
 restricted digits, each pattern re-encoded as one integer by Horner's rule
 (``util.flat_index``), so grouping is a 1-D integer ``np.unique`` whose
-order is the lexicographic order of the digit rows.  A batch of
-restrictions shares one plan (``_RestrictionPlan``: both groupings of the
+order is the lexicographic order of the digit rows.  The restrictions of
+one call share one plan (``_RestrictionPlan``: both groupings of the
 polynomial's digits, the grouped coefficient matrix and the
-character-table factors), built once per call; the plan then builds the
-columns of one block of restrictions at a time.  ``restriction_columns``
-keeps every column; ``regularity.restriction_influences_at`` keeps one
-block of at most ``util.SCRATCH_CELLS`` cells per temporary.
+character-table factors), which builds the columns of a block of
+restrictions at a time.  ``restrict`` runs it on one assignment;
+``restriction_influences_at`` streams a batch through it in blocks whose
+temporaries (columns and character table) hold at most
+``util.SCRATCH_CELLS`` cells, squaring each block's columns and
+multiplying them by the support straight into the (|T| x restrictions)
+result, so no array holds the coefficients of every restriction at once.
+Both check their index rows through ``util.check_atom_rows`` and their
+coordinates through ``restricted_coordinates``.
 
 Coordinates are 0-based throughout.
 
@@ -50,6 +55,8 @@ from .spaces import FiniteSpace, json_floats
 from .strategies import TableStrategy
 from .util import (
     CELL_CAP,
+    SCRATCH_CELLS,
+    check_atom_rows,
     contract_coordinates,
     flat_index,
     index_digits,
@@ -167,7 +174,8 @@ class FourierPolynomial:
         self.n = n
         self.keys = keys[kept]
         self.values = values[kept]
-        self._digits = None if digits is None else digits[kept]
+        # when nothing drops, the digit rows are handed over, not copied
+        self._digits = digits if digits is None or kept.all() else digits[kept]
 
     @property
     def q(self) -> int:
@@ -282,9 +290,10 @@ def truncate_degree(poly: FourierPolynomial, d: int) -> FourierPolynomial:
     """Keep coefficients with |sigma| <= d."""
     if d < 0:
         raise ParameterRangeError("degree cutoff must be nonnegative")
-    kept = poly.degrees <= d
-    return _polynomial(poly.basis, poly.n, poly.keys[kept], poly.values[kept],
-                       poly.digits[kept])
+    # the dropped coefficients become zeros, which the store drops with the
+    # rest; the kept ones are multiplied by 1.0, which leaves their bits
+    return _polynomial(poly.basis, poly.n, poly.keys, poly.values * (poly.degrees <= d),
+                       poly.digits)
 
 
 def noise_operator(poly: FourierPolynomial, gamma: float) -> FourierPolynomial:
@@ -319,18 +328,13 @@ def restrict(
     the result is re-indexed over the surviving coordinates in order.
     """
     H = restricted_coordinates(poly, coords)
-    assignment = list(assignment)
-    if len(assignment) != len(H):
-        raise InputError(f"need {len(H)} assigned atoms, got {len(assignment)}")
     space = poly.basis.space
-    xi = [
-        a if isinstance(a, (int, np.integer)) else space.index(a) for a in assignment
-    ]
-    for a in xi:
-        if not 0 <= a < space.q:
-            raise InputError(f"atom index {a} outside the space")
-    keys, digits, columns = restriction_columns(poly, H, np.array([xi], dtype=np.int64))
-    return _polynomial(poly.basis, poly.n - len(H), keys, columns[:, 0], digits)
+    xi = [a if isinstance(a, (int, np.integer)) else space.index(a) for a in assignment]
+    # an empty row would come out of np.array as floats
+    xi = check_atom_rows(np.array([xi], dtype=None if xi else np.int64), len(H), poly.q)
+    plan = _RestrictionPlan(poly, H)
+    return _polynomial(poly.basis, poly.n - len(H), plan.keys, plan.columns(xi)[:, 0],
+                       plan.digits)
 
 
 def restricted_coordinates(poly: FourierPolynomial, coords: Iterable[int]) -> list[int]:
@@ -388,25 +392,32 @@ class _RestrictionPlan:
         return np.matmul(self.grouped, table, out=out)
 
 
-def restriction_columns(
-    poly: FourierPolynomial, H: Iterable[int], xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restrictions fixing the coordinates ``H`` to each row of atom indices ``xi``,
-    one column of ``xi`` per coordinate of ``H`` in sorted order.
+def restriction_influences_at(
+    poly: FourierPolynomial, H, xi_atoms: np.ndarray
+) -> np.ndarray:
+    """Influence of every surviving coordinate for each restriction in a batch.
 
-    Returns the surviving keys (in ``util.key_dtype`` of the surviving
-    coordinates), their digit matrix and their coefficients, one column per
-    restriction.  The columns are built in blocks of restrictions whose
-    character tables are no larger than the columns they feed.
+    Returns shape (m, n - |H|), columns ordered by surviving coordinate.
+    ``xi_atoms`` must be an (m, |H|) batch of integer atom indices in [0, q),
+    one column per restricted coordinate in sorted order.
     """
-    plan = _RestrictionPlan(poly, restricted_coordinates(poly, H))
+    H = restricted_coordinates(poly, H)
+    xi = check_atom_rows(xi_atoms, len(H), poly.q)
+    plan = _RestrictionPlan(poly, H)
+    support = (plan.digits != 0).T.astype(float)
+    out = np.empty((len(support), len(xi)))
     t, h = plan.grouped.shape
-    columns = np.empty((t, len(xi)))
-    lo = 0
-    for part in np.array_split(xi, max(1, -(-h // max(t, 1)))):
-        plan.columns(part, out=columns[:, lo : lo + len(part)])
-        lo += len(part)
-    return plan.keys, plan.digits, columns
+    step = max(1, min(len(xi), SCRATCH_CELLS // max(1, t, h, len(support))))
+    table, squares = np.empty((h, step)), np.empty((t, step))
+    for lo in range(0, len(xi), step):
+        part = xi[lo : lo + step]
+        block = plan.columns(part, squares[:, : len(part)], table[:, : len(part)])
+        block *= block
+        # support (|T| x patterns) times squares (patterns x block): with the
+        # restrictions as the product's rows instead, each BLAS thread packs
+        # its own patterns x block/threads panel of the squares
+        np.matmul(support, block, out=out[:, lo : lo + len(part)])
+    return out.T
 
 
 # -- hypercontractivity ----------------------------------------------------

@@ -20,12 +20,7 @@ outside that regime K is raised to the floor and the result is flagged.
 
 ``restriction_regular_probability`` judges every restriction of the
 high-influence set (exact mode) or a sample of them (Monte Carlo mode)
-through ``restriction_influences_at``, which streams the restrictions
-through one ``fourier`` restriction plan in blocks: each block's columns
-(at most ``util.SCRATCH_CELLS`` cells, as is its character table) are
-squared and multiplied by the support straight into the (|T| x
-restrictions) result, so no array holds the coefficients of every
-restriction at once.
+through ``fourier.restriction_influences_at``.
 """
 
 from __future__ import annotations
@@ -39,18 +34,16 @@ import numpy as np
 from .errors import InputError, ParameterRangeError
 from .fourier import (
     FourierPolynomial,
-    _RestrictionPlan,
     degree_tail_mass,
     hypercontractivity_constant,
     influences,
     restricted_coordinates,
+    restriction_influences_at,
     truncate_degree,
 )
 from .util import (
-    SCRATCH_CELLS,
     all_assignments,
     ceil_tolerant,
-    check_atom_rows,
     draw_atoms,
     kron_power,
     log10_from_ln,
@@ -291,34 +284,6 @@ class RegularProbability:
             "mode": self.mode,
             "evaluations": self.evaluations,
         }
-
-
-def restriction_influences_at(
-    poly: FourierPolynomial, H, xi_atoms: np.ndarray
-) -> np.ndarray:
-    """Influence of every surviving coordinate for each restriction in a batch.
-
-    Returns shape (m, n - |H|), columns ordered by surviving coordinate.
-    ``xi_atoms`` must be an (m, |H|) batch of integer atom indices in [0, q),
-    one column per restricted coordinate in sorted order.
-    """
-    H = restricted_coordinates(poly, H)
-    xi = check_atom_rows(xi_atoms, len(H), poly.q)
-    plan = _RestrictionPlan(poly, H)
-    support = (plan.digits != 0).T.astype(float)
-    out = np.empty((len(support), len(xi)))
-    t, h = plan.grouped.shape
-    step = max(1, min(len(xi), SCRATCH_CELLS // max(1, t, h, len(support))))
-    table, squares = np.empty((h, step)), np.empty((t, step))
-    for lo in range(0, len(xi), step):
-        part = xi[lo : lo + step]
-        block = plan.columns(part, squares[:, : len(part)], table[:, : len(part)])
-        block *= block
-        # support (|T| x patterns) times squares (patterns x block): with the
-        # restrictions as the product's rows instead, each BLAS thread packs
-        # its own patterns x block/threads panel of the squares
-        np.matmul(support, block, out=out[:, lo : lo + len(part)])
-    return out.T
 
 
 def restriction_regular_probability(

@@ -44,8 +44,7 @@ from nisim import (
     uniform_triple,
     witsenhausen_bounds,
 )
-from nisim.fourier import FourierPolynomial, restrict
-from nisim.regularity import restriction_influences_at
+from nisim.fourier import FourierPolynomial, restrict, restriction_influences_at
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments, kron_power
 

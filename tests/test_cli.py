@@ -427,6 +427,12 @@ class TestCliBasics:
         )
         assert code == 1 and "sample" in err
 
+    def test_regularity_rejects_a_zero_sample_count(self, run_cli, dict_fn_path):
+        code, out, err = run_cli(
+            "regularity", dict_fn_path, "--d", "2", "--tau", "0.1", "--mc", "0",
+        )
+        assert code == 1 and out == "" and "sample" in err and "0" in err
+
     @pytest.mark.parametrize("item", ["tail:x", "tail:"])
     def test_fourier_rejects_unparsable_tail_degree(self, run_cli, dict_fn_path, item):
         code, _, err = run_cli("fourier", dict_fn_path, "--report", item)

@@ -33,8 +33,12 @@ from nisim import (
 )
 from nisim import fourier, util
 from nisim.errors import InputError
-from nisim.fourier import FourierPolynomial, restriction_columns
-from nisim.regularity import restriction_influences_at, restriction_regular_probability
+from nisim.fourier import (
+    FourierPolynomial,
+    restricted_coordinates,
+    restriction_influences_at,
+)
+from nisim.regularity import restriction_regular_probability
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments, kron_power, place_values
 
@@ -367,7 +371,6 @@ class TestRestriction:
         xi = np.zeros((2, len(H)), dtype=np.int64)
         calls = [
             lambda: restrict(p, H, [0] * len(H)),
-            lambda: restriction_columns(p, H, xi),
             lambda: restriction_influences_at(p, H, xi),
             lambda: restriction_regular_probability(p, H, tau=0.5),
             lambda: restriction_regular_probability(p, H, tau=0.5, mode="monte_carlo",
@@ -522,6 +525,24 @@ class TestKeysPastInt64:
             assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12
 
 
+def restriction_columns(poly, H, xi):
+    """Every restriction of the index rows ``xi`` through one
+    ``fourier._RestrictionPlan``, the batch split by ``np.array_split`` into
+    blocks whose character tables are no larger than the columns they feed.
+
+    Returns the surviving keys, their digit matrix and their coefficients,
+    one column per restriction.
+    """
+    plan = fourier._RestrictionPlan(poly, restricted_coordinates(poly, H))
+    t, h = plan.grouped.shape
+    columns = np.empty((t, len(xi)))
+    lo = 0
+    for part in np.array_split(xi, max(1, -(-h // max(t, 1)))):
+        plan.columns(part, out=columns[:, lo : lo + len(part)])
+        lo += len(part)
+    return plan.keys, plan.digits, columns
+
+
 def reference_restriction_columns(poly, H, xi):
     """``restriction_columns`` as it was built before grouping by 1-D keys:
     row-wise ``np.unique(..., axis=0)`` over the digit columns and a 2-D
@@ -594,6 +615,31 @@ class TestRestrictionColumns:
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=2 * max(len(ref_digits), 1) * 2.0**-52,
                                    atol=0)
+
+    @pytest.mark.parametrize("q, n, k, m, count", [
+        RESTRICTION_SWEEP[i] for i in (2, 4, 6, 9, 13, 15)])
+    def test_restrict_gives_each_batch_column(self, q, n, k, m, count):
+        # bit for bit against its row run alone; in a block of several rows
+        # the product is a matrix product, which BLAS may sum in another
+        # order, so there the gap is held to the rounding bound of an
+        # h-term sum, 2h units of the sum of the terms' magnitudes
+        rng = np.random.default_rng([q, n, k, m, count])
+        p = random_sparse_polynomial(rng, q, n, count)
+        H = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
+        xi = rng.integers(q, size=(m, k))
+        keys, digits, columns = restriction_columns(p, H, xi)
+        magnitudes = fourier._RestrictionPlan(p, H)
+        magnitudes.grouped = np.abs(magnitudes.grouped)
+        magnitudes.chars = np.abs(magnitudes.chars)
+        scale = 2 * magnitudes.grouped.shape[1] * 2.0**-52 * magnitudes.columns(xi)
+        for j, row in enumerate(xi):
+            r = restrict(p, H, row.tolist())
+            alone = restriction_columns(p, H, row[None])[2][:, 0]
+            kept = np.abs(alone) > fourier.COEFF_DROP_TOL
+            assert r.keys.tolist() == keys[kept].tolist()
+            assert np.array_equal(r.digits, digits[kept])
+            assert r.values.tobytes() == alone[kept].tobytes()
+            assert (np.abs(alone - columns[:, j]) <= scale[:, j]).all()
 
     def test_no_row_wise_unique(self, monkeypatch):
         real = np.unique
@@ -678,6 +724,19 @@ class TestDigits:
             for r, digits in zip(results, carried):
                 assert digits.dtype == np.int64 and digits.shape == (len(r.keys), r.n)
                 np.testing.assert_array_equal(digits, fourier._decode(r))
+
+    def test_operators_that_drop_nothing_share_the_digits(self):
+        rng = np.random.default_rng(21)
+        p = transform(random_table(rng, random_space(rng, 3), 5))
+        d = p.degree()
+        for r in (noise_operator(p, 0.8), truncate_degree(p, d), truncate_degree(p, d + 3)):
+            assert len(r.keys) == len(p.keys)
+            assert np.shares_memory(r.digits, p.digits)
+        # a polynomial that drops rows gets its own
+        for r in (noise_operator(p, 0.0), truncate_degree(p, d - 1)):
+            assert 0 < len(r.keys) < len(p.keys)
+            assert not np.shares_memory(r.digits, p.digits)
+            np.testing.assert_array_equal(r.digits, fourier._decode(r))
 
     def test_digits_are_read_only(self):
         p = random_sparse_polynomial(np.random.default_rng(20), 2, 5, 10)

@@ -1,7 +1,9 @@
 """Smoothing/regularity parameter recipes and the restriction machinery."""
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from nisim import (
     truncate_degree,
 )
 from nisim import fourier
-from nisim.fourier import FourierPolynomial, restrict
-from nisim.regularity import restriction_influences_at, smoothing_params_from_log_eta
+from nisim.fourier import FourierPolynomial, restrict, restriction_influences_at
+from nisim.regularity import smoothing_params_from_log_eta
 from nisim.spaces import FiniteSpace
 from nisim.util import SCRATCH_CELLS, all_assignments
 
@@ -267,6 +269,14 @@ class TestRestrictionRegularProbability:
         with pytest.raises(InputError, match="index batch|atom indices"):
             restriction_influences_at(p, [1], np.array(xi))
 
+    @pytest.mark.parametrize("row", [[5], [-1], [0.0], [True], [0, 1], [], [2**70]])
+    def test_restrict_rejects_the_rows_the_batch_rejects(self, row):
+        p = random_low_degree(np.random.default_rng(4), 3, 2)
+        for call in (lambda: restrict(p, [1], row),
+                     lambda: restriction_influences_at(p, [1], [row])):
+            with pytest.raises(InputError):
+                call()
+
     @pytest.mark.parametrize("H", [[], [0, 1, 2]])
     def test_batch_influences_with_none_or_all_restricted(self, H):
         rng = np.random.default_rng(7)
@@ -281,6 +291,20 @@ class TestRestrictionRegularProbability:
             restricted = inverse_transform(restrict(p, H, list(assignment)))
             assert np.abs(restricted.values - full[tuple(assignment)].ravel()).max() < 1e-9
             assert np.allclose(row, influences(p) if not H else [], atol=1e-12)
+
+
+def test_regularity_imports_no_private_fourier_name():
+    """``regularity`` reaches the restriction machinery through public
+    ``fourier`` names only."""
+    source = Path(fourier.__file__).with_name("regularity.py").read_text(encoding="utf-8")
+    private = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("fourier", "nisim.fourier"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "fourier" and node.attr.startswith("_")):
+            private.append(node.attr)
+    assert private == []
 
 
 class TestRestrictionInfluenceTailBound:
