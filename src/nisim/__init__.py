@@ -49,7 +49,6 @@ from .regularity import (
     smoothing_params,
 )
 from .gaussian import (
-    GaussianPair,
     berry_esseen_sample_count,
     bivariate_cdf,
     gamma_bar,

@@ -11,13 +11,14 @@ with the place values of ``util.place_values``.
 
 A ``FourierPolynomial`` stores its coefficients once, as a ``keys`` array
 (in ``util.key_dtype``: int64 while q^n fits, Python ints past that) and a
-``values`` array in one order.  Its read-only ``digits`` matrix, one row
-per coefficient in that order, is decoded from the keys on first use and
-kept; ``degrees`` counts each row's nonzero digits.  The functionals and
-the restriction plan read ``digits``, and the operators that keep
-coefficients (truncation, noise, restriction) hand the kept rows to their
-result (the matrix itself when they keep every row), so a polynomial is
-decoded at most once however many functionals read it.
+``values`` array in one order.  Its ``digits`` matrix, one row per
+coefficient in that order, is decoded from the keys on first use and kept;
+``degrees`` counts each row's nonzero digits.  All three arrays are
+read-only, so polynomials can share them: an operator whose result keeps
+every coefficient hands its ``keys`` and ``digits`` over as they are, and
+only a result that drops coefficients indexes the three arrays, once, when
+it is stored.  The functionals and the restriction plan read ``digits``, so
+a polynomial is decoded at most once however many functionals read it.
 
 A restriction groups the coefficients by their surviving and their
 restricted digits, each pattern re-encoded as one integer by Horner's rule
@@ -132,8 +133,10 @@ def build_basis(space: FiniteSpace) -> OrthonormalBasis:
 
 
 def _decode(poly: "FourierPolynomial") -> np.ndarray:
-    """Digit matrix of the keys, one row per coefficient in ``keys`` order."""
-    return index_digits(poly.keys, poly.q, poly.n)
+    """Read-only digit matrix of the keys, one row per coefficient in ``keys`` order."""
+    digits = index_digits(poly.keys, poly.q, poly.n)
+    digits.setflags(write=False)
+    return digits
 
 
 class FourierPolynomial:
@@ -142,7 +145,9 @@ class FourierPolynomial:
     ``keys`` holds the base-q degree-sequence keys and ``values`` their
     coefficients, in the order the map or the operator gave them;
     coefficients at or below ``COEFF_DROP_TOL`` in magnitude are dropped.
-    The coefficients must be finite numbers.
+    The coefficients must be finite numbers.  ``keys``, ``values`` and
+    ``digits`` are read-only; when nothing drops, the arrays an operator
+    hands in are kept as they are, not copied.
     """
 
     __slots__ = ("basis", "n", "keys", "values", "_digits")
@@ -170,12 +175,13 @@ class FourierPolynomial:
     def _store(self, basis, n: int, keys: np.ndarray, values: np.ndarray,
                digits: np.ndarray | None = None) -> None:
         kept = np.abs(values) > COEFF_DROP_TOL
-        self.basis = basis
-        self.n = n
-        self.keys = keys[kept]
-        self.values = values[kept]
-        # when nothing drops, the digit rows are handed over, not copied
-        self._digits = digits if digits is None or kept.all() else digits[kept]
+        if not kept.all():
+            keys, values = keys[kept], values[kept]
+            digits = None if digits is None else digits[kept]
+        for a in (keys, values, digits):
+            if a is not None:
+                a.setflags(write=False)
+        self.basis, self.n, self.keys, self.values, self._digits = basis, n, keys, values, digits
 
     @property
     def q(self) -> int:
@@ -187,7 +193,6 @@ class FourierPolynomial:
         degree sequence of coefficient i; decoded on first use."""
         if self._digits is None:
             self._digits = _decode(self)
-        self._digits.setflags(write=False)
         return self._digits
 
     @property

@@ -29,7 +29,6 @@ value Phi2(0, 0, rho) = 1/4 + arcsin(rho)/(2 pi) is reproduced exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -153,23 +152,4 @@ def berry_esseen_sample_count(
             "raise the accuracy (delta / 3 in the n0 chain) or lower C_be"
         )
     return ceil_tolerant(w, min_value=1)
-
-
-@dataclass(frozen=True)
-class GaussianPair:
-    """Mean-zero unit-variance pair with covariance [[1, rho], [rho, 1]]."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise ParameterRangeError(f"correlation must lie in [-1, 1], got {self.rho}")
-
-    def sample(self, n: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
-        """n correlated draws; identical seed gives identical draws."""
-        rng = np.random.default_rng(seed)
-        g1 = rng.standard_normal(n)
-        z = rng.standard_normal(n)
-        g2 = self.rho * g1 + math.sqrt(max(0.0, 1.0 - self.rho**2)) * z
-        return g1, g2
 

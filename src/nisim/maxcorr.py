@@ -116,17 +116,3 @@ def maximal_correlation(dist: JointDistribution) -> CorrelationReport:
         multiplicity_flag=bool(multiplicity),
     )
 
-
-def merge_rows(dist: JointDistribution, i: int, j: int) -> JointDistribution:
-    """Collapse two row atoms into one (data-processing on Alice's side)."""
-    qa, _ = dist.shape
-    if not (0 <= i < qa and 0 <= j < qa and i != j):
-        raise ParameterRangeError(f"need two distinct row indices below {qa}")
-    i, j = min(i, j), max(i, j)
-    t = dist.table.copy()
-    t[i, :] += t[j, :]
-    t = np.delete(t, j, axis=0)
-    atoms = list(dist.row_space.atoms)
-    merged = atoms[i] + "+" + atoms.pop(j)
-    atoms[i] = merged
-    return JointDistribution(atoms, dist.col_space.atoms, t)

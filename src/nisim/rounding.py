@@ -487,7 +487,7 @@ def estimate_strategy_stats(
         m + sum_f + sum_g + sum_fg, m + sum_f - sum_g - sum_fg,
         m - sum_f + sum_g - sum_fg, m - sum_f - sum_g + sum_fg,
     ], 0.0, None)
-    joint = EmpiricalJoint2x2(cells / cells.sum(), n_samples=n_samples)
+    joint = EmpiricalJoint2x2(cells / cells.sum())
     return StrategyStats(
         float(mean_f), float(mean_g), float(corr), se_f, se_g, se_corr,
         joint, n_samples, "lifted_monte_carlo" if lifted else "monte_carlo", seed,

@@ -236,19 +236,18 @@ class JointDistribution:
 
 
 class EmpiricalJoint2x2:
-    """Probabilities over the four outcomes of a binary pair (with the
-    sample count when they are a Monte Carlo estimate); also the type of a
-    decision target, with its moment summary and case tag.
+    """Probabilities over the four outcomes of a binary pair; also the type
+    of a decision target, with its moment summary and case tag.
 
     Outcome order is ``(+1,+1), (+1,-1), (-1,+1), (-1,-1)``, matching the
     row-major flattening of a 2x2 table with atom order ``["+1", "-1"]``.
     """
 
-    __slots__ = ("probs", "n_samples")
+    __slots__ = ("probs",)
 
     OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    def __init__(self, probs: Sequence[float], n_samples: int | None = None):
+    def __init__(self, probs: Sequence[float]):
         p = np.asarray(probs, dtype=float)
         if p.shape != (4,):
             raise InputError("need exactly four outcome probabilities")
@@ -257,7 +256,6 @@ class EmpiricalJoint2x2:
         if abs(p.sum() - 1.0) > 1e-9:
             raise InputError(f"outcome probabilities sum to {p.sum():.17g}, not 1")
         self.probs = _freeze(p / p.sum())
-        self.n_samples = n_samples
 
     @classmethod
     def from_moments(cls, mean_u: float, mean_v: float, corr_uv: float) -> "EmpiricalJoint2x2":
@@ -321,7 +319,7 @@ class EmpiricalJoint2x2:
         }
 
     def __repr__(self):
-        return f"EmpiricalJoint2x2({self.probs.tolist()!r}, n_samples={self.n_samples})"
+        return f"EmpiricalJoint2x2({self.probs.tolist()!r})"
 
 
 # -- constructors ------------------------------------------------------

@@ -1,15 +1,17 @@
 """Shared test helpers."""
 
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nisim import TableStrategy
+from nisim import JointDistribution, ParameterRangeError, TableStrategy
 from nisim.util import all_assignments
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -72,3 +74,37 @@ def dictator_table(space, n: int, coord: int, values) -> TableStrategy:
     the table's row-major order."""
     digit = all_assignments(space.q, n)[:, coord]
     return TableStrategy(space, n, np.asarray(values, dtype=float)[digit])
+
+
+@dataclass(frozen=True)
+class GaussianPair:
+    """Mean-zero unit-variance pair with covariance [[1, rho], [rho, 1]]."""
+
+    rho: float
+
+    def __post_init__(self):
+        if not -1.0 <= self.rho <= 1.0:
+            raise ParameterRangeError(f"correlation must lie in [-1, 1], got {self.rho}")
+
+    def sample(self, n: int, seed=0) -> tuple[np.ndarray, np.ndarray]:
+        """n correlated draws; identical seed gives identical draws."""
+        rng = np.random.default_rng(seed)
+        g1 = rng.standard_normal(n)
+        z = rng.standard_normal(n)
+        g2 = self.rho * g1 + math.sqrt(max(0.0, 1.0 - self.rho**2)) * z
+        return g1, g2
+
+
+def merge_rows(dist: JointDistribution, i: int, j: int) -> JointDistribution:
+    """Collapse two row atoms into one (data-processing on Alice's side)."""
+    qa, _ = dist.shape
+    if not (0 <= i < qa and 0 <= j < qa and i != j):
+        raise ParameterRangeError(f"need two distinct row indices below {qa}")
+    i, j = min(i, j), max(i, j)
+    t = dist.table.copy()
+    t[i, :] += t[j, :]
+    t = np.delete(t, j, axis=0)
+    atoms = list(dist.row_space.atoms)
+    merged = atoms[i] + "+" + atoms.pop(j)
+    atoms[i] = merged
+    return JointDistribution(atoms, dist.col_space.atoms, t)

@@ -731,20 +731,39 @@ class TestDigits:
         d = p.degree()
         for r in (noise_operator(p, 0.8), truncate_degree(p, d), truncate_degree(p, d + 3)):
             assert len(r.keys) == len(p.keys)
+            assert np.shares_memory(r.keys, p.keys)
             assert np.shares_memory(r.digits, p.digits)
         # a polynomial that drops rows gets its own
         for r in (noise_operator(p, 0.0), truncate_degree(p, d - 1)):
             assert 0 < len(r.keys) < len(p.keys)
-            assert not np.shares_memory(r.digits, p.digits)
+            for mine, theirs in ((r.keys, p.keys), (r.values, p.values), (r.digits, p.digits)):
+                assert not np.shares_memory(mine, theirs)
             np.testing.assert_array_equal(r.digits, fourier._decode(r))
 
     def test_digits_are_read_only(self):
-        p = random_sparse_polynomial(np.random.default_rng(20), 2, 5, 10)
-        for poly in (p, truncate_degree(p, 1)):
+        rng = np.random.default_rng(20)
+        p = random_sparse_polynomial(rng, 2, 5, 10)
+        for poly in (p, transform(random_table(rng, random_space(rng, 3), 3)),
+                     restrict(p, [1, 3], [0, 1]), truncate_degree(p, 1), truncate_degree(p, 5),
+                     noise_operator(p, 0.5), noise_operator(p, 0.0),
+                     FourierPolynomial(build_basis(BIT), 64, {2**64 - 1: 1.0, 2**63: 0.5})):
             with pytest.raises(ValueError, match="read-only"):
                 poly.digits[0, 0] = 1
             with pytest.raises(AttributeError):
                 poly.digits = np.zeros_like(poly.digits)
+            for a in (poly.keys, poly.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+
+    def test_keys_cannot_be_written_behind_the_digits(self):
+        # a written key left the mean and the digit-based influences describing
+        # two different polynomials
+        p = FourierPolynomial(build_basis(BIT), 3, {1: 0.6, 4: 0.8})
+        p.digits
+        with pytest.raises(ValueError, match="read-only"):
+            p.keys[0] = 0
+        assert p.mean() == 0.0
+        np.testing.assert_allclose(influences(p), [0.64, 0.0, 0.36])
 
     def test_digits_past_int64(self):
         p = FourierPolynomial(build_basis(BIT), 64, {2**64 - 1: 1.0, 2**63: 0.5})

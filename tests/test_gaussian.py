@@ -10,8 +10,8 @@ from scipy.integrate import dblquad
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
+from conftest import GaussianPair
 from nisim import (
-    GaussianPair,
     ParameterRangeError,
     berry_esseen_sample_count,
     bivariate_cdf,

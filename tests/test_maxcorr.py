@@ -4,6 +4,7 @@ tensorization/data-processing properties."""
 import numpy as np
 import pytest
 
+from conftest import merge_rows
 from nisim import (
     JointDistribution,
     ParameterRangeError,
@@ -13,7 +14,6 @@ from nisim import (
     uniform_triple,
     witsenhausen_bounds,
 )
-from nisim.maxcorr import merge_rows
 
 
 def random_joint(rng, qa, qb):

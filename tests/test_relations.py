@@ -1,22 +1,30 @@
 """Verdict relations that any correct decider satisfies, whatever its search
 engine: relabelling atoms, swapping the parties, negating the target's V
-(Case II) and merging atoms (data processing, Witsenhausen 1975).
+(Case II), merging atoms (data processing, Witsenhausen 1975) and raising
+the target correlation.
 
-Sources are random 2-3 x 2-3 tables, gap budgets delta in {0.45, 0.5, 0.6}
-and search depths n <= 2.  Each decide gets a caller grid small enough
-that every depth is enumerated: the alternating probe's random starts
-depend on atom order, so only enumeration is invariant under relabelling.
-The grids are symmetric, because the party swap of a Case II target maps
-each grid value v to -v.
+For the first four, sources are random 2-3 x 2-3 tables, gap budgets delta
+in {0.45, 0.5, 0.6} and search depths n <= 2.  Each decide gets a caller
+grid small enough that every depth is enumerated: the alternating probe's
+random starts depend on atom order, so only enumeration is invariant under
+relabelling.  The grids are symmetric, because the party swap of a Case II
+target maps each grid value v to -v.  The target relation compares decides
+on one source, so it runs on the default grids, probe depths included.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nisim import EmpiricalJoint2x2, JointDistribution, decide_2x2
+from conftest import merge_rows
+from nisim import (
+    EmpiricalJoint2x2,
+    JointDistribution,
+    decide_2x2,
+    decide_gap_nis,
+    maximal_correlation,
+)
 from nisim.decision import WORK_CAP
-from nisim.maxcorr import merge_rows
 
 RELATIONS = settings(max_examples=100, deadline=None, derandomize=True)
 DELTAS = st.sampled_from([0.45, 0.5, 0.6])
@@ -24,8 +32,8 @@ DEPTHS = st.integers(min_value=1, max_value=2)
 
 
 @st.composite
-def sources(draw):
-    qa, qb = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+def sources(draw, atoms=3):
+    qa, qb = draw(st.integers(2, atoms)), draw(st.integers(2, atoms))
     weights = draw(st.lists(st.integers(1, 20), min_size=qa * qb, max_size=qa * qb))
     t = np.array(weights, dtype=float).reshape(qa, qb)
     return JointDistribution([f"a{i}" for i in range(qa)], [f"b{j}" for j in range(qb)],
@@ -136,3 +144,21 @@ def test_merging_atoms_never_turns_a_reject_into_an_accept(dist, target, delta, 
         # Case II reports the flipped E[fg], so its order flips too
         sign = 1.0 if target.case == "I" else -1.0
         assert sign * original.search_max >= sign * merged.search_max - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sources(atoms=4), st.sampled_from([0.02, 0.05, 0.2]), st.integers(1, 3))
+def test_raising_the_target_correlation_never_helps(dist, delta, n):
+    # the windows do not depend on the target and the accept floor rises
+    # with it, so an ACCEPT holds at every lower target (no deeper) and a
+    # ceiling REJECT at every higher one; the targets crowd around rho(P),
+    # where the verdicts change
+    rho = maximal_correlation(dist).rho
+    targets = np.unique(np.clip(np.r_[np.linspace(0, 1, 21), rho * np.linspace(0.5, 1.5, 21)],
+                                0, 1))
+    verdicts = [decide_gap_nis(dist, float(t), delta, n) for t in targets]
+    for i, v in enumerate(verdicts):
+        if v.accepted:
+            assert all(w.accepted and w.n_used <= v.n_used for w in verdicts[:i])
+        elif v.sound:
+            assert all(not w.accepted and w.sound for w in verdicts[i + 1:])
