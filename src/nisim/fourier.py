@@ -57,6 +57,7 @@ from .strategies import TableStrategy
 from .util import (
     CELL_CAP,
     SCRATCH_CELLS,
+    as_integer,
     check_atom_rows,
     contract_coordinates,
     flat_index,
@@ -145,28 +146,23 @@ class FourierPolynomial:
     ``keys`` holds the base-q degree-sequence keys and ``values`` their
     coefficients, in the order the map or the operator gave them;
     coefficients at or below ``COEFF_DROP_TOL`` in magnitude are dropped.
-    The coefficients must be finite numbers.  ``keys``, ``values`` and
-    ``digits`` are read-only; when nothing drops, the arrays an operator
-    hands in are kept as they are, not copied.
+    The coefficients must be finite numbers.  ``basis``, ``n``, ``keys``,
+    ``values`` and ``digits`` are read-only attributes, and the arrays are
+    read-only too; when nothing drops, the arrays an operator hands in are
+    kept as they are, not copied.
     """
 
-    __slots__ = ("basis", "n", "keys", "values", "_digits")
+    __slots__ = ("_basis", "_n", "_keys", "_values", "_digits")
 
     def __init__(self, basis: OrthonormalBasis, n: int, coeffs: Mapping[int, float]):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise InputError(f"coordinate count {n!r} is not an integer") from None
+        n = as_integer(n, "coordinate count")
         if n < 0:
             raise ParameterRangeError("coordinate count must be nonnegative")
         values = json_floats(list(coeffs.values()), "coefficients")
         top = basis.q**n
         keys = []
         for k in coeffs:
-            try:
-                k = operator.index(k)
-            except TypeError:
-                raise InputError(f"coefficient key {k!r} is not an integer") from None
+            k = as_integer(k, "coefficient key")
             if not 0 <= k < top:
                 raise InputError("coefficient key outside the degree-sequence range")
             keys.append(k)
@@ -181,7 +177,24 @@ class FourierPolynomial:
         for a in (keys, values, digits):
             if a is not None:
                 a.setflags(write=False)
-        self.basis, self.n, self.keys, self.values, self._digits = basis, n, keys, values, digits
+        self._basis, self._n, self._keys, self._values, self._digits = (
+            basis, n, keys, values, digits)
+
+    @property
+    def basis(self) -> OrthonormalBasis:
+        return self._basis
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._keys
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
 
     @property
     def q(self) -> int:

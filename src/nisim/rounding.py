@@ -21,8 +21,9 @@ correlation; accuracy is governed by ``berry_esseen_sample_count``.
 ``estimate_strategy_stats`` is the empirical verification harness: exact
 enumeration when the joint table fits the cap, Monte Carlo otherwise,
 with a dedicated sufficient-statistic path for lifted strategies (the
-suffix block only enters through its joint cell counts, so a multinomial
-draw replaces w explicit coordinates).  Monte Carlo runs fixed-size chunks,
+suffix block only enters through its joint cell counts, so a chain of
+conditional binomials, the multinomial's own factorization, replaces w
+explicit coordinates).  Monte Carlo runs fixed-size chunks,
 each on its own ``SeedSequence(seed).spawn`` stream, summed in chunk order:
 the estimate never depends on the thread count (Salmon et al., SC 2011).
 The caller runs chunks itself beside ``threads - 1`` helper threads (no
@@ -30,19 +31,16 @@ more than the chunks or cores allow, none at ``threads=1``), each taking
 the next chunk index in turn.  A chunk draws its row and column atoms
 with ``util.draw_cells`` (``rng.choice``'s stream over the joint cells,
 without its binary search or a divmod into rows and columns) and
-flattens index rows with ``util.flat_index``.  Beyond the arrays with one
-entry per row, no chunk temporary holds more than ``util.SCRATCH_CELLS``
-cells: ``draw_cells`` draws its uniforms in blocks of whole rows, and the
-lifted chunk, once every prefix cell is drawn, runs the multinomial
-counts, the gemvs and the outputs on row blocks of that size.  The blocks
-continue one whole-chunk call's stream, so the draws are unchanged.
+flattens index rows with ``util.flat_index``.  ``draw_cells`` draws its
+uniforms in blocks of whole rows of at most ``util.SCRATCH_CELLS`` cells;
+the lifted chunk's counts and witness sums are arrays with one entry per
+row and atom, updated in place.
 A chunk keeps four sums, of f, g, fg and (fg)^2; the joint's cells are formed once from their
-total (for +-1 outputs every sum is an exact integer).  A generic chunk
-makes no BLAS call: its sums are numpy reductions, which round the same
-whatever the size of the BLAS thread pool, and leave that pool's
-spinning workers asleep.  The lifted chunk keeps one BLAS gemv, counts
-times witness, because a reduction would move the last bits of the
-witness sums it thresholds.
+total (for +-1 outputs every sum is an exact integer).  No chunk makes a
+BLAS call: the sums are numpy reductions and the lifted witness sums are
+elementwise products added in atom order, which round the same whatever
+the size of the BLAS thread pool, and leave that pool's spinning workers
+asleep.
 An rng-rounded strategy draws its coins from the chunk's generator, which
 the harness hands over through ``evaluate(idx, rng=...)``; exact
 enumeration refuses it, since its outputs are random.
@@ -65,8 +63,8 @@ from .strategies import Strategy
 from .util import (
     BLOCK_CELLS,
     CELL_CAP,
-    SCRATCH_CELLS,
     all_assignments,
+    as_integer,
     contract_coordinates,
     draw_cells,
     flat_index,
@@ -91,6 +89,9 @@ class HybridStrategy:
     polarity: int = 1
 
     def __post_init__(self):
+        self.h = as_integer(self.h, "prefix length")
+        if self.h < 0:
+            raise ParameterRangeError(f"prefix length must be nonnegative, got {self.h}")
         self.inner_values = np.asarray(self.inner_values, dtype=float).ravel()
         if self.inner_values.shape[0] != self.space.q**self.h:
             raise InputError(
@@ -111,8 +112,10 @@ class LiftedStrategy(Strategy):
     witness sum at the quantile for that mean."""
 
     def __init__(self, form: HybridStrategy, w: int, witness):
-        if w < 1:
-            raise ParameterRangeError(f"suffix sample count must be positive, got {w}")
+        # the suffix counts are int64, as numpy's binomial draws are
+        w = as_integer(w, "suffix sample count")
+        if not 1 <= w < 2**63:
+            raise ParameterRangeError(f"suffix sample count must lie in [1, 2^63), got {w}")
         self.witness = np.asarray(witness, dtype=float).ravel()
         if self.witness.shape[0] != form.space.q:
             raise InputError("witness must have one value per atom")
@@ -332,6 +335,26 @@ def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
     return np.array([*sums, prod.sum()])
 
 
+def _chain_probabilities(masses: np.ndarray) -> np.ndarray:
+    """Success probabilities of the binomial chain that splits trials over
+    the last axis of ``masses``: entry j over the mass from j on, for every
+    entry but the last, whose count is what the chain leaves; 0 where no
+    mass is left.  A sum of non-negative terms is never below one of them,
+    so every probability lies in [0, 1]."""
+    tails = np.cumsum(masses[..., ::-1], axis=-1)[..., ::-1]
+    probs = np.zeros(masses.shape)
+    np.divide(masses, tails, out=probs, where=tails > 0)
+    return probs[..., :-1]
+
+
+def _witness_sums(witness: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """sum_x witness[x] * counts[x] per row, added in place in atom order."""
+    sums = counts[0] * witness[0]
+    for x in range(1, len(witness)):
+        sums += counts[x] * witness[x]
+    return sums
+
+
 def _lifted_pair_mc(
     f: LiftedStrategy,
     g: LiftedStrategy,
@@ -339,26 +362,49 @@ def _lifted_pair_mc(
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One chunk through the multinomial sufficient statistic for the suffix block.
+    """One chunk through the suffix block's joint cell counts.
 
-    The prefix cells of every row are drawn first; the multinomial counts,
-    their witness sums and the outputs then follow in row blocks, which
-    continue the one-call stream.  The outputs are +-1, so each sum is an
-    exact integer and the block sums add up to the whole chunk's.
+    After the prefix cells of every row, the counts come as the
+    multinomial's own chain of conditional binomials, one ``rng.binomial``
+    call per stage over all rows: the row counts N_x (the first stage from
+    the scalar w, then sorted in place), then, for each row atom x, its
+    column counts given N_x, summed into the column counts M_y.  Sorting
+    reorders draws on which nothing depends yet, and the rows' prefixes are
+    independent of their suffixes, so the chunk sums keep the multinomial
+    draw's distribution; with two atoms per side every later stage walks a
+    monotone trial count, which lets the generator reuse its binomial
+    setup from row to row.  The witness sums are elementwise and in place,
+    so no BLAS call is made.  The outputs are +-1, so each sum is an exact
+    integer.
     """
     qa, qb = dist.shape
-    pjoint = dist.table.ravel()
     a, b = draw_cells(rng, dist.table, (n_samples, f.h))
     pa, pb = flat_index(a, qa), flat_index(b, qb)
-    wf, wg = np.repeat(f.witness, qb), np.tile(g.witness, qa)
-    acc = np.zeros(4)
-    step = max(1, SCRATCH_CELLS // len(pjoint))
-    for lo in range(0, n_samples, step):
-        counts = rng.multinomial(f.w, pjoint, size=min(step, n_samples - lo))
-        vf = f.output_for(pa[lo : lo + step], counts @ wf)
-        vg = g.output_for(pb[lo : lo + step], counts @ wg)
-        acc += _chunk_sums(vf, vg)
-    return acc
+    del a, b
+    p_rows = _chain_probabilities(dist.table.sum(axis=1))
+    p_cols = _chain_probabilities(dist.table)
+    # row counts; the last row holds the trials no stage has taken yet
+    row_counts = np.empty((qa, n_samples), dtype=np.int64)
+    row_counts[-1] = f.w
+    for x, p in enumerate(p_rows):
+        row_counts[x] = rng.binomial(row_counts[-1] if x else f.w, p, size=n_samples)
+        if x == 0:
+            row_counts[0].sort()
+        row_counts[-1] -= row_counts[x]
+    sum_f = _witness_sums(f.witness, row_counts)
+    col_counts = np.zeros((qb, n_samples), dtype=np.int64)
+    for x in range(qa):
+        left = row_counts[x]  # the row's trials no column has taken yet
+        for y, p in enumerate(p_cols[x]):
+            cell = rng.binomial(left, p)
+            left -= cell
+            col_counts[y] += cell
+            del cell
+        col_counts[-1] += left
+    del row_counts, left
+    sum_g = _witness_sums(g.witness, col_counts)
+    del col_counts
+    return _chunk_sums(f.output_for(pa, sum_f), g.output_for(pb, sum_g))
 
 
 def _generic_pair_mc(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -69,6 +70,15 @@ def index_digits(flat: np.ndarray, q: int, n: int) -> np.ndarray:
     digits = flat[:, None] // place_values(q, n)
     digits %= q
     return digits.astype(np.int64, copy=False)
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as a Python int through ``operator.index``; ``InputError``
+    when it is not an integer, a float such as 3.5 or 3.0 included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not an integer") from None
 
 
 def check_atom_rows(idx, width: int, q: int) -> np.ndarray:

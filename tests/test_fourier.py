@@ -765,6 +765,20 @@ class TestDigits:
         assert p.mean() == 0.0
         np.testing.assert_allclose(influences(p), [0.64, 0.0, 0.36])
 
+    @pytest.mark.parametrize("name, value", [
+        ("basis", build_basis(FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5]))),
+        ("n", 2), ("keys", np.array([0, 4])), ("values", np.array([0.8, 0.6])),
+    ])
+    def test_attributes_cannot_be_rebound(self, name, value):
+        # a rebound key array left the mean and the digit-based influences
+        # describing two different polynomials
+        p = FourierPolynomial(build_basis(BIT), 3, {1: 0.6, 4: 0.8})
+        p.digits
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+        assert p.mean() == 0.0 and p.n == 3 and p.q == 2
+        np.testing.assert_allclose(influences(p), [0.64, 0.0, 0.36])
+
     def test_digits_past_int64(self):
         p = FourierPolynomial(build_basis(BIT), 64, {2**64 - 1: 1.0, 2**63: 0.5})
         np.testing.assert_array_equal(p.digits, [[1] * 64, [1] + [0] * 63])

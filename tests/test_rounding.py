@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import constant_table, dictator_table, traced_peak
-from nisim import rounding, util
+from nisim import rounding
 from nisim import (
     EmpiricalJoint2x2,
     HybridStrategy,
     InputError,
+    JointDistribution,
     ParameterRangeError,
     TableStrategy,
     berry_esseen_sample_count,
@@ -56,7 +57,7 @@ def _lifted_h2_pair():
 
 
 # one pair of each Monte Carlo kind: explicit joint draws, the same with rounding
-# coins, and the multinomial sufficient statistic without and with a prefix
+# coins, and the binomial chain of suffix cell counts without and with a prefix
 MC_PAIRS = {
     "generic": _table_pair,
     "rounded": _rounded_pair,
@@ -162,6 +163,30 @@ class TestLiftedStrategy:
         with pytest.raises(InputError, match="atom indices"):
             lifted.evaluate(np.array([[2, 0, 1, 1]]))
 
+    @pytest.mark.parametrize("w", [3.5, 3.0, "3", None])
+    def test_suffix_count_must_be_an_integer(self, w):
+        # a float w reached numpy's binomial, which truncates 3.5 trials to 3
+        with pytest.raises(InputError, match="suffix sample count .* not an integer"):
+            gaussian_simulator_strategy(DSBS5, 0.0, w)
+
+    @pytest.mark.parametrize("w", [0, -2, 2**63])
+    def test_suffix_count_must_lie_below_two_to_the_63(self, w):
+        with pytest.raises(ParameterRangeError, match="suffix sample count"):
+            gaussian_simulator_strategy(DSBS5, 0.0, w)
+
+    def test_suffix_count_below_two_to_the_63_runs(self):
+        f, g = gaussian_simulator_strategy(DSBS5, 0.0, np.int64(2**62))
+        assert type(f.w) is int and f.n == 2**62
+        stats = estimate_strategy_stats(f, g, DSBS5, n_samples=100)
+        assert stats.mode == "lifted_monte_carlo"
+
+    @pytest.mark.parametrize("h, error", [
+        (1.0, InputError), ("1", InputError), (-1, ParameterRangeError),
+    ])
+    def test_prefix_length_must_be_a_nonnegative_integer(self, h, error):
+        with pytest.raises(error, match="prefix length"):
+            HybridStrategy(DSBS5.row_space, h, [0.0, 0.0])
+
     def test_hybrid_derived_means(self):
         h = HybridStrategy(DSBS5.row_space, 1, [0.0, math.inf])
         assert np.allclose(h.derived_means(), [0.0, -1.0])
@@ -222,8 +247,8 @@ class TestEstimateStats:
         assert np.array_equal(a.joint.probs, b.joint.probs)
 
     def test_lifted_fast_path_matches_exact(self):
-        # small w so the full joint table is enumerable: the multinomial
-        # sufficient-statistic path must agree with exact enumeration
+        # small w so the full joint table is enumerable: the suffix cell
+        # counts must agree with exact enumeration
         f, g = gaussian_simulator_strategy(DSBS5, 0.2, 6)
         exact = estimate_strategy_stats(f, g, DSBS5, mode="exact")
         mc = estimate_strategy_stats(
@@ -265,7 +290,7 @@ class TestEstimateStats:
         assert stats.mean_f == pytest.approx(float(wa @ vf), abs=1e-12)
 
     def test_lifted_vs_generic_on_nonuniform_source(self):
-        # the multinomial sufficient-statistic path against the explicit
+        # the suffix cell counts against the explicit
         # coordinate sampler, on a source with non-uniform marginals and a
         # non-binary witness
         t = uniform_triple()
@@ -434,79 +459,110 @@ def _lifted_pair(dist, h, w, seed):
     return lift_hybrid(f, dist, w, side="row"), lift_hybrid(g, dist, w, side="col")
 
 
-def reference_lifted_chunk(f, g, dist, n_samples, rng):
-    """The lifted chunk body before row blocks: every prefix cell through one
-    ``rng.choice``, every row's counts through one ``multinomial``, one gemv
-    per side over the whole chunk and one set of sums."""
+def _seeded_3x3():
+    """A 3x3 source with every cell positive and a heavy diagonal."""
+    t = np.random.default_rng(17).uniform(0.2, 1.0, (3, 3)) + 2 * np.eye(3)
+    return JointDistribution(["a", "b", "c"], ["a", "b", "c"], t / t.sum())
+
+
+# two atoms per side; a zero cell; three atoms per side, whose later
+# stages run on trial counts that are not sorted
+LIFTED_SOURCES = {"dsbs": DSBS5, "triple": uniform_triple(), "3x3": _seeded_3x3()}
+
+
+def multinomial_lifted_chunk(f, g, dist, n_samples, rng):
+    """The lifted chunk with every row's suffix counts from one
+    ``rng.multinomial`` call: the draw whose distribution the chain of
+    binomials keeps."""
     qa, qb = dist.shape
     pjoint = dist.table.ravel()
     a, b = np.divmod(rng.choice(qa * qb, size=(n_samples, f.h), p=pjoint), qb)
-    pa, pb = flat_index(a, qa), flat_index(b, qb)
-    counts = rng.multinomial(f.w, pjoint, size=n_samples)
-    vf = f.output_for(pa, counts @ np.repeat(f.witness, qb))
-    vg = g.output_for(pb, counts @ np.tile(g.witness, qa))
+    counts = rng.multinomial(f.w, pjoint, size=n_samples).reshape(n_samples, qa, qb)
+    vf = f.output_for(flat_index(a, qa), counts.sum(axis=2) @ f.witness)
+    vg = g.output_for(flat_index(b, qb), counts.sum(axis=1) @ g.witness)
     prod = vf * vg
     return np.array([vf.sum(), vg.sum(), prod.sum(), (prod * prod).sum()])
 
 
-class TestLiftedChunkBlocks:
-    """The lifted chunk runs its counts, gemvs and outputs in row blocks after
-    drawing every prefix cell: its sums and the generator's next draw are the
-    unblocked body's, whatever the block and thread counts."""
+# each estimate beside its standard error
+ESTIMATES = (("mean_f", "stderr_mean_f"), ("mean_g", "stderr_mean_g"), ("corr_fg", "stderr_corr"))
+
+
+class TestLiftedCountChain:
+    """The lifted chunk draws its suffix cell counts as a chain of
+    conditional binomials with a sorted first stage: its estimates follow
+    the multinomial draw's distribution, and its bits depend on neither the
+    thread count nor the BLAS pool."""
+
+    @pytest.mark.parametrize("w", [1, 6])
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    @pytest.mark.parametrize("source", sorted(LIFTED_SOURCES))
+    def test_estimates_match_exact_enumeration(self, source, h, w):
+        d = LIFTED_SOURCES[source]
+        f, g = _lifted_pair(d, h, w, h)
+        exact = estimate_strategy_stats(f, g, d, mode="exact")
+        mc = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h + w, mode="monte_carlo")
+        assert mc.mode == "lifted_monte_carlo"
+        for est, se in ESTIMATES:
+            assert abs(getattr(mc, est) - getattr(exact, est)) <= 4 * getattr(mc, se) + 1e-9, est
 
     @pytest.mark.parametrize("h", [0, 1, 2])
-    @pytest.mark.parametrize("dist", [DSBS5, uniform_triple()], ids=["2x2", "3x3"])
-    @pytest.mark.parametrize("rows, cells", [
-        (C - 1, None), (C // 2 + 3, None), (1, None), (1000, 37 * 9), (37, 37 * 9), (5, 1),
-    ])
-    def test_chunk_matches_the_unblocked_body(self, h, dist, rows, cells, monkeypatch):
-        # cells shrinks the block (rows that are no multiple of it, one-row blocks)
-        if cells is not None:
-            monkeypatch.setattr(rounding, "SCRATCH_CELLS", cells)
-            monkeypatch.setattr(util, "SCRATCH_CELLS", cells)
-        f, g = _lifted_pair(dist, h, 300, h)
-        ours, theirs = np.random.default_rng(rows), np.random.default_rng(rows)
-        got = rounding._lifted_pair_mc(f, g, dist, rows, ours)
-        assert got.tobytes() == reference_lifted_chunk(f, g, dist, rows, theirs).tobytes()
-        assert ours.random() == theirs.random()
-
-    @pytest.mark.parametrize("h", [0, 1, 2])
-    def test_estimates_match_the_unblocked_body_at_one_and_two_threads(self, h, monkeypatch):
-        d = uniform_triple()
+    @pytest.mark.parametrize("source", sorted(LIFTED_SOURCES))
+    def test_estimates_match_the_multinomial_draw(self, source, h, monkeypatch):
+        # at w = 300, beyond exact enumeration, numpy's binomial runs its
+        # BTPE sampler on most rows
+        d = LIFTED_SOURCES[source]
         f, g = _lifted_pair(d, h, 300, h)
-        samples = 2 * C + 12_345
-        got = [json.dumps(estimate_strategy_stats(f, g, d, samples, seed=8, threads=t).as_dict())
-               for t in (1, 2)]
-        monkeypatch.setattr(rounding, "_lifted_pair_mc", reference_lifted_chunk)
-        ref = json.dumps(estimate_strategy_stats(f, g, d, samples, seed=8).as_dict())
-        assert got == [ref, ref]
+        chain = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h)
+        monkeypatch.setattr(rounding, "_lifted_pair_mc", multinomial_lifted_chunk)
+        ref = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h + 100)
+        for est, se in ESTIMATES:
+            spread = 4 * math.hypot(getattr(chain, se), getattr(ref, se))
+            assert abs(getattr(chain, est) - getattr(ref, est)) <= spread, est
 
-    def test_chunks_match_the_unblocked_body_at_both_blas_thread_counts(
-            self, outputs_at_blas_threads):
+    def test_estimates_do_not_depend_on_blas_threads(self, outputs_at_blas_threads):
         code = "\n".join([
+            "import json",
             "import numpy as np",
-            "from nisim import HybridStrategy, lift_hybrid, make_dsbs, rounding, uniform_triple",
-            "from nisim.util import flat_index",
+            "from nisim import (HybridStrategy, JointDistribution, estimate_strategy_stats,",
+            "                   lift_hybrid, make_dsbs, uniform_triple)",
             inspect.getsource(_lifted_pair),
-            inspect.getsource(reference_lifted_chunk),
-            "for d in (make_dsbs(0.5), uniform_triple()):",
+            inspect.getsource(_seeded_3x3),
+            "for d in (make_dsbs(0.5), uniform_triple(), _seeded_3x3()):",
             "    for h in (0, 1, 2):",
             "        f, g = _lifted_pair(d, h, 300, h)",
-            "        rows = rounding.MC_CHUNK_SAMPLES - 1 - h",
-            "        got = rounding._lifted_pair_mc(f, g, d, rows, np.random.default_rng(h))",
-            "        ref = reference_lifted_chunk(f, g, d, rows, np.random.default_rng(h))",
-            "        print(got.tobytes() == ref.tobytes(), got.tobytes().hex())",
+            "        stats = estimate_strategy_stats(f, g, d, 3 * 10**5, seed=h)",
+            "        print(json.dumps(stats.as_dict()))",
         ])
         outs = outputs_at_blas_threads(code)
         assert outs[0] == outs[1]
-        assert outs[0].split().count(b"True") == 6
+        assert outs[0].count(b"lifted_monte_carlo") == 9
+
+    def test_chain_probabilities_with_zero_mass(self):
+        t = np.array([[0.2, 0.0, 0.3], [0.0, 0.0, 0.0], [0.1, 0.4, 0.0]])
+        np.testing.assert_allclose(rounding._chain_probabilities(t),
+                                   [[0.4, 0.0], [0.0, 0.0], [0.2, 1.0]], rtol=1e-15)
+
+    def test_chain_probabilities_rebuild_the_masses(self):
+        # mass j = total * p_j * prod_{i<j} (1 - p_i), the last one taking what is left
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = rng.uniform(0, 1, rng.integers(1, 6)) * (rng.uniform(size=1) < 0.7)
+            p = rounding._chain_probabilities(m)
+            assert np.all((0.0 <= p) & (p <= 1.0))
+            left, rebuilt = m.sum(), []
+            for pj in p:
+                rebuilt.append(left * pj)
+                left -= rebuilt[-1]
+            np.testing.assert_allclose([*rebuilt, left], m, atol=1e-12)
 
 
 class TestChunkWorkingSet:
-    """A chunk's temporaries come in row blocks of ``SCRATCH_CELLS`` cells:
-    beyond the arrays with an entry per row (index rows, prefix keys, output
-    values), one chunk's traced peak stays within a fixed budget, however many
-    rows the chunk has."""
+    """Beyond the arrays with an entry per row (index rows, prefix keys,
+    output values, and the lifted chunk's counts and witness sums), a
+    chunk's temporaries come in row blocks of ``SCRATCH_CELLS`` cells, so
+    one chunk's traced peak stays within a fixed budget at every chunk size
+    up to ``MC_CHUNK_SAMPLES``."""
 
     @pytest.mark.parametrize("rows", [2**14, C])
     def test_generic_chunk(self, rows):
@@ -525,8 +581,9 @@ class TestChunkWorkingSet:
         h = 2
         f, g = _lifted_pair(d, h, 300, 4)
         peak = traced_peak(lambda: estimate_strategy_stats(f, g, d, rows, mode="monte_carlo"))
-        # two uint8 prefix rows and two int64 prefix keys per sample; a block's
-        # counts, their float copy and a few vectors of one entry per block row
+        # two uint8 prefix rows and two int64 prefix keys per sample; the int64
+        # row and column counts of the two atoms per side, a drawn cell, and
+        # the witness sums and outputs
         assert peak <= rows * (2 * h + 2 * 8) + 4 * SCRATCH_CELLS * 8
 
 
