@@ -23,12 +23,14 @@ values: each side's mean window as (center, half width) and the accept
 floor, which the core computes once per call and every depth shares.
 Both engines solve their box LPs in batches with one closed-form
 knapsack (``_box_lp_max``): the alternation advances all its starts in
-lockstep, and the judge bounds every f row's best E[fg] at once and
-visits the f rows in descending bound order, stopping once no row left
-can reach the best value.  The core adds the reduction thresholds, exact
-re-verification of witnesses and labeled bounded-depth rejections.
-``decide_gap_nis`` frames it for a balanced target (centers 0) and
-``decide_2x2`` for any binary target (Case II negates the second party).
+lockstep, retiring each start once it stops gaining, and the judge
+bounds every f row's best E[fg] at once and visits the f rows in
+descending bound order, stopping once no row left can reach the best
+value (the probe's single snapped row needs no bound).  The core adds
+the reduction thresholds, exact re-verification of witnesses and labeled
+bounded-depth rejections.  ``decide_gap_nis`` frames it for a balanced
+target (centers 0) and ``decide_2x2`` for any binary target (Case II
+negates the second party).
 """
 
 from __future__ import annotations
@@ -328,9 +330,6 @@ class BmipResult:
     best_value: float
     f_values: np.ndarray | None
     g_values: np.ndarray | None
-    mean_f: float | None
-    mean_g: float | None
-    feasible_pairs: bool
     mode: str = "enumeration"
 
 
@@ -419,10 +418,12 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     are visited in descending bound order, in blocks that start small and
     double, until the next bound falls below the best value found less
     ``_BOUND_MARGIN``; no row left unvisited can then reach the best value.
+    A single kept f row (the probe's snapped pair) has no order to rank, so
+    it is visited without a knapsack.
     """
     W, wa, wb = weights
     (center_f, half_f), (center_g, half_g) = windows
-    infeasible = BmipResult(False, -math.inf, None, None, None, None, False, mode)
+    infeasible = BmipResult(False, -math.inf, None, None, mode)
     G = G[np.abs(G @ wb - center_g) <= half_g]
     if len(G) == 0:
         return infeasible
@@ -432,13 +433,15 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
         return infeasible
 
     C = F @ W  # (Nf, kb)
-    # the knapsack holds about a dozen temporaries the size of its input
-    chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
-    bound = np.concatenate([
-        _box_lp_max(C[s : s + chunk], wb, half_g, center_g)[1]
-        for s in range(0, len(C), chunk)
-    ])
-    order = np.argsort(-bound, kind="stable")
+    order, bound = np.zeros(1, dtype=np.intp), np.full(1, math.inf)
+    if len(C) > 1:
+        # the knapsack holds about a dozen temporaries the size of its input
+        chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
+        bound = np.concatenate([
+            _box_lp_max(C[s : s + chunk], wb, half_g, center_g)[1]
+            for s in range(0, len(C), chunk)
+        ])
+        order = np.argsort(-bound, kind="stable")
     GT = np.ascontiguousarray(G.T)
     ng = len(G)
     most_rows = max(1, BLOCK_CELLS // ng)
@@ -459,10 +462,7 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
         size = min(2 * size, most_rows)
     fv, gv = F[best_key // ng], G[best_key % ng]
 
-    accept = best_val >= floor - ACCEPT_TOL
-    return BmipResult(
-        accept, best_val, fv.copy(), gv.copy(), float(fv @ wa), float(gv @ wb), True, mode
-    )
+    return BmipResult(best_val >= floor - ACCEPT_TOL, best_val, fv.copy(), gv.copy(), mode)
 
 
 # -- independent oracle ------------------------------------------------------------
@@ -474,11 +474,10 @@ class OracleResult:
     f_values: np.ndarray
     g_values: np.ndarray
     upper_bound: float
-    heuristic: bool = True
 
 
-def _box_lp_max(w: np.ndarray, m: np.ndarray, cap: float, center: float = 0.0):
-    """Maximize w.g over the box [-1,1]^k with |m.g - center| <= cap, row by row.
+def _box_lp_max(rows: np.ndarray, m: np.ndarray, cap: float, center: float):
+    """Maximize w.g over the box [-1,1]^k with |m.g - center| <= cap, per row w.
 
     One linear constraint over a box makes this a fractional knapsack
     (Dantzig 1957), solved in closed form: start from the unconstrained
@@ -486,18 +485,15 @@ def _box_lp_max(w: np.ndarray, m: np.ndarray, cap: float, center: float = 0.0):
     coordinates to their other bound, cheapest objective loss per unit of
     m.g first (w_i / m_i, stable order), until m.g reaches the window's
     near edge.  The last coordinate moved may stop at a fractional value,
-    so the maximizer is a vertex of the box-slab polytope.  ``w`` is one
-    row (returns the maximizer and its value) or a (rows, k) batch
-    (returns the maximizers and a value per row).
+    so the maximizer is a vertex of the box-slab polytope.  ``rows`` is a
+    (rows, k) batch of objectives w; returns the (rows, k) maximizers and
+    a value per row.
     """
-    w = np.asarray(w, dtype=float)
-    m = np.asarray(m, dtype=float)
     reach = float(np.abs(m).sum())  # m.g ranges over [-reach, reach]
     if cap < 0 or abs(center) - cap > reach + ACCEPT_TOL * max(1.0, reach):
         raise NisimError(
             f"box LP infeasible: no g in [-1,1]^k has |m.g - {center:.6g}| <= {cap:.6g}"
         )
-    rows = np.atleast_2d(w)
     g = np.where(rows >= 0.0, 1.0, -1.0)
     offset = g @ m - center
     need = (np.abs(offset) - cap)[:, None]  # m.g to recover; <= 0 inside the window
@@ -518,10 +514,7 @@ def _box_lp_max(w: np.ndarray, m: np.ndarray, cap: float, center: float = 0.0):
         moved = np.empty_like(frac)
         moved.put(flat, frac.clip(0.0, 1.0))
         g -= sign * room * moved
-    values = np.einsum("ij,ij->i", rows, g)
-    if w.ndim == 1:
-        return g[0], float(values[0])
-    return g, values
+    return g, np.einsum("ij,ij->i", rows, g)
 
 
 def oracle_max_balanced_ip(
@@ -536,11 +529,10 @@ def oracle_max_balanced_ip(
     With one side fixed the other side is an exact box LP, solved in closed
     form as a fractional knapsack (``_box_lp_max``).  Alternation from
     random and vertex starts, all advancing in lockstep with one batched
-    knapsack per half-round, certifies a lower bound only (flagged
-    heuristic), reported with a rigorous upper bound: the maximal-correlation
-    ceiling, tightened when ka <= ORACLE_VERTEX_START_CAP by the best g-side
-    box LP over all +-1 vertices f of the box (f's mean window relaxed; one
-    batched knapsack).  The decide probe runs the alternation only
+    knapsack per half-round, certifies a lower bound only, reported with a
+    rigorous upper bound: the maximal-correlation ceiling, tightened when
+    ka <= ORACLE_VERTEX_START_CAP by the best g-side box LP over all +-1
+    vertices f of the box (f's mean window relaxed; one batched knapsack).  The decide probe runs the alternation only
     (``_alternate``) and never computes this bound.  ``n`` must be positive
     (``ParameterRangeError``), as for ``brute_force_bmip``.
     """
@@ -552,7 +544,7 @@ def oracle_max_balanced_ip(
         vertices = all_assignments(2, W.shape[0]) * 2.0 - 1.0
         _, vert_vals = _box_lp_max(vertices @ W, wb, mean_caps[1], mean_centers[1])
         upper = min(upper, float(vert_vals.max()))
-    return OracleResult(value, f, g, float(upper), heuristic=True)
+    return OracleResult(value, f, g, float(upper))
 
 
 def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, np.ndarray]:
@@ -561,10 +553,11 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     All starts (the +-1 vertices when ka <= ORACLE_VERTEX_START_CAP, then
     ORACLE_RANDOM_STARTS random ones) advance in lockstep: each half-round
     is one batched knapsack over the live starts, g's for ``F @ W`` and
-    f's for ``G @ W.T``.  A start stops once a round gains at most 1e-12
-    or after ORACLE_MAX_ROUNDS rounds, keeping its latest pair and its
-    best value.  A scan in start order picks the winner, replacing the
-    best only on a gain of more than 1e-12.
+    f's for ``G @ W.T``.  A start stops in the round that gains at most
+    1e-12 or hands back the f the round began with (the next round would
+    recompute the same pair and value), or after ORACLE_MAX_ROUNDS rounds,
+    keeping its latest pair and its best value.  A scan in start order
+    picks the winner, replacing the best only on a gain of more than 1e-12.
     """
     W, wa, wb = weights
     ka, kb = W.shape
@@ -586,8 +579,8 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
         g, _ = _box_lp_max(F[live] @ W, wb, cap_g, center_g)
         f, _ = _box_lp_max(g @ W.T, wa, cap_f, center_f)
         new = np.einsum("ij,ij->i", f @ W, g)
+        done = (new <= val[live] + 1e-12) | (f == F[live]).all(axis=1)
         F[live], G[live] = f, g
-        done = new <= val[live] + 1e-12
         val[live] = np.maximum(val[live], new)
         live = live[~done]
         if not live.size:

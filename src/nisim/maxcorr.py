@@ -13,6 +13,7 @@ singular vectors rescaled by 1/sqrt(marginal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,7 @@ def witsenhausen_bounds(rho: float) -> tuple[float, float]:
     """
     if not 0.0 <= rho <= 1.0:
         raise ParameterRangeError(f"maximal correlation must lie in [0, 1], got {rho}")
-    lower = 1.0 - 2.0 * np.arccos(rho) / np.pi
-    return float(lower), float(rho)
+    return 1.0 - 2.0 * math.acos(rho) / math.pi, float(rho)
 
 
 def maximal_correlation(dist: JointDistribution) -> CorrelationReport:

@@ -44,6 +44,7 @@ from nisim import (
     uniform_triple,
     witsenhausen_bounds,
 )
+from nisim.decision import _tensor_weights
 from nisim.fourier import FourierPolynomial, restrict, restriction_influences_at
 from nisim.spaces import FiniteSpace
 from nisim.util import all_assignments, kron_power
@@ -115,7 +116,8 @@ def test_criterion_2_uniform_triple_pipeline():
         )
         assert res.accept
         assert abs(res.best_value - 0.25) <= 1e-9
-        assert abs(res.mean_f) <= 1e-12 and abs(res.mean_g) <= 1e-12
+        _, wa, wb = _tensor_weights(triple, 1)
+        assert abs(res.f_values @ wa) <= 1e-12 and abs(res.g_values @ wb) <= 1e-12
 
 
 def test_criterion_3_fourier_suite():

@@ -141,6 +141,17 @@ def write_malformed(root: Path, name: str) -> str:
     return str(path)
 
 
+def run_python(code: str, *args: str, **env) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports nisim from src/,
+    with ``env`` over this process's environment (a None value unsets)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env)
+    env = {k: v for k, v in env.items() if v is not None}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
 def check_golden(name: str, text: str):
     """Compare with a stored golden; NISIM_REGEN_GOLDEN=1 writes it instead."""
     path = GOLDEN_DIR / name
@@ -464,12 +475,7 @@ class TestCliBasics:
             "    codes = [main(argv) for argv in runs]\n"
             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", code, dsbs_path, dict_fn_path], env=env,
-                             check=True, capture_output=True, text=True).stdout
-        assert out.strip() == "[0, 0, 0] []"
+        assert run_python(code, dsbs_path, dict_fn_path).strip() == "[0, 0, 0] []"
 
     def test_malformed_constants_rejected(self, run_cli, triple_path):
         for text in ("C_smooth=abc", "C_tau=nan", "C_be=0"):
@@ -553,6 +559,24 @@ class TestGoldenOutputs:
     def test_bounds_golden(self, run_cli, triple_path):
         _, out, _ = run_cli("bounds", "--dist", triple_path)
         check_golden("bounds_triple.json", out)
+
+    def test_bounds_and_maxcorr_ignore_numpy_simd_dispatch(self, triple_path):
+        # numpy's AVX-512 arccos loop rounds arccos(0.5) one ulp below pi/3,
+        # which moved the triple's printed lower bound by an ulp
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        masked = [f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if __cpu_features__.get(f)]
+        if not masked:
+            pytest.skip("numpy reports none of the AVX-512 features to mask")
+        code = (
+            "import sys\n"
+            "from nisim.cli import main\n"
+            "codes = [main(['bounds', '--dist', sys.argv[1]]), main(['maxcorr', sys.argv[1]])]\n"
+            "print(codes)\n"
+        )
+        default = run_python(code, triple_path, NPY_DISABLE_CPU_FEATURES=None)
+        assert default.endswith("[0, 0]\n")
+        assert run_python(code, triple_path, NPY_DISABLE_CPU_FEATURES=" ".join(masked)) == default
 
     def test_fourier_golden(self, run_cli, dict_fn_path):
         _, out, _ = run_cli(

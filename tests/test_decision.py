@@ -268,7 +268,8 @@ class TestBruteForce:
         )
         assert res.accept
         assert res.best_value == pytest.approx(0.25, abs=1e-9)
-        assert abs(res.mean_f) < 1e-12 and abs(res.mean_g) < 1e-12
+        _, wa, wb = _tensor_weights(TRIPLE, 1)
+        assert abs(res.f_values @ wa) < 1e-12 and abs(res.g_values @ wb) < 1e-12
         got = {tuple(res.f_values), tuple(res.g_values)}
         assert got == {(0.5, -1.0), (-0.5, 1.0)}
 
@@ -337,7 +338,7 @@ class TestBruteForce:
                 corr_slack=0.0,
             )
             if best_pair is None:
-                assert not res.feasible_pairs
+                assert res.best_value == -math.inf
             else:
                 assert res.best_value == pytest.approx(best, abs=1e-12)
                 assert tuple(res.f_values) == best_pair[0]
@@ -359,14 +360,14 @@ class TestBruteForce:
             _tensor_weights(dist, 3), discretize_range(0.02), mean_caps=(0.0, 0.0),
             windows=[(0.0, ACCEPT_TOL)] * 2, floor=0.5,
         )
-        assert (res.mode, res.feasible_pairs, res.best_value) == ("oracle_probe", False, -math.inf)
+        assert (res.mode, res.best_value) == ("oracle_probe", -math.inf)
 
     def test_infeasible_caps(self):
         res = brute_force_bmip(
             TRIPLE, 1, 0.1, 0.3, mean_caps=(0.0, 0.0),
             grid=np.array([-0.9, 0.9]), mean_slack=0.0, corr_slack=0.0,
         )
-        assert not res.feasible_pairs
+        assert res.best_value == -math.inf
         assert not res.accept
 
     @pytest.mark.parametrize("grid, error", [
@@ -438,7 +439,7 @@ class TestBruteForce:
                 mean_centers=centers, mean_slack=slack, corr_slack=0.0,
             )
             if len(F) == 0 or len(G) == 0:
-                assert not res.feasible_pairs
+                assert res.best_value == -math.inf
                 continue
             vals = (F @ W) @ G.T
             i, j = np.unravel_index(np.argmax(vals), vals.shape)
@@ -455,7 +456,9 @@ class TestBruteForce:
 
 def reference_alternate(weights, mean_caps, centers, seed=0):
     """The alternation one start at a time, the reference for the lockstep
-    batch: same starts, stopping rule and winner scan."""
+    batch: same starts and winner scan.  A start stops only on a round that
+    gains at most 1e-12, so the batch's stop on a repeated f must give the
+    same value."""
     W, wa, wb = weights
     ka, kb = W.shape
     rng = np.random.default_rng(seed)
@@ -468,8 +471,8 @@ def reference_alternate(weights, mean_caps, centers, seed=0):
     for f in starts:
         val = -math.inf
         for _ in range(decision.ORACLE_MAX_ROUNDS):
-            g, _ = _box_lp_max(f @ W, wb, mean_caps[1], centers[1])
-            f, _ = _box_lp_max(W @ g, wa, mean_caps[0], centers[0])
+            g = _box_lp_max((f @ W)[None], wb, mean_caps[1], centers[1])[0][0]
+            f = _box_lp_max((W @ g)[None], wa, mean_caps[0], centers[0])[0][0]
             new_val = float(f @ W @ g)
             if new_val <= val + 1e-12:
                 val = max(val, new_val)
@@ -489,6 +492,12 @@ def linprog_box_max(w, m, cap, center):
         bounds=[(-1.0, 1.0)] * len(w), method="highs",
     )
     return -res.fun if res.success else None
+
+
+def box_lp_row(w, m, cap, center):
+    """``_box_lp_max`` on a one-row batch: the maximizer and its value."""
+    g, values = _box_lp_max(w[None], m, cap, center)
+    return g[0], float(values[0])
 
 
 class TestBoxLp:
@@ -512,7 +521,7 @@ class TestBoxLp:
             m = rng.dirichlet(np.ones(k))
             center = float(rng.uniform(-0.9, 0.9))
             cap = 0.0 if trial % 5 == 0 else float(rng.uniform(0.0, 0.5))
-            g, value = _box_lp_max(w, m, cap, center)
+            g, value = box_lp_row(w, m, cap, center)
             self.check_row(w, m, cap, center, g, value)
 
     def test_window_touching_the_edges(self):
@@ -521,10 +530,10 @@ class TestBoxLp:
             k = int(rng.integers(2, 8))
             w, m = rng.normal(size=k), rng.dirichlet(np.ones(k))
             for center, cap in ((0.8, 0.2), (-0.8, 0.2), (1.1, 0.1), (-1.25, 0.25)):
-                g, value = _box_lp_max(w, m, cap, center)
+                g, value = box_lp_row(w, m, cap, center)
                 self.check_row(w, m, cap, center, g, value)
         # the window meets the reachable range in one point, m.g = 1
-        g, _ = _box_lp_max(np.array([-1.0, 2.0]), np.array([0.5, 0.5]), 0.0, 1.0)
+        g, _ = box_lp_row(np.array([-1.0, 2.0]), np.array([0.5, 0.5]), 0.0, 1.0)
         assert np.array_equal(g, [1.0, 1.0])
 
     def test_batch_matches_rows(self):
@@ -537,7 +546,7 @@ class TestBoxLp:
         assert G.shape == rows.shape and values.shape == (40,)
         for w, g, value in zip(rows, G, values):
             self.check_row(w, m, 0.05, 0.1, g, value)
-            _, single = _box_lp_max(w, m, 0.05, 0.1)
+            _, single = box_lp_row(w, m, 0.05, 0.1)
             assert value == pytest.approx(single, abs=1e-12)
 
     def test_empty_window_raises(self):
@@ -546,14 +555,13 @@ class TestBoxLp:
         for cap, center in ((0.1, 1.5), (0.1, -1.5), (-0.1, 0.0)):
             assert linprog_box_max(w, m, cap, center) is None
             with pytest.raises(NisimError):
-                _box_lp_max(w, m, cap, center)
+                _box_lp_max(w[None], m, cap, center)
 
 
 class TestOracle:
     def test_triple_quarter(self):
         o = oracle_max_balanced_ip(TRIPLE, 1, (0.0, 0.0))
         assert o.value == pytest.approx(0.25, abs=1e-9)
-        assert o.heuristic
         assert o.upper_bound >= o.value - 1e-9
 
     def test_caps_off_reaches_one(self):
@@ -701,6 +709,19 @@ class TestDecideGapNis:
         assert v.reason == "bounded-depth" and v.n_used == 6
         assert calls == {"maximal_correlation": 1, "_tensor_weights": 6, "discretize_range": 1}
         assert v.n0_report == n0_chain(make_dsbs(0.5), 0.05).as_dict()
+
+    def test_probe_depth_solves_only_the_box_lps_it_reads(self, monkeypatch):
+        # two alternation rounds (by the second every start hands back the f it
+        # began with) and no ranking knapsack for the one snapped row judged
+        calls = []
+
+        def counted(*args, _inner=decision._box_lp_max):
+            calls.append(args)
+            return _inner(*args)
+        monkeypatch.setattr(decision, "_box_lp_max", counted)
+        v = decide_gap_nis(make_dsbs(0.5), 0.5, 0.05, 1)
+        assert v.accepted and v.thresholds["search_mode"] == "oracle_probe"
+        assert len(calls) == 4
 
     def test_accept_witness_reverifies_and_rounds_close(self):
         delta = 0.1

@@ -1,7 +1,7 @@
 """Verdict relations that any correct decider satisfies, whatever its search
 engine: relabelling atoms, swapping the parties, negating the target's V
-(Case II), merging atoms (data processing, Witsenhausen 1975) and raising
-the target correlation.
+(Case II), merging atoms (data processing, Witsenhausen 1975), raising
+the target correlation and tensoring.
 
 For the first four, sources are random 2-3 x 2-3 tables, gap budgets delta
 in {0.45, 0.5, 0.6} and search depths n <= 2.  Each decide gets a caller
@@ -10,11 +10,15 @@ random starts depend on atom order, so only enumeration is invariant under
 relabelling.  The grids are symmetric, because the party swap of a Case II
 target maps each grid value v to -v.  The target relation compares decides
 on one source, so it runs on the default grids, probe depths included.
+Tensoring compares one depth's search on P^n with depth 1 on the source
+tensor_power(P, n): bit for bit on dyadic tables, where the two hold the
+same weights, probe depths included; to rounding on enumerated 2x2 tables,
+whose marginals the two round apart.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import merge_rows
 from nisim import (
@@ -22,9 +26,14 @@ from nisim import (
     JointDistribution,
     decide_2x2,
     decide_gap_nis,
+    discretize_range,
+    make_dsbs,
     maximal_correlation,
+    tensor_power,
 )
-from nisim.decision import WORK_CAP
+from nisim.decision import (
+    ACCEPT_TOL, WORK_CAP, _search_one_level, _search_thresholds, _tensor_weights,
+)
 
 RELATIONS = settings(max_examples=100, deadline=None, derandomize=True)
 DELTAS = st.sampled_from([0.45, 0.5, 0.6])
@@ -162,3 +171,58 @@ def test_raising_the_target_correlation_never_helps(dist, delta, n):
             assert all(w.accepted and w.n_used <= v.n_used for w in verdicts[:i])
         elif v.sound:
             assert all(not w.accepted and w.sound for w in verdicts[i + 1:])
+
+
+@st.composite
+def dyadic_sources(draw):
+    """Tables of multiples of 1/2^m: every tensor product and marginal sum of
+    them is exact, so P at depth n and tensor_power(P, n) hold the same bits."""
+    qa, qb = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(1, 8), min_size=qa * qb - 1, max_size=qa * qb - 1))
+    total = 2 ** sum(counts).bit_length()
+    t = np.array(counts + [total - sum(counts)], dtype=float).reshape(qa, qb) / total
+    return JointDistribution([f"a{i}" for i in range(qa)], [f"b{j}" for j in range(qb)], t)
+
+
+def tensor_searches(dist, n, delta, rho, centers, grid):
+    """One depth's search on P^n, and depth 1 on the source tensor_power(P, n)."""
+    th = _search_thresholds(delta)
+    cap = th["mean_cap"] + th["mean_slack"]
+    search = (grid, (th["mean_cap"],) * 2, [(c, cap + ACCEPT_TOL) for c in centers],
+              rho - th["corr_margin"] - th["corr_slack"])
+    weights = _tensor_weights(dist, n), _tensor_weights(tensor_power(dist, n), 1)
+    return weights, [_search_one_level(w, *search) for w in weights]
+
+
+TENSOR_CASE = (st.sampled_from([0.1, 0.45, 0.6]), st.sampled_from([0.3, 0.6, 0.9]),
+               st.tuples(*[st.sampled_from([-0.4, 0.0, 0.4])] * 2))
+COARSE = np.linspace(-1.0, 1.0, 5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dyadic_sources(), st.sampled_from([2, 3]), *TENSOR_CASE, st.booleans())
+@example(make_dsbs(0.5), 2, 0.45, 0.6, (0.0, 0.0), True)
+@example(make_dsbs(0.5), 3, 0.1, 0.9, (0.0, 0.0), False)
+def test_depth_n_searches_like_depth_one_on_the_tensor_power(
+    dist, n, delta, rho, centers, coarse
+):
+    # the 5-value grid enumerates 2x2 sources at n = 2; the default grid and
+    # every larger table leave the depth to the probe, whose answer is exact
+    # only on equal weights
+    (at_depth, on_power), (a, b) = tensor_searches(
+        dist, n, delta, rho, centers, COARSE if coarse else discretize_range(delta))
+    assert all(np.array_equal(x, y) for x, y in zip(at_depth, on_power))
+    assert (a.mode, a.accept, a.best_value) == (b.mode, b.accept, b.best_value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sources(atoms=2), *TENSOR_CASE)
+def test_tensoring_keeps_the_enumerated_verdict(dist, delta, rho, centers):
+    # on any table the two marginals round apart by an ulp, which moves the
+    # enumerated best value by rounding only
+    _, (a, b) = tensor_searches(dist, 2, delta, rho, centers, COARSE)
+    assert a.mode == b.mode == "enumeration"
+    assert b.best_value == pytest.approx(a.best_value, abs=1e-12)
+    th = _search_thresholds(delta)
+    if abs(a.best_value - (rho - th["corr_margin"] - th["corr_slack"])) > 1e-9:
+        assert a.accept == b.accept
