@@ -57,10 +57,12 @@ from .rounding import randomized_round, round_pair  # noqa: F401
 from .util import (
     BLOCK_CELLS,
     all_assignments,
+    as_integer,
     ceil_tolerant,
     kron_power,
     log10_from_ln,
     power_exceeds,
+    weighted_sum,
 )
 
 WORK_CAP = 10**8
@@ -334,7 +336,7 @@ class BmipResult:
 
 
 def _tensor_weights(dist: JointDistribution, n: int):
-    if n < 1:
+    if as_integer(n, "power") < 1:
         raise ParameterRangeError(f"power must be positive, got {n}")
     qa, qb = dist.shape
     if power_exceeds(qa * qb, n, TABLE_CELL_CAP):
@@ -408,7 +410,9 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     and g's ``windows`` are (center, half_width) pairs, the half width
     being cap + mean_slack + ``ACCEPT_TOL``.  Takes the best E[fg] over the
     kept pairs (first maximum in row-major order) and accepts when it
-    reaches ``floor`` (rho_target - corr_slack) less ``ACCEPT_TOL``.  ``G``
+    reaches ``floor`` (rho_target - corr_slack) less ``ACCEPT_TOL``.  The
+    visit ranks pairs by BLAS products; the winner's E[fg], which is
+    printed and judged, is recomputed with ``util.weighted_sum``.  ``G``
     holds g's rows, which must lie in [-1, 1]; ``f_rows()`` builds f's only
     once some g row fits.
 
@@ -424,15 +428,15 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     W, wa, wb = weights
     (center_f, half_f), (center_g, half_g) = windows
     infeasible = BmipResult(False, -math.inf, None, None, mode)
-    G = G[np.abs(G @ wb - center_g) <= half_g]
+    G = G[np.abs(weighted_sum(G, wb) - center_g) <= half_g]
     if len(G) == 0:
         return infeasible
     F = f_rows()
-    F = F[np.abs(F @ wa - center_f) <= half_f]
+    F = F[np.abs(weighted_sum(F, wa) - center_f) <= half_f]
     if len(F) == 0:
         return infeasible
 
-    C = F @ W  # (Nf, kb)
+    C = F @ W  # (Nf, kb), for ranking only, as are the knapsack bounds and vals
     order, bound = np.zeros(1, dtype=np.intp), np.full(1, math.inf)
     if len(C) > 1:
         # the knapsack holds about a dozen temporaries the size of its input
@@ -461,7 +465,7 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
         start += size
         size = min(2 * size, most_rows)
     fv, gv = F[best_key // ng], G[best_key % ng]
-
+    best_val = float(weighted_sum(fv, weighted_sum(W, gv)))
     return BmipResult(best_val >= floor - ACCEPT_TOL, best_val, fv.copy(), gv.copy(), mode)
 
 
@@ -495,7 +499,7 @@ def _box_lp_max(rows: np.ndarray, m: np.ndarray, cap: float, center: float):
             f"box LP infeasible: no g in [-1,1]^k has |m.g - {center:.6g}| <= {cap:.6g}"
         )
     g = np.where(rows >= 0.0, 1.0, -1.0)
-    offset = g @ m - center
+    offset = g @ m - center  # BLAS: a ranking site (``util.weighted_sum``)
     need = (np.abs(offset) - cap)[:, None]  # m.g to recover; <= 0 inside the window
     if need.max() > 0.0:
         pm = np.sign(offset)[:, None] * m  # every move lowers pm.g
@@ -542,6 +546,7 @@ def oracle_max_balanced_ip(
     upper = _correlation_ceiling(maximal_correlation(dist).rho, win_a, win_b)
     if W.shape[0] <= ORACLE_VERTEX_START_CAP:
         vertices = all_assignments(2, W.shape[0]) * 2.0 - 1.0
+        # BLAS: a bound, kept with the ranking sites (``util.weighted_sum``)
         _, vert_vals = _box_lp_max(vertices @ W, wb, mean_caps[1], mean_centers[1])
         upper = min(upper, float(vert_vals.max()))
     return OracleResult(value, f, g, float(upper))
@@ -576,6 +581,7 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     val = np.full(len(F), -math.inf)
     live = np.arange(len(F))
     for _ in range(ORACLE_MAX_ROUNDS):
+        # BLAS: a ranking site, the pair reaches output through _judge's value
         g, _ = _box_lp_max(F[live] @ W, wb, cap_g, center_g)
         f, _ = _box_lp_max(g @ W.T, wa, cap_f, center_f)
         new = np.einsum("ij,ij->i", f @ W, g)
@@ -605,24 +611,19 @@ def _correlation_ceiling(rho0: float, win_a: tuple[float, float], win_b: tuple[f
 
 
 def _calibrate_pair(
-    fv: np.ndarray,
-    gv: np.ndarray,
-    weights,
-    centers: tuple[float, float],
-    target_corr: float,
+    result: BmipResult, weights, centers: tuple[float, float], target_corr: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blend the pair toward the constant-mean pair until E[fg] <= target_corr.
+    """Blend the search's pair toward the constant-mean pair until E[fg] <= target_corr.
 
     Blending f -> a f + (1-a) c_f (same a on both sides) moves the
     correlation continuously from the search value down to c_f * c_g, so a
     root exists whenever the search overshot; means only tighten.
     """
-    W, wa, wb = weights
-    cu, cv = centers
-    C = float(fv @ W @ gv)
+    fv, gv, C = result.f_values, result.g_values, result.best_value
+    (_, wa, wb), (cu, cv) = weights, centers
     if C <= target_corr:
         return fv, gv
-    ef, eg = float(fv @ wa), float(gv @ wb)
+    ef, eg = float(weighted_sum(fv, wa)), float(weighted_sum(gv, wb))
     A = C - cu * eg - cv * ef + cu * cv
     B = cu * eg + cv * ef - 2.0 * cu * cv
     Cc = cu * cv - target_corr
@@ -724,7 +725,7 @@ def _decide(
         constants = ChainConstants()
     if not 0.0 < delta < 1.0:
         raise ParameterRangeError(f"gap budget must lie in (0, 1), got {delta}")
-    if n_search < 1:
+    if as_integer(n_search, "search depth") < 1:
         raise ParameterRangeError(f"search depth must be positive, got {n_search}")
     if grid is not None:
         grid = _check_grid(grid)
@@ -771,7 +772,7 @@ def _decide(
             break
         probe_used = probe_used or result.mode == "oracle_probe"
         if result.accept:
-            fv, gv = _calibrate_pair(result.f_values, result.g_values, weights, centers, rho_t)
+            fv, gv = _calibrate_pair(result, weights, centers, rho_t)
             f, g, achieved = _verify_accept(
                 fv, gv, dist, n, cap, centers, min(result.best_value, rho_t) - 1e-9
             )

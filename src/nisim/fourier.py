@@ -64,6 +64,7 @@ from .util import (
     index_digits,
     key_dtype,
     power_exceeds,
+    weighted_sum,
 )
 
 # perfbench/workloads imports this second name of the dense table
@@ -120,8 +121,8 @@ def build_basis(space: FiniteSpace) -> OrthonormalBasis:
     for cand in candidates:
         v = cand.astype(float)
         for c in chars:
-            v = v - float(mu @ (v * c)) * c
-        norm = math.sqrt(float(mu @ v**2))
+            v = v - float(weighted_sum(mu, v * c)) * c
+        norm = math.sqrt(float(weighted_sum(mu, v**2)))
         if norm < GS_RESIDUAL_TOL:
             continue
         chars.append(v / norm)
@@ -289,12 +290,8 @@ def influences(poly: FourierPolynomial) -> np.ndarray:
 
 
 def total_influence(poly: FourierPolynomial) -> float:
-    """Sum over sigma of |sigma| * f_hat(sigma)^2.
-
-    An elementwise product and a numpy sum, not a BLAS dot, whose rounding
-    would follow the size of the BLAS thread pool.
-    """
-    return float(np.sum(poly.degrees * (poly.values * poly.values)))
+    """Sum over sigma of |sigma| * f_hat(sigma)^2."""
+    return float(weighted_sum(poly.degrees, poly.values * poly.values))
 
 
 def degree_tail_mass(poly: FourierPolynomial, d: int) -> float:

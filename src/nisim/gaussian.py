@@ -20,7 +20,9 @@ The bivariate CDF uses the classic single-integral reduction
     Phi2(a, b, rho) = Phi(a) Phi(b)
         + (1/2pi) * int_0^{arcsin rho} exp(-(a^2 + b^2 - 2ab sin t) / (2 cos^2 t)) dt
 
-evaluated with fixed-order Gauss-Legendre quadrature.  After the arcsine
+evaluated with fixed-order Gauss-Legendre quadrature, whose terms come
+from ``math`` (numpy's exp rounds by the CPU features it dispatches to)
+and whose sum from ``util.weighted_sum``.  After the arcsine
 substitution the integrand is analytic up to |rho| -> 1, and the quadrant
 value Phi2(0, 0, rho) = 1/4 + arcsin(rho)/(2 pi) is reproduced exactly
 (the integrand is constant there).
@@ -34,7 +36,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ParameterRangeError
-from .util import ceil_tolerant
+from .util import ceil_tolerant, weighted_sum
 
 _GL_ORDER = 96
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -88,10 +90,10 @@ def bivariate_cdf(a: float, b: float, rho: float) -> float:
     if rho == 0.0:
         return base
     upper = math.asin(rho)
-    theta = 0.5 * upper * (_GL_NODES + 1.0)
-    cos2 = np.cos(theta) ** 2
-    integrand = np.exp(-(a * a + b * b - 2.0 * a * b * np.sin(theta)) / (2.0 * cos2))
-    integral = 0.5 * upper * float(_GL_WEIGHTS @ integrand)
+    r2, k = a * a + b * b, 2.0 * a * b
+    integrand = [math.exp(-(r2 - k * math.sin(t)) / (2.0 * math.cos(t) * math.cos(t)))
+                 for t in (0.5 * upper * (_GL_NODES + 1.0)).tolist()]
+    integral = 0.5 * upper * float(weighted_sum(_GL_WEIGHTS, integrand))
     val = base + integral / (2.0 * math.pi)
     return min(max(val, 0.0), 1.0)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterRangeError
 from .spaces import JointDistribution
+from .util import weighted_sum
 
 TOP_SV_TOL = 1e-9
 MULTIPLICITY_TOL = 1e-10
@@ -99,10 +100,10 @@ def maximal_correlation(dist: JointDistribution) -> CorrelationReport:
     g = vt[1, :] / np.sqrt(mu_b)
     # SVD normalizes u, v, which translates exactly into Var = 1 witnesses;
     # re-center/scale to squash last-bit drift.
-    f = f - float(mu_a @ f)
-    g = g - float(mu_b @ g)
-    f = f / np.sqrt(float(mu_a @ f**2))
-    g = g / np.sqrt(float(mu_b @ g**2))
+    f = f - float(weighted_sum(mu_a, f))
+    g = g - float(weighted_sum(mu_b, g))
+    f = f / np.sqrt(float(weighted_sum(mu_a, f**2)))
+    g = g / np.sqrt(float(weighted_sum(mu_b, g**2)))
     if f[0] < 0 or (f[0] == 0 and g[0] < 0):
         f, g = -f, -g
 

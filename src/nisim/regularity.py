@@ -43,6 +43,7 @@ from .fourier import (
 )
 from .util import (
     all_assignments,
+    as_integer,
     ceil_tolerant,
     draw_atoms,
     kron_power,
@@ -186,6 +187,7 @@ def regularity_params(
         raise ParameterRangeError(
             "degree cutoff d (regularity --d) is beyond float range; lower --d"
         )
+    d = as_integer(d, "degree")
     if ln_tau is None:
         if not 0.0 < tau < 1.0:
             raise ParameterRangeError(f"influence threshold must lie in (0, 1), got {tau}")

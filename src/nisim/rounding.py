@@ -36,11 +36,7 @@ uniforms in blocks of whole rows of at most ``util.SCRATCH_CELLS`` cells;
 the lifted chunk's counts and witness sums are arrays with one entry per
 row and atom, updated in place.
 A chunk keeps four sums, of f, g, fg and (fg)^2; the joint's cells are formed once from their
-total (for +-1 outputs every sum is an exact integer).  No chunk makes a
-BLAS call: the sums are numpy reductions and the lifted witness sums are
-elementwise products added in atom order, which round the same whatever
-the size of the BLAS thread pool, and leave that pool's spinning workers
-asleep.
+total (for +-1 outputs every sum is an exact integer).
 An rng-rounded strategy draws its coins from the chunk's generator, which
 the harness hands over through ``evaluate(idx, rng=...)``; exact
 enumeration refuses it, since its outputs are random.
@@ -70,6 +66,7 @@ from .util import (
     flat_index,
     kron_power,
     power_exceeds,
+    weighted_sum,
 )
 
 # samples per Monte Carlo chunk: part of the stream layout, like the seed
@@ -314,9 +311,9 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
     vf = f.evaluate(all_assignments(qa, n))
     vg = g.evaluate(all_assignments(qb, n))
     # u(x) = sum_y prod_i mu(x_i, y_i) g(y)
-    corr = float(vf @ contract_coordinates(vg, dist.table, n))
-    mean_f = float(kron_power(dist.row_space.probs, n) @ vf)
-    mean_g = float(kron_power(dist.col_space.probs, n) @ vg)
+    corr = float(weighted_sum(vf, contract_coordinates(vg, dist.table, n)))
+    mean_f = float(weighted_sum(kron_power(dist.row_space.probs, n), vf))
+    mean_g = float(weighted_sum(kron_power(dist.col_space.probs, n), vg))
     joint = EmpiricalJoint2x2.from_moments(mean_f, mean_g, corr)
     return StrategyStats(mean_f, mean_g, corr, 0.0, 0.0, 0.0, joint, 0, "exact")
 
@@ -324,10 +321,8 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
 def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
     """Accumulator [sum f, sum g, sum fg, sum (fg)^2] of one chunk.
 
-    Every sum is a numpy reduction, never a BLAS call: a BLAS dot rounds
-    by the size of its thread pool, and its spinning workers take a core
-    from the chunk threads.  The product is squared in place, so no second
-    row-long temporary is made.
+    The product is squared in place, so no second row-long temporary is
+    made.
     """
     prod = vf * vg
     sums = [vf.sum(), vg.sum(), prod.sum()]
@@ -500,7 +495,7 @@ def estimate_strategy_stats(
                 f"exact enumeration needs {qa * qb}^{f.n} cells, above the cap {CELL_CAP}"
             )
         return _exact_stats(f, g, dist)
-    if n_samples < 1:
+    if as_integer(n_samples, "sample count") < 1:
         raise ParameterRangeError("Monte Carlo needs at least one sample")
 
     lifted = (

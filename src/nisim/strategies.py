@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputError, ParameterRangeError
 from .spaces import FiniteSpace, json_floats, json_list, json_object
-from .util import CELL_CAP, check_atom_rows, flat_index, kron_power, power_exceeds
+from .util import (CELL_CAP, as_integer, check_atom_rows, flat_index, kron_power, power_exceeds,
+                   weighted_sum)
 
 
 class Strategy:
@@ -36,7 +37,7 @@ class TableStrategy(Strategy):
     Fourier layer's value table."""
 
     def __init__(self, space: FiniteSpace, n: int, values):
-        if n < 0:
+        if as_integer(n, "coordinate count") < 0:
             raise ParameterRangeError("coordinate count must be nonnegative")
         v = np.asarray(values, dtype=float).ravel()
         if v.shape[0] != space.q**n:
@@ -54,13 +55,13 @@ class TableStrategy(Strategy):
         return kron_power(self.space.probs, self.n)
 
     def mean(self) -> float:
-        return float(self.weights() @ self.values)
+        return float(weighted_sum(self.weights(), self.values))
 
     def norm(self, p: float) -> float:
         """lp norm under the product measure (p = inf gives the max on the support)."""
         if p == math.inf:
             return float(np.abs(self.values).max())
-        return float((self.weights() @ np.abs(self.values) ** p) ** (1.0 / p))
+        return float(weighted_sum(self.weights(), np.abs(self.values) ** p) ** (1.0 / p))
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,9 +8,11 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -150,6 +152,47 @@ def run_python(code: str, *args: str, **env) -> str:
     env = {k: v for k, v in env.items() if v is not None}
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           check=True, capture_output=True, text=True).stdout
+
+
+# the command behind each golden file; {name} fields name golden_argv's input files
+GOLDEN_RUNS = {
+    "maxcorr_triple.json": ["maxcorr", "{triple}"],
+    "bounds_triple.json": ["bounds", "--dist", "{triple}"],
+    "fourier_dictator.json": [
+        "fourier", "{dictator}", "--report", "mean,var,influences,tail:0,degree"],
+    "regularity_dictator.json": ["regularity", "{dictator}", "--d", "1", "--tau", "0.3", "--exact"],
+    "n0_triple_03.json": ["n0", "--dist", "{triple}", "--delta", "0.3"],
+    "decide_triple_02.json": [
+        "decide", "--dist", "{triple}", "--target", "dsbs:0.2", "--delta", "0.5", "--n", "1"],
+    "decide_dsbs3_ceiling.json": [
+        "decide", "--dist", "{dsbs3}", "--target", "dsbs:0.31", "--delta", "0.001", "--n", "2"],
+    "decide_dsbs5_bounded.json": [
+        "decide", "--dist", "{dsbs5}", "--target", "dsbs:0.66", "--delta", "0.05", "--n", "2"],
+    "decide_dsbs5_anti_accept.json": [
+        "decide", "--dist", "{dsbs5}", "--target", "{anti}", "--delta", "0.2", "--n", "1"],
+    "decide_dsbs5_anti_ceiling.json": [
+        "decide", "--dist", "{dsbs5}", "--target", "{anti}", "--delta", "0.05", "--n", "1"],
+    "simulate_dsbs49.json": [
+        "simulate", "--dist", "{dsbs49}", "--f", "{dictator}", "--g", "{dictator}",
+        "--samples", "2000", "--seed", "5", "--target", "dsbs:0.49", "--force-mc",
+        "--threads", "1"],
+    "examples_alpha25.json": ["examples", "--name", "alpha:0.25"],
+}
+KERNEL_OUTPUTS = Path(__file__).with_name("kernel_outputs.py")
+
+
+@pytest.fixture
+def golden_argv(triple_path, dict_fn_path, dsbs_file, dsbs_path, anti_target_path):
+    """The argv of a golden file's command, on this test's input files."""
+    paths = {"triple": triple_path, "dictator": dict_fn_path, "dsbs3": dsbs_file("0.3"),
+             "dsbs5": dsbs_file("0.5"), "dsbs49": dsbs_path, "anti": anti_target_path}
+    return lambda name: [arg.format(**paths) for arg in GOLDEN_RUNS[name]]
+
+
+@pytest.fixture
+def run_golden(run_cli, golden_argv):
+    """Run a golden file's command and compare its stdout with the file."""
+    return lambda name: check_golden(name, run_cli(*golden_argv(name))[1])
 
 
 def check_golden(name: str, text: str):
@@ -552,94 +595,80 @@ class TestCliBasics:
 class TestGoldenOutputs:
     """Byte-stable outputs for fixed inputs and seeds."""
 
-    def test_maxcorr_golden(self, run_cli, triple_path):
-        _, out, _ = run_cli("maxcorr", triple_path)
-        check_golden("maxcorr_triple.json", out)
+    def test_maxcorr_golden(self, run_golden):
+        run_golden("maxcorr_triple.json")
 
-    def test_bounds_golden(self, run_cli, triple_path):
-        _, out, _ = run_cli("bounds", "--dist", triple_path)
-        check_golden("bounds_triple.json", out)
+    def test_bounds_golden(self, run_golden):
+        run_golden("bounds_triple.json")
 
-    def test_bounds_and_maxcorr_ignore_numpy_simd_dispatch(self, triple_path):
-        # numpy's AVX-512 arccos loop rounds arccos(0.5) one ulp below pi/3,
-        # which moved the triple's printed lower bound by an ulp
+    def test_outputs_ignore_blas_kernel_and_simd_dispatch(self, golden_argv):
+        """Every golden command and a seeded library corpus
+        (``kernel_outputs.py``) print the same bytes under three OpenBLAS
+        kernels, one BLAS thread and numpy's AVX-512 mask as by default."""
         from numpy._core._multiarray_umath import __cpu_features__
 
+        envs = {}
+        if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            envs = {kernel: {"OPENBLAS_CORETYPE": kernel}
+                    for kernel in ("Haswell", "Prescott", "Sandybridge")}
+            envs["one BLAS thread"] = {"OPENBLAS_NUM_THREADS": "1"}
         masked = [f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if __cpu_features__.get(f)]
-        if not masked:
-            pytest.skip("numpy reports none of the AVX-512 features to mask")
-        code = (
-            "import sys\n"
-            "from nisim.cli import main\n"
-            "codes = [main(['bounds', '--dist', sys.argv[1]]), main(['maxcorr', sys.argv[1]])]\n"
-            "print(codes)\n"
-        )
-        default = run_python(code, triple_path, NPY_DISABLE_CPU_FEATURES=None)
-        assert default.endswith("[0, 0]\n")
-        assert run_python(code, triple_path, NPY_DISABLE_CPU_FEATURES=" ".join(masked)) == default
+        if masked:
+            envs["numpy mask"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(masked)}
+        if not envs:
+            pytest.skip("numpy reports neither OpenBLAS nor AVX-512 features to mask")
+        assert sorted(GOLDEN_RUNS) == sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+        runs = json.dumps([[name, golden_argv(name)] for name in GOLDEN_RUNS])
+        code = KERNEL_OUTPUTS.read_text(encoding="utf-8")
+        unset = {"OPENBLAS_CORETYPE": None, "OPENBLAS_NUM_THREADS": None,
+                 "NPY_DISABLE_CPU_FEATURES": None}
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = {label: pool.submit(run_python, code, runs, **dict(unset, **env))
+                       for label, env in [("default", {}), *envs.items()]}
+        outputs = {label: json.loads(future.result()) for label, future in futures.items()}
+        for out in outputs.values():
+            # the ceiling is the source's rho from LAPACK's SVD (ROADMAP item 10)
+            exit_code, text = out["cli"]["decide_dsbs3_ceiling.json"]
+            verdict = json.loads(text)
+            del verdict["thresholds"]["ceiling"]
+            out["cli"]["decide_dsbs3_ceiling.json"] = [exit_code, verdict]
+        default = outputs.pop("default")
+        assert all(exit_code == 0 for exit_code, _ in default["cli"].values())
+        moved = {label: [name for name in GOLDEN_RUNS if out["cli"][name] != default["cli"][name]]
+                 + [f"corpus[{i}]" for i, (a, b) in enumerate(zip(out["corpus"], default["corpus"]))
+                    if a != b]
+                 for label, out in outputs.items()}
+        assert moved == {label: [] for label in envs}
 
-    def test_fourier_golden(self, run_cli, dict_fn_path):
-        _, out, _ = run_cli(
-            "fourier", dict_fn_path, "--report", "mean,var,influences,tail:0,degree"
-        )
-        check_golden("fourier_dictator.json", out)
+    def test_fourier_golden(self, run_golden):
+        run_golden("fourier_dictator.json")
 
-    def test_regularity_golden(self, run_cli, dict_fn_path):
-        _, out, _ = run_cli(
-            "regularity", dict_fn_path, "--d", "1", "--tau", "0.3", "--exact"
-        )
-        check_golden("regularity_dictator.json", out)
+    def test_regularity_golden(self, run_golden):
+        run_golden("regularity_dictator.json")
 
-    def test_n0_golden(self, run_cli, triple_path):
-        _, out, _ = run_cli("n0", "--dist", triple_path, "--delta", "0.3")
-        check_golden("n0_triple_03.json", out)
+    def test_n0_golden(self, run_golden):
+        run_golden("n0_triple_03.json")
 
-    def test_decide_golden(self, run_cli, triple_path):
-        _, out, _ = run_cli(
-            "decide", "--dist", triple_path, "--target", "dsbs:0.2",
-            "--delta", "0.5", "--n", "1",
-        )
-        check_golden("decide_triple_02.json", out)
+    def test_decide_golden(self, run_golden):
+        run_golden("decide_triple_02.json")
 
-    def test_decide_balanced_ceiling_reject_golden(self, run_cli, dsbs_file):
-        _, out, _ = run_cli(
-            "decide", "--dist", dsbs_file("0.3"), "--target", "dsbs:0.31",
-            "--delta", "0.001", "--n", "2",
-        )
-        check_golden("decide_dsbs3_ceiling.json", out)
+    def test_decide_balanced_ceiling_reject_golden(self, run_golden):
+        run_golden("decide_dsbs3_ceiling.json")
 
-    def test_decide_balanced_bounded_depth_golden(self, run_cli, dsbs_file):
-        _, out, _ = run_cli(
-            "decide", "--dist", dsbs_file("0.5"), "--target", "dsbs:0.66",
-            "--delta", "0.05", "--n", "2",
-        )
-        check_golden("decide_dsbs5_bounded.json", out)
+    def test_decide_balanced_bounded_depth_golden(self, run_golden):
+        run_golden("decide_dsbs5_bounded.json")
 
-    def test_decide_case_two_probe_accept_golden(self, run_cli, dsbs_file, anti_target_path):
-        _, out, _ = run_cli(
-            "decide", "--dist", dsbs_file("0.5"), "--target", anti_target_path,
-            "--delta", "0.2", "--n", "1",
-        )
-        check_golden("decide_dsbs5_anti_accept.json", out)
+    def test_decide_case_two_probe_accept_golden(self, run_golden):
+        run_golden("decide_dsbs5_anti_accept.json")
 
-    def test_decide_case_two_ceiling_reject_golden(self, run_cli, dsbs_file, anti_target_path):
-        _, out, _ = run_cli(
-            "decide", "--dist", dsbs_file("0.5"), "--target", anti_target_path,
-            "--delta", "0.05", "--n", "1",
-        )
-        check_golden("decide_dsbs5_anti_ceiling.json", out)
+    def test_decide_case_two_ceiling_reject_golden(self, run_golden):
+        run_golden("decide_dsbs5_anti_ceiling.json")
 
-    def test_simulate_golden(self, run_cli, dsbs_path, dict_fn_path):
-        _, out, _ = run_cli(
-            "simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,
-            "--samples", "2000", "--seed", "5", "--target", "dsbs:0.49",
-            "--force-mc", "--threads", "1",
-        )
-        check_golden("simulate_dsbs49.json", out)
+    def test_simulate_golden(self, run_golden):
+        run_golden("simulate_dsbs49.json")
 
-    def test_examples_golden(self, run_cli):
-        _, out, _ = run_cli("examples", "--name", "alpha:0.25")
-        check_golden("examples_alpha25.json", out)
+    def test_examples_golden(self, run_golden):
+        run_golden("examples_alpha25.json")
 
 
 # valid contents of each kind of file the CLI reads: fuzz inputs, and the

@@ -1,23 +1,39 @@
 """Core probability-space tests: construction invariants, tensor powers,
-total variation and JSON I/O."""
+total variation and JSON I/O; the shared helpers of ``nisim.util``."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nisim
 from nisim import (
     EmpiricalJoint2x2,
     InputError,
     JointDistribution,
     ParameterRangeError,
     ResourceLimitError,
+    TableStrategy,
+    brute_force_bmip,
+    decide_gap_nis,
+    estimate_strategy_stats,
     make_dsbs,
+    regularity_params,
     tensor_power,
     tv_distance,
     uniform_triple,
 )
 from nisim.spaces import FiniteSpace
-from nisim.util import draw_atoms, draw_cells, flat_index, kron_power, place_values
+from nisim.util import (
+    contract_coordinates,
+    draw_atoms,
+    draw_cells,
+    flat_index,
+    kron_power,
+    place_values,
+)
 
 
 class TestFiniteSpace:
@@ -322,3 +338,113 @@ class TestJson:
     def test_malformed_json(self):
         with pytest.raises(InputError, match="malformed"):
             JointDistribution.from_json("{not json")
+
+
+class TestContractCoordinates:
+    def test_adds_each_coordinate_in_atom_order(self):
+        # the scalar reference contracts coordinate 0 first and adds x = 0, 1, ...
+        # in turn, which is the order the result's bits follow on every machine
+        rng = np.random.default_rng(5)
+        for q_out, q_in, n in [(2, 2, 3), (3, 2, 2), (2, 3, 3), (4, 4, 2), (3, 3, 0)]:
+            matrix, values = rng.random((q_out, q_in)), rng.random(q_in**n)
+            arr = values.reshape((q_in,) * n)
+            for _ in range(n):
+                out = np.empty(arr.shape[1:] + (q_out,))
+                for rest in np.ndindex(*arr.shape[1:]):
+                    for y in range(q_out):
+                        acc = arr[(0, *rest)] * matrix[y, 0]
+                        for x in range(1, q_in):
+                            acc += arr[(x, *rest)] * matrix[y, x]
+                        out[(*rest, y)] = acc
+                arr = out
+            result = contract_coordinates(values, matrix, n)
+            assert result.tobytes() == arr.ravel().tobytes(), (q_out, q_in, n)
+
+
+# every BLAS or LAPACK call in src/nisim, by the function that holds it; the
+# printed and judged sums go through util.weighted_sum instead, and a new
+# call fails this list until it is classified in weighted_sum's docstring
+CLASSIFIED_BLAS_CALLS = {
+    # ranking: the winner's value is recomputed in fixed order
+    "decision._judge": ["@", "@"],
+    "decision._box_lp_max": ["@", "einsum"],
+    "decision.oracle_max_balanced_ip": ["@"],
+    "decision._alternate": ["@", "@", "@", "einsum"],
+    # restriction products (ROADMAP item 12)
+    "fourier._RestrictionPlan.columns": ["matmul"],
+    "fourier.restriction_influences_at": ["matmul"],
+    # LAPACK (ROADMAP item 10)
+    "maxcorr.maximal_correlation": ["linalg.svd"],
+    "decision._calibrate_pair": ["roots"],
+    # a Gram check to 1e-10
+    "fourier.OrthonormalBasis.__init__": ["@"],
+}
+BLAS_NAMES = {"dot", "matmul", "tensordot", "einsum", "inner", "vdot", "roots"}
+
+
+def blas_calls(source: str, module: str) -> dict:
+    """Each ``@`` and BLAS or LAPACK call in ``source``, listed by the
+    qualified name of the function or class body that holds it."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        op = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            op = "@"
+        elif isinstance(node, ast.Call):
+            chain, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            if isinstance(func, ast.Name):
+                chain.insert(0, func.id)
+            if "linalg" in chain:
+                op = "linalg." + chain[-1]
+            elif chain and chain[-1] in BLAS_NAMES:
+                op = chain[-1]
+        if op:
+            found.setdefault(".".join([module, *scope]), []).append(op)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_every_blas_call_in_src_is_classified():
+    found = {}
+    for path in sorted(Path(nisim.__file__).parent.glob("*.py")):
+        found.update(blas_calls(path.read_text(encoding="utf-8"), path.stem))
+    assert {k: sorted(v) for k, v in found.items()} == {
+        k: sorted(v) for k, v in CLASSIFIED_BLAS_CALLS.items()}
+
+
+def test_blas_calls_sees_each_form():
+    source = (
+        "def f(a, b):\n    a @= b\n    return np.dot(a, b) + a.dot(b)\n"
+        "class C:\n    def g(self):\n        return np.linalg.norm(x) + vdot(x, x)\n"
+        "y = np.roots([1, 2]) @ z\n"
+    )
+    assert blas_calls(source, "m") == {
+        "m.f": ["@", "dot", "dot"], "m.C.g": ["linalg.norm", "vdot"], "m": ["@", "roots"]}
+
+
+DSBS = make_dsbs(0.5)
+# a float where each library entry point expects a count
+FLOAT_COUNT_CALLS = {
+    "TableStrategy": lambda: TableStrategy(DSBS.row_space, 2.0, np.ones(4)).mean(),
+    "decide_gap_nis": lambda: decide_gap_nis(DSBS, 0.5, 0.3, n_search=2.5),
+    "estimate_strategy_stats": lambda: estimate_strategy_stats(
+        TableStrategy(DSBS.row_space, 1, [1.0, -1.0]),
+        TableStrategy(DSBS.col_space, 1, [1.0, -1.0]), DSBS, n_samples=2.5, mode="monte_carlo"),
+    "brute_force_bmip": lambda: brute_force_bmip(DSBS, 1.0, 0.5, 0.3, (0.1, 0.1)),
+    "regularity_params": lambda: regularity_params(2.5, 0.3, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_COUNT_CALLS))
+def test_count_arguments_must_be_integers(name):
+    with pytest.raises(InputError, match="not an integer"):
+        FLOAT_COUNT_CALLS[name]()
