@@ -35,8 +35,10 @@ negates the second party).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,22 +236,35 @@ def _n0_chain(
 # -- range discretization -------------------------------------------------------
 
 
-def discretize_range(delta: float) -> np.ndarray:
-    """Symmetric value grid {k * delta^2/10 : |k| < 10/delta^2}, strictly inside (-1, 1).
+class _Lattice(NamedTuple):
+    """``discretize_range(delta)`` unbuilt: the values spacing * k, |k| <= k_max."""
 
-    Raises ``ResourceLimitError`` before allocating when the grid's
-    2 * k_max + 1 values exceed ``SIDE_MEM_CAP``.
-    """
+    delta: float
+    spacing: float
+    k_max: int
+
+
+def _lattice(delta: float) -> _Lattice:
+    """Size the default value grid, raising ``ResourceLimitError`` when its
+    2 * k_max + 1 values exceed ``SIDE_MEM_CAP``."""
     if not 0.0 < delta <= 1.0:
         raise ParameterRangeError(f"gap budget must lie in (0, 1], got {delta}")
-    spacing = delta * delta / 10.0
     top = 10.0 / (delta * delta) - 1e-9 if delta * delta > 0.0 else math.inf
     if top >= (SIDE_MEM_CAP + 1) // 2:  # then 2 * floor(top) + 1 > SIDE_MEM_CAP
         raise ResourceLimitError(
             f"gap budget {delta:g} needs a value grid of more than {SIDE_MEM_CAP} values "
             "(the memory cap); use a larger delta"
         )
-    k_max = int(math.floor(top))
+    return _Lattice(delta, delta * delta / 10.0, int(math.floor(top)))
+
+
+def discretize_range(delta: float) -> np.ndarray:
+    """Symmetric value grid {k * delta^2/10 : |k| < 10/delta^2}, strictly inside (-1, 1).
+
+    Raises ``ResourceLimitError`` before allocating when the grid's
+    2 * k_max + 1 values exceed ``SIDE_MEM_CAP``.
+    """
+    _, spacing, k_max = _lattice(delta)
     return spacing * np.arange(-k_max, k_max + 1)
 
 
@@ -381,22 +396,30 @@ def brute_force_bmip(
     ``n`` positive.  Raises ``ResourceLimitError`` when the grid pairs
     exceed ``WORK_CAP``.
     """
-    grid = discretize_range(delta) if grid is None else _check_grid(grid)
+    lattice = _lattice(delta) if grid is None else None
+    grid = None if grid is None else _check_grid(grid)
     th = _search_thresholds(delta)
     mean_slack = th["mean_slack"] if mean_slack is None else mean_slack
     corr_slack = th["corr_slack"] if corr_slack is None else corr_slack
     windows = [(c, cap + mean_slack + ACCEPT_TOL) for c, cap in zip(mean_centers, mean_caps)]
-    return _enumerate(_tensor_weights(dist, n), grid, windows, rho_target - corr_slack)
+    return _enumerate(_tensor_weights(dist, n), grid, windows, rho_target - corr_slack, lattice)
 
 
-def _enumerate(weights, grid, windows, floor) -> BmipResult:
-    """``brute_force_bmip`` on one depth's tensor weights ``(W, wa, wb)``."""
+def _enumerate(weights, grid, windows, floor, lattice=None) -> BmipResult:
+    """``brute_force_bmip`` on one depth's tensor weights ``(W, wa, wb)``.
+
+    ``grid`` None stands for the default grid ``lattice``, which is built
+    (``discretize_range``) only once its pairs fit the work cap.
+    """
     ka, kb = weights[0].shape
-    if power_exceeds(len(grid), ka + kb, WORK_CAP):
+    size = 2 * lattice.k_max + 1 if grid is None else len(grid)
+    if power_exceeds(size, ka + kb, WORK_CAP):
         raise ResourceLimitError(
-            f"{len(grid)}^{ka + kb} grid pairs exceed the work cap {WORK_CAP}; "
+            f"{size}^{ka + kb} grid pairs exceed the work cap {WORK_CAP}; "
             "coarsen the grid"
         )
+    if grid is None:
+        grid = discretize_range(lattice.delta)
     return _judge(
         weights, _grid_assignments(grid, kb), lambda: _grid_assignments(grid, ka),
         windows, floor, "enumeration",
@@ -541,23 +564,38 @@ def oracle_max_balanced_ip(
     (``ParameterRangeError``), as for ``brute_force_bmip``.
     """
     weights = W, _, wb = _tensor_weights(dist, n)
+    seed = as_integer(seed, "seed")
     value, f, g = _alternate(weights, mean_caps, mean_centers, seed)
     win_a, win_b = [(max(-1.0, c - k), min(1.0, c + k)) for c, k in zip(mean_centers, mean_caps)]
     upper = _correlation_ceiling(maximal_correlation(dist).rho, win_a, win_b)
     if W.shape[0] <= ORACLE_VERTEX_START_CAP:
-        vertices = all_assignments(2, W.shape[0]) * 2.0 - 1.0
+        vertices = _start_table(W.shape[0], seed)[:-ORACLE_RANDOM_STARTS]
         # BLAS: a bound, kept with the ranking sites (``util.weighted_sum``)
         _, vert_vals = _box_lp_max(vertices @ W, wb, mean_caps[1], mean_centers[1])
         upper = min(upper, float(vert_vals.max()))
     return OracleResult(value, f, g, float(upper))
 
 
+@functools.lru_cache(maxsize=16)
+def _start_table(ka: int, seed: int) -> np.ndarray:
+    """The alternation's starts for ``ka`` f coordinates, read-only: the +-1
+    vertices when ka <= ORACLE_VERTEX_START_CAP, then ORACLE_RANDOM_STARTS
+    random ones drawn from ``seed`` (at most 4128 x 12 floats, 396 KB)."""
+    rng = np.random.default_rng(seed)
+    if ka <= ORACLE_VERTEX_START_CAP:
+        vertices = all_assignments(2, ka) * 2.0 - 1.0
+    else:
+        vertices = np.empty((0, ka))
+    table = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(ORACLE_RANDOM_STARTS, ka))])
+    table.flags.writeable = False
+    return table
+
+
 def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, np.ndarray]:
     """The oracle's alternation on one depth's tensor weights: best (E[fg], f, g).
 
-    All starts (the +-1 vertices when ka <= ORACLE_VERTEX_START_CAP, then
-    ORACLE_RANDOM_STARTS random ones) advance in lockstep: each half-round
-    is one batched knapsack over the live starts, g's for ``F @ W`` and
+    All starts (``_start_table``, built once per (ka, seed)) advance in
+    lockstep: each half-round is one batched knapsack over the live starts, g's for ``F @ W`` and
     f's for ``G @ W.T``.  A start stops in the round that gains at most
     1e-12 or hands back the f the round began with (the next round would
     recompute the same pair and value), or after ORACLE_MAX_ROUNDS rounds,
@@ -570,13 +608,7 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
         raise ResourceLimitError(f"oracle supports at most 64 variables per side, got {ka}x{kb}")
     cap_f, cap_g = mean_caps
     center_f, center_g = centers
-    rng = np.random.default_rng(seed)
-
-    if ka <= ORACLE_VERTEX_START_CAP:
-        vertices = all_assignments(2, ka) * 2.0 - 1.0
-    else:
-        vertices = np.empty((0, ka))
-    F = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(ORACLE_RANDOM_STARTS, ka))])
+    F = _start_table(ka, as_integer(seed, "seed")).copy()
     G = np.zeros((len(F), kb))
     val = np.full(len(F), -math.inf)
     live = np.arange(len(F))
@@ -645,26 +677,43 @@ def _snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.where(values - lo <= hi - values, lo, hi)
 
 
-def _search_one_level(weights, grid, mean_caps, windows, floor) -> BmipResult:
+def _snap_to_lattice(values: np.ndarray, lattice: _Lattice) -> np.ndarray:
+    """``_snap_to_grid(values, discretize_range(lattice.delta))`` without the grid.
+
+    The grid's value k is the product spacing * k, so lo and hi are the
+    grid's own floats.  k = ceil(v / spacing), clipped as ``searchsorted``'s
+    index is, can miss the first k with spacing * k >= v by one step only
+    where v lies within rounding of a grid value, and both brackets then
+    pick that value.
+    """
+    _, spacing, k_max = lattice
+    k = np.clip(np.ceil(values / spacing), 1 - k_max, k_max)
+    lo, hi = spacing * (k - 1.0), spacing * k
+    return np.where(values - lo <= hi - values, lo, hi) + 0.0  # -0.0 to the grid's 0.0
+
+
+def _search_one_level(weights, grid, mean_caps, windows, floor, lattice=None) -> BmipResult:
     """Full grid search when it fits the work cap, oracle probe otherwise.
 
     Both judge by ``windows`` and ``floor`` (see ``_judge``); the oracle's
     alternation holds the means within ``mean_caps`` of the windows'
-    centers.  The probe snaps the alternating oracle's pair to the grid.
+    centers.  The probe snaps the alternating oracle's pair to the grid, or
+    with ``grid`` None to the default grid ``lattice`` by arithmetic.
     An ACCEPT from it is fully verified (grid-valued witness, thresholds
     re-checked exactly); a non-accept carries no guarantee beyond the
     depths the oracle explored.  Raises ``ResourceLimitError`` when the
     depth is beyond the oracle too.
     """
     try:
-        return _enumerate(weights, grid, windows, floor)
+        return _enumerate(weights, grid, windows, floor, lattice)
     except ResourceLimitError:
         pass
     _, f, g = _alternate(weights, mean_caps, [center for center, _ in windows])
-    return _judge(
-        weights, _snap_to_grid(g, grid)[None], lambda: _snap_to_grid(f, grid)[None],
-        windows, floor, "oracle_probe",
-    )
+    def snap(values):
+        if grid is None:
+            return _snap_to_lattice(values, lattice)[None]
+        return _snap_to_grid(values, grid)[None]
+    return _judge(weights, snap(g), lambda: snap(f), windows, floor, "oracle_probe")
 
 
 def _search_thresholds(delta: float) -> dict:
@@ -755,8 +804,7 @@ def _decide(
             thresholds=thresholds, caveat=f"sound at every n{label}: {bound} < {accept_floor:.6g}",
         )
 
-    if grid is None:
-        grid = discretize_range(delta)
+    lattice = _lattice(delta) if grid is None else None
     mean_caps = (th["mean_cap"], th["mean_cap"])
     windows = [(c, cap + ACCEPT_TOL) for c in centers]
     probe_used = False
@@ -764,7 +812,7 @@ def _decide(
     for n in range(1, n_search + 1):
         try:
             weights = _tensor_weights(dist, n)
-            result = _search_one_level(weights, grid, mean_caps, windows, accept_floor)
+            result = _search_one_level(weights, grid, mean_caps, windows, accept_floor, lattice)
         except ResourceLimitError as exc:
             if n == 1:
                 raise

@@ -107,6 +107,35 @@ class TestDiscretizeRange:
             assert np.array_equal(discretize_range(delta), expected)
 
 
+class TestDefaultGridSnap:
+    def test_arithmetic_snap_matches_the_built_grid_bytewise(self):
+        # grid points, midpoints and their float neighbours, values beyond
+        # [-1, 1] and both zeros, over deltas from the finest to the coarsest
+        rng = np.random.default_rng(41)
+        deltas = np.concatenate([[0.005, 0.02, 0.03, 0.05, 0.07, 0.1, 0.5, 1.0],
+                                 rng.uniform(0.005, 1.0, size=40)])
+        checked = 0
+        for delta in deltas:
+            grid = discretize_range(float(delta))
+            idx = rng.integers(0, len(grid) - 1, size=300)
+            base = np.concatenate([
+                grid[idx], grid[[0, 1, -2, -1]], (grid[idx] + grid[idx + 1]) / 2,
+                rng.uniform(-1.2, 1.2, size=300), [0.0, -0.0, 1.0, -1.0, 1.5, -3.0],
+            ])
+            values = np.concatenate([base, np.nextafter(base, np.inf),
+                                     np.nextafter(base, -np.inf)])
+            got = decision._snap_to_lattice(values, decision._lattice(float(delta)))
+            assert got.tobytes() == decision._snap_to_grid(values, grid).tobytes(), delta
+            checked += len(values)
+        assert checked > 100_000
+
+    def test_probe_depths_never_build_the_default_grid(self, monkeypatch):
+        monkeypatch.setattr(decision, "discretize_range",
+                            lambda *a: pytest.fail("built the default grid"))
+        v = decide_gap_nis(TRIPLE, 0.25, 0.02, 2)
+        assert v.accepted and v.thresholds["search_mode"] == "oracle_probe"
+
+
 class TestParameterChain:
     def test_frozen_regression_triple(self):
         # values derived by an independent high-precision evaluation of the
@@ -607,6 +636,40 @@ class TestOracle:
                 assert abs(g @ wb - centers[1]) <= caps[1] + 1e-12
 
 
+class TestStartTable:
+    def test_cold_and_warm_alternation_agree_bytewise(self):
+        weights = _tensor_weights(random_joint(np.random.default_rng(8), 3, 2), 2)
+        runs = []
+        for _ in range(2):
+            decision._start_table.cache_clear()
+            cold = _alternate(weights, (0.1, 0.1), (0.0, 0.2), 4)
+            warm = _alternate(weights, (0.1, 0.1), (0.0, 0.2), 4)
+            runs += [cold, warm]
+        first = runs[0]
+        for value, f, g in runs:
+            assert value == first[0]
+            assert f.tobytes() == first[1].tobytes() and g.tobytes() == first[2].tobytes()
+
+    def test_memoized_table_is_read_only(self):
+        table = decision._start_table(3, 0)
+        assert table.shape == (8 + decision.ORACLE_RANDOM_STARTS, 3)
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+
+    def test_repeated_decides_build_each_table_once(self):
+        decision._start_table.cache_clear()
+        decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 2)
+        built = decision._start_table.cache_info().misses
+        decide_gap_nis(make_dsbs(0.4), 0.66, 0.05, 2)
+        assert built == 2  # ka = 2 and 4
+        assert decision._start_table.cache_info().misses == built
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_raises(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            oracle_max_balanced_ip(TRIPLE, 1, (0.1, 0.1), seed=seed)
+
+
 class TestRandomizedRound:
     def test_constant_one(self):
         f = constant_table(TRIPLE.row_space, 1, 1.0)
@@ -697,17 +760,19 @@ class TestDecideGapNis:
         assert "n0" in v.caveat
 
     def test_per_call_and_per_depth_work_is_done_once(self, monkeypatch):
-        # maximal correlation and the value grid once per call, the tensor
-        # weights once per depth, however many stages (the n0 report too) read them
-        calls = {}
-        for name in ("maximal_correlation", "_tensor_weights", "discretize_range"):
+        # maximal correlation and the grid's sizing once per call, the tensor
+        # weights once per depth, however many stages (the n0 report too) read
+        # them; every depth is a probe, so the grid itself is never built
+        calls = {"discretize_range": 0}
+        for name in ("maximal_correlation", "_tensor_weights", "_lattice", "discretize_range"):
             def counted(*args, _inner=getattr(decision, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _inner(*args)
             monkeypatch.setattr(decision, name, counted)
         v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 6, report_n0=True)
         assert v.reason == "bounded-depth" and v.n_used == 6
-        assert calls == {"maximal_correlation": 1, "_tensor_weights": 6, "discretize_range": 1}
+        assert calls == {"maximal_correlation": 1, "_tensor_weights": 6, "_lattice": 1,
+                         "discretize_range": 0}
         assert v.n0_report == n0_chain(make_dsbs(0.5), 0.05).as_dict()
 
     def test_probe_depth_solves_only_the_box_lps_it_reads(self, monkeypatch):
