@@ -312,10 +312,14 @@ def truncate_degree(poly: FourierPolynomial, d: int) -> FourierPolynomial:
 
 
 def noise_operator(poly: FourierPolynomial, gamma: float) -> FourierPolynomial:
-    """Coefficient-wise multiplier gamma^|sigma|; the mean is untouched."""
+    """Coefficient-wise multiplier gamma^|sigma|; the mean is untouched.
+
+    The n + 1 powers come from ``math.pow``, whose bits, unlike numpy's
+    ``power`` loop, do not follow numpy's CPU dispatch.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ParameterRangeError(f"noise rate must lie in [0, 1], got {gamma}")
-    factors = gamma ** poly.degrees
+    factors = np.array([math.pow(gamma, k) for k in range(poly.n + 1)])[poly.degrees]
     return _polynomial(poly.basis, poly.n, poly.keys, poly.values * factors, poly.digits)
 
 

@@ -58,10 +58,14 @@ class TableStrategy(Strategy):
         return float(weighted_sum(self.weights(), self.values))
 
     def norm(self, p: float) -> float:
-        """lp norm under the product measure (p = inf gives the max on the support)."""
+        """lp norm under the product measure (p = inf gives the max on the support).
+
+        Powers come from ``math.pow``, whose bits do not follow numpy's CPU dispatch.
+        """
         if p == math.inf:
             return float(np.abs(self.values).max())
-        return float(weighted_sum(self.weights(), np.abs(self.values) ** p) ** (1.0 / p))
+        powers = [math.pow(v, p) for v in np.abs(self.values).tolist()]
+        return math.pow(weighted_sum(self.weights(), powers), 1.0 / p)
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,11 +2,12 @@
 
 ``python kernel_outputs.py RUNS`` runs each ``[name, argv]`` pair of the JSON
 list RUNS through ``nisim.cli.main`` and then a seeded library corpus: exact
-``estimate_strategy_stats``, ``transform``, ``TableStrategy.mean`` and
-``decide_gap_nis`` on random 2-4-atom sources, and ``bivariate_cdf`` on a
-grid.  ``tests/test_cli.py`` runs it under several OpenBLAS kernels, one
-BLAS thread and numpy's CPU-feature mask, and compares the objects.  JSON
-prints each float with ``repr``, so equal objects mean equal bits.
+``estimate_strategy_stats``, ``transform``, ``noise_operator``,
+``TableStrategy.mean``, ``TableStrategy.norm`` and ``decide_gap_nis`` on
+random 2-4-atom sources, and ``bivariate_cdf`` on a grid.
+``tests/test_cli.py`` runs it under several OpenBLAS kernels, one BLAS
+thread and numpy's CPU-feature mask, and compares the objects.  JSON prints
+each float with ``repr``, so equal objects mean equal bits.
 """
 
 import io
@@ -17,16 +18,20 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from nisim import (
+    FiniteSpace,
     JointDistribution,
     TableStrategy,
     bivariate_cdf,
     decide_gap_nis,
     estimate_strategy_stats,
+    noise_operator,
     transform,
 )
 from nisim.cli import main
 
 CORPUS_SOURCES = 24
+NOISE_RATES = (0.3, 0.77, 0.91)
+NORM_ORDERS = (1.0, 1.5, 2.0, 3.0, 4.0)
 
 
 def cli_outputs(runs) -> dict:
@@ -58,9 +63,16 @@ def corpus_outputs(seed: int = 0) -> list:
         rows.append({
             "stats": stats,
             "transform": [poly.keys.tolist(), poly.values.tolist()],
+            "noise": [noise_operator(poly, gamma).values.tolist() for gamma in NOISE_RATES],
             "mean": [f.mean(), g.mean()],
+            "norm": [f.norm(p) for p in NORM_ORDERS],
             "decide": verdict,
         })
+    # noise factors gamma^k up to degree n, beyond the corpus's depth 2
+    for q, n in ((2, 8), (3, 6), (4, 5)):
+        space = FiniteSpace([f"x{i}" for i in range(q)], rng.dirichlet(np.ones(q)))
+        poly = transform(TableStrategy(space, n, rng.uniform(-1.0, 1.0, q**n)))
+        rows.append([noise_operator(poly, gamma).values.tolist() for gamma in NOISE_RATES])
     grid = np.linspace(-2.0, 2.0, 9).tolist()
     rows.append([bivariate_cdf(a, b, rho) for a in grid for b in grid
                  for rho in (-0.95, -0.4, 0.3, 0.85)])
