@@ -13,11 +13,14 @@ outside float range.
 Every 2x2 target reduces to one search for strategy pairs on a tensor
 power with means capped near two centers and large E[fg].  One decide
 core computes the source's maximal correlation (for a sound ceiling
-test) and the value grid once per call and the tensor weights once per
-depth, and hands them down.  Each depth is searched one way: the grid is
-enumerated (the core of ``brute_force_bmip``) when it fits the work cap,
-else the alternation of ``oracle_max_balanced_ip`` proposes a pair that
-is snapped to the grid; the probe skips the oracle's upper bound.  Both
+test) and the value grid's size once per call and the tensor weights
+once per depth, and hands them down.  Each depth is searched one way:
+the grid is enumerated (the core of ``brute_force_bmip``) when it fits
+the work cap, else the alternation of ``oracle_max_balanced_ip``
+proposes a pair that is snapped to the grid; the probe skips the
+oracle's upper bound.  The default grid is built only where it is
+enumerated: the probe snaps to its values spacing * k by arithmetic.
+The alternation's starts are built once per (ka, seed) and kept.  Both
 engines' candidates are judged by one rule (``_judge``), passed as plain
 values: each side's mean window as (center, half width) and the accept
 floor, which the core computes once per call and every depth shares.
@@ -595,12 +598,13 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     """The oracle's alternation on one depth's tensor weights: best (E[fg], f, g).
 
     All starts (``_start_table``, built once per (ka, seed)) advance in
-    lockstep: each half-round is one batched knapsack over the live starts, g's for ``F @ W`` and
-    f's for ``G @ W.T``.  A start stops in the round that gains at most
-    1e-12 or hands back the f the round began with (the next round would
-    recompute the same pair and value), or after ORACLE_MAX_ROUNDS rounds,
-    keeping its latest pair and its best value.  A scan in start order
-    picks the winner, replacing the best only on a gain of more than 1e-12.
+    lockstep: each half-round is one batched knapsack over the live
+    starts, g's for ``F @ W`` and f's for ``G @ W.T``.  A start stops in
+    the round that gains at most 1e-12 or hands back the f the round began
+    with (the next round would recompute the same pair and value), or
+    after ORACLE_MAX_ROUNDS rounds, keeping its latest pair and its best
+    value.  A scan in start order picks the winner, replacing the best
+    only on a gain of more than 1e-12.
     """
     W, wa, wb = weights
     ka, kb = W.shape
@@ -709,6 +713,7 @@ def _search_one_level(weights, grid, mean_caps, windows, floor, lattice=None) ->
     except ResourceLimitError:
         pass
     _, f, g = _alternate(weights, mean_caps, [center for center, _ in windows])
+
     def snap(values):
         if grid is None:
             return _snap_to_lattice(values, lattice)[None]
