@@ -400,7 +400,8 @@ def brute_force_bmip(
     exceed ``WORK_CAP``.
     """
     lattice = _lattice(delta) if grid is None else None
-    grid = None if grid is None else _check_grid(grid)
+    if grid is not None:
+        grid = _check_grid(grid)
     th = _search_thresholds(delta)
     mean_slack = th["mean_slack"] if mean_slack is None else mean_slack
     corr_slack = th["corr_slack"] if corr_slack is None else corr_slack
