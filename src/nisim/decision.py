@@ -13,27 +13,28 @@ outside float range.
 Every 2x2 target reduces to one search for strategy pairs on a tensor
 power with means capped near two centers and large E[fg].  One decide
 core computes the source's maximal correlation (for a sound ceiling
-test) and the value grid's size once per call and the tensor weights
-once per depth, and hands them down.  Each depth is searched one way:
-the grid is enumerated (the core of ``brute_force_bmip``) when it fits
-the work cap, else the alternation of ``oracle_max_balanced_ip``
-proposes a pair that is snapped to the grid; the probe skips the
-oracle's upper bound.  The default grid is built only where it is
-enumerated: the probe snaps to its values spacing * k by arithmetic.
-The alternation's starts are built once per (ka, seed) and kept.  Both
-engines' candidates are judged by one rule (``_judge``), passed as plain
-values: each side's mean window as (center, half width) and the accept
-floor, which the core computes once per call and every depth shares.
-Both engines solve their box LPs in batches with one closed-form
-knapsack (``_box_lp_max``): the alternation advances all its starts in
-lockstep, retiring each start once it stops gaining, and the judge
-bounds every f row's best E[fg] at once and visits the f rows in
-descending bound order, stopping once no row left can reach the best
-value (the probe's single snapped row needs no bound).  The core adds
-the reduction thresholds, exact re-verification of witnesses and labeled
-bounded-depth rejections.  ``decide_gap_nis`` frames it for a balanced
-target (centers 0) and ``decide_2x2`` for any binary target (Case II
-negates the second party).
+test) and the value grid's size once per call, grows the tensor weights
+by one Kronecker factor per depth, and hands them down.  Each depth is
+searched one way: the grid is enumerated (the core of
+``brute_force_bmip``) when it fits the work cap, else the alternation of
+``oracle_max_balanced_ip`` proposes a pair that is snapped to the grid;
+the probe skips the oracle's upper bound.  The default grid is built
+only where it is enumerated: the probe snaps to its values spacing * k
+by arithmetic.  The alternation's starts are built once per (ka, seed)
+and kept.  Both engines' candidates are judged by one rule (``_judge``),
+passed as plain values: each side's mean window as (center, half width)
+and the accept floor, which the core computes once per call and every
+depth shares.  Both engines solve their box LPs in batches with one
+closed-form knapsack (``_box_lp_max``, which returns maximizers only):
+the alternation advances all its starts in lockstep, retiring each start
+once it stops gaining, and the judge bounds every f row's best E[fg] at
+once and visits the f rows in descending bound order, stopping once no
+row left can reach the best value.  The probe's one snapped pair needs
+no bound and no visit: the judge goes straight to its value.  The core
+adds the reduction thresholds, exact re-verification of witnesses and
+labeled bounded-depth rejections.  ``decide_gap_nis`` frames it for a
+balanced target (centers 0) and ``decide_2x2`` for any binary target
+(Case II negates the second party).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .util import (
     all_assignments,
     as_integer,
     ceil_tolerant,
+    kron_factor,
     kron_power,
     log10_from_ln,
     power_exceeds,
@@ -353,7 +355,10 @@ class BmipResult:
     mode: str = "enumeration"
 
 
-def _tensor_weights(dist: JointDistribution, n: int):
+def _tensor_weights(dist: JointDistribution, n: int, previous=None):
+    """The depth-n weights ``(W, wa, wb)``: the n-th Kronecker powers of the
+    table and of both marginals.  ``previous``, depth n - 1's weights, grows
+    by one factor (``kron_factor``), the same bits as building them anew."""
     if as_integer(n, "power") < 1:
         raise ParameterRangeError(f"power must be positive, got {n}")
     qa, qb = dist.shape
@@ -361,11 +366,10 @@ def _tensor_weights(dist: JointDistribution, n: int):
         raise ResourceLimitError(
             f"tensor table needs {qa * qb}^{n} cells, above the search cap {TABLE_CELL_CAP}"
         )
-    return (
-        kron_power(dist.table, n),
-        kron_power(dist.row_space.probs, n),
-        kron_power(dist.col_space.probs, n),
-    )
+    factors = (dist.table, dist.row_space.probs, dist.col_space.probs)
+    if previous is None:
+        return tuple(kron_power(a, n) for a in factors)
+    return tuple(kron_factor(out, a) for out, a in zip(previous, factors))
 
 
 def _grid_assignments(grid: np.ndarray, k: int) -> np.ndarray:
@@ -443,14 +447,17 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     holds g's rows, which must lie in [-1, 1]; ``f_rows()`` builds f's only
     once some g row fits.
 
-    The pairs are visited in bound order: g's knapsack over the box and g's
-    window (``_box_lp_max``, one batch) bounds each f row's best E[fg] from
-    above, since every kept g row is a point of that polytope.  The f rows
-    are visited in descending bound order, in blocks that start small and
-    double, until the next bound falls below the best value found less
-    ``_BOUND_MARGIN``; no row left unvisited can then reach the best value.
-    A single kept f row (the probe's snapped pair) has no order to rank, so
-    it is visited without a knapsack.
+    The pairs are visited in bound order: the value of g's knapsack over
+    the box and g's window (``_box_lp_max``, one batch, its maximizers
+    valued here) bounds each f row's best E[fg] from above, since every
+    kept g row is a point of that polytope.  The f rows are visited in
+    descending bound order, in blocks that start small and double, until
+    the next bound falls below the best value found less ``_BOUND_MARGIN``;
+    no row left unvisited can then reach the best value.  A single kept f
+    row has no order to rank, so it is visited without a knapsack.  A
+    single kept pair (every probe depth's snapped pair) is the winner
+    without a visit: the visit would pick it, and its value is computed
+    in fixed order either way.
     """
     W, wa, wb = weights
     (center_f, half_f), (center_g, half_g) = windows
@@ -463,34 +470,38 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     if len(F) == 0:
         return infeasible
 
-    C = F @ W  # (Nf, kb), for ranking only, as are the knapsack bounds and vals
-    order, bound = np.zeros(1, dtype=np.intp), np.full(1, math.inf)
-    if len(C) > 1:
-        # the knapsack holds about a dozen temporaries the size of its input
-        chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
-        bound = np.concatenate([
-            _box_lp_max(C[s : s + chunk], wb, half_g, center_g)[1]
-            for s in range(0, len(C), chunk)
-        ])
-        order = np.argsort(-bound, kind="stable")
-    GT = np.ascontiguousarray(G.T)
     ng = len(G)
-    most_rows = max(1, BLOCK_CELLS // ng)
-    best_val, best_key = -math.inf, -1  # key = f row * ng + g row: row-major order
-    start, size = 0, min(_FIRST_VISIT_ROWS, most_rows)
-    while start < len(order) and bound[order[start]] >= best_val - _BOUND_MARGIN:
-        idx = order[start : start + size]
-        vals = C[idx] @ GT
-        row_max = vals.max(axis=1)
-        v = float(row_max.max())
-        if v >= best_val:
-            # argmax keeps a row's first maximum, the smallest key in that row
-            tied = np.flatnonzero(row_max == v)
-            key = int((idx[tied] * ng + vals[tied].argmax(axis=1)).min())
-            if v > best_val or key < best_key:
-                best_val, best_key = v, key
-        start += size
-        size = min(2 * size, most_rows)
+    best_key = 0  # key = f row * ng + g row: row-major order
+    if len(F) * ng > 1:
+        C = F @ W  # (Nf, kb), for ranking only, as are the knapsack bounds and vals
+        order, bound = np.zeros(1, dtype=np.intp), np.full(1, math.inf)
+        if len(C) > 1:
+            # the knapsack holds about a dozen temporaries the size of its input
+            chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
+            bounds = []
+            for s in range(0, len(C), chunk):
+                rows = C[s : s + chunk]
+                g_max = _box_lp_max(rows, wb, half_g, center_g)
+                bounds.append(np.einsum("ij,ij->i", rows, g_max))
+            bound = np.concatenate(bounds)
+            order = np.argsort(-bound, kind="stable")
+        GT = np.ascontiguousarray(G.T)
+        most_rows = max(1, BLOCK_CELLS // ng)
+        best_val, best_key = -math.inf, -1
+        start, size = 0, min(_FIRST_VISIT_ROWS, most_rows)
+        while start < len(order) and bound[order[start]] >= best_val - _BOUND_MARGIN:
+            idx = order[start : start + size]
+            vals = C[idx] @ GT
+            row_max = vals.max(axis=1)
+            v = float(row_max.max())
+            if v >= best_val:
+                # argmax keeps a row's first maximum, the smallest key in that row
+                tied = np.flatnonzero(row_max == v)
+                key = int((idx[tied] * ng + vals[tied].argmax(axis=1)).min())
+                if v > best_val or key < best_key:
+                    best_val, best_key = v, key
+            start += size
+            size = min(2 * size, most_rows)
     fv, gv = F[best_key // ng], G[best_key % ng]
     best_val = float(weighted_sum(fv, weighted_sum(W, gv)))
     return BmipResult(best_val >= floor - ACCEPT_TOL, best_val, fv.copy(), gv.copy(), mode)
@@ -517,8 +528,11 @@ def _box_lp_max(rows: np.ndarray, m: np.ndarray, cap: float, center: float):
     m.g first (w_i / m_i, stable order), until m.g reaches the window's
     near edge.  The last coordinate moved may stop at a fractional value,
     so the maximizer is a vertex of the box-slab polytope.  ``rows`` is a
-    (rows, k) batch of objectives w; returns the (rows, k) maximizers and
-    a value per row.
+    (rows, k) batch of objectives w; returns the (rows, k) maximizers.  A
+    caller that needs the values w.g computes them itself (the alternation
+    needs none).  The order of moves stays a stable sort: tensor weights
+    make tied costs common, and another tie order would move other
+    coordinates.
     """
     reach = float(np.abs(m).sum())  # m.g ranges over [-reach, reach]
     if cap < 0 or abs(center) - cap > reach + ACCEPT_TOL * max(1.0, reach):
@@ -527,25 +541,32 @@ def _box_lp_max(rows: np.ndarray, m: np.ndarray, cap: float, center: float):
         )
     g = np.where(rows >= 0.0, 1.0, -1.0)
     offset = g @ m - center  # BLAS: a ranking site (``util.weighted_sum``)
-    need = (np.abs(offset) - cap)[:, None]  # m.g to recover; <= 0 inside the window
+    need = np.abs(offset)
+    need -= cap  # m.g to recover; <= 0 inside the window
     if need.max() > 0.0:
         pm = np.sign(offset)[:, None] * m  # every move lowers pm.g
         sign = np.sign(pm)
-        room = 1.0 + sign * g  # distance to the other bound: 0 or 2
-        supply = np.abs(pm) * room  # pm.g recovered by a full move
+        room = sign * g
+        room += 1.0  # distance to the other bound: 0 or 2
         # cost: objective lost per unit of pm.g; a coordinate without supply
         # (room or sign 0) never moves, whatever its cost and frac
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cost = rows / pm
-            flat = np.argsort(cost, axis=1, kind="stable")
-            flat += np.arange(0, cost.size, cost.shape[1])[:, None]
+            flat = (rows / pm).argsort(axis=1, kind="stable")
+            supply = np.abs(pm, out=pm)
+            supply *= room  # pm.g recovered by a full move
+            flat += np.arange(0, rows.size, rows.shape[1])[:, None]
             supply = supply.take(flat)
-            before = supply.cumsum(axis=1) - supply
-            frac = (need - before) / np.maximum(supply, _TINY)
+            frac = supply.cumsum(axis=1)
+            frac -= supply  # supply before each move
+            np.subtract(need[:, None], frac, out=frac)
+            frac /= np.maximum(supply, _TINY, out=supply)
+        np.maximum(frac, 0.0, out=frac)
         moved = np.empty_like(frac)
-        moved.put(flat, frac.clip(0.0, 1.0))
-        g -= sign * room * moved
-    return g, np.einsum("ij,ij->i", rows, g)
+        moved.put(flat, np.minimum(frac, 1.0, out=frac))
+        sign *= room
+        sign *= moved
+        g -= sign
+    return g
 
 
 def oracle_max_balanced_ip(
@@ -575,8 +596,9 @@ def oracle_max_balanced_ip(
     if W.shape[0] <= ORACLE_VERTEX_START_CAP:
         vertices = _start_table(W.shape[0], seed)[:-ORACLE_RANDOM_STARTS]
         # BLAS: a bound, kept with the ranking sites (``util.weighted_sum``)
-        _, vert_vals = _box_lp_max(vertices @ W, wb, mean_caps[1], mean_centers[1])
-        upper = min(upper, float(vert_vals.max()))
+        rows = vertices @ W
+        g_max = _box_lp_max(rows, wb, mean_caps[1], mean_centers[1])
+        upper = min(upper, float(np.einsum("ij,ij->i", rows, g_max).max()))
     return OracleResult(value, f, g, float(upper))
 
 
@@ -618,13 +640,14 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     val = np.full(len(F), -math.inf)
     live = np.arange(len(F))
     for _ in range(ORACLE_MAX_ROUNDS):
+        at = slice(None) if live.size == len(F) else live  # a view while all are live
         # BLAS: a ranking site, the pair reaches output through _judge's value
-        g, _ = _box_lp_max(F[live] @ W, wb, cap_g, center_g)
-        f, _ = _box_lp_max(g @ W.T, wa, cap_f, center_f)
+        g = _box_lp_max(F[at] @ W, wb, cap_g, center_g)
+        f = _box_lp_max(g @ W.T, wa, cap_f, center_f)
         new = np.einsum("ij,ij->i", f @ W, g)
-        done = (new <= val[live] + 1e-12) | (f == F[live]).all(axis=1)
-        F[live], G[live] = f, g
-        val[live] = np.maximum(val[live], new)
+        done = (new <= val[at] + 1e-12) | (f == F[at]).all(axis=1)
+        F[at], G[at] = f, g
+        val[at] = np.maximum(val[at], new)
         live = live[~done]
         if not live.size:
             break
@@ -686,13 +709,14 @@ def _snap_to_lattice(values: np.ndarray, lattice: _Lattice) -> np.ndarray:
     """``_snap_to_grid(values, discretize_range(lattice.delta))`` without the grid.
 
     The grid's value k is the product spacing * k, so lo and hi are the
-    grid's own floats.  k = ceil(v / spacing), clipped as ``searchsorted``'s
+    grid's own floats.  k = ceil(v / spacing), clamped as ``searchsorted``'s
     index is, can miss the first k with spacing * k >= v by one step only
     where v lies within rounding of a grid value, and both brackets then
     pick that value.
     """
     _, spacing, k_max = lattice
-    k = np.clip(np.ceil(values / spacing), 1 - k_max, k_max)
+    k = np.ceil(values / spacing)
+    np.minimum(np.maximum(k, 1 - k_max, out=k), k_max, out=k)
     lo, hi = spacing * (k - 1.0), spacing * k
     return np.where(values - lo <= hi - values, lo, hi) + 0.0  # -0.0 to the grid's 0.0
 
@@ -815,9 +839,10 @@ def _decide(
     windows = [(c, cap + ACCEPT_TOL) for c in centers]
     probe_used = False
     n_used, cap_note = n_search, ""
+    weights = None
     for n in range(1, n_search + 1):
         try:
-            weights = _tensor_weights(dist, n)
+            weights = _tensor_weights(dist, n, weights)
             result = _search_one_level(weights, grid, mean_caps, windows, accept_floor, lattice)
         except ResourceLimitError as exc:
             if n == 1:

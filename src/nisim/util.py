@@ -109,9 +109,10 @@ def weighted_sum(a, b) -> np.ndarray:
     thread count or numpy's CPU dispatch.  BLAS and LAPACK remain at these
     sites only, which a tier-1 test lists:
 
-    - ranking: ``decision._box_lp_max``, ``decision._alternate``, the
-      oracle's vertex bound and ``decision._judge``'s pruning; the judge
-      recomputes its winner's value here;
+    - ranking: ``decision._box_lp_max``'s window offsets,
+      ``decision._alternate``, and the knapsack values of the oracle's
+      vertex bound and of ``decision._judge``'s pruning; the judge
+      computes its winner's value here;
     - the restriction products ``fourier._RestrictionPlan.columns`` and
       ``fourier.restriction_influences_at``: about half of a spectral
       cycle's time, where a fixed-order product costs 5 to 13 times as much;
@@ -174,21 +175,30 @@ def log10_from_ln(ln_value: float) -> float:
 
 
 def kron_power(a, n: int) -> np.ndarray:
-    """Kronecker power a (x) a (x) ... (x) a of n factors, built left to right.
+    """Kronecker power a (x) a (x) ... (x) a of n factors, built left to right
+    by ``kron_factor``.
 
-    ``n = 0`` gives the all-ones array of a's rank with one entry.  Each
-    factor is ``np.kron``'s product out[i] * a[j] in its order, from an outer
-    product with the two index sets interleaved per axis, without kron's
-    generic shape handling.
+    ``n = 0`` gives the all-ones array of a's rank with one entry.
     """
     a = np.asarray(a, dtype=float)
-    d = a.ndim
-    out = np.ones((1,) * d)
-    axes = [ax for i in range(d) for ax in (i, d + i)]
+    out = np.ones((1,) * a.ndim)
     for _ in range(n):
-        shape = tuple(s * t for s, t in zip(out.shape, a.shape))
-        out = np.multiply.outer(out, a).transpose(axes).reshape(shape)
+        out = kron_factor(out, a)
     return out
+
+
+def kron_factor(out: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """out (x) a for float arrays of one rank: ``kron_power``'s step, so
+    ``kron_factor(kron_power(a, n), a)`` is ``kron_power(a, n + 1)`` bit for bit.
+
+    ``np.kron``'s product out[i] * a[j] in its order, from an outer product
+    with the two index sets interleaved per axis, without kron's generic
+    shape handling.
+    """
+    d = a.ndim
+    axes = [ax for i in range(d) for ax in (i, d + i)]
+    shape = tuple(s * t for s, t in zip(out.shape, a.shape))
+    return np.multiply.outer(out, a).transpose(axes).reshape(shape)
 
 
 def draw_atoms(rng: np.random.Generator, probs, shape) -> np.ndarray:

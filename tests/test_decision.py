@@ -43,11 +43,11 @@ from nisim import (
 )
 from nisim import decision
 from nisim.decision import (
-    ACCEPT_TOL, _alternate, _box_lp_max, _correlation_ceiling, _search_one_level,
+    ACCEPT_TOL, _alternate, _box_lp_max, _correlation_ceiling, _judge, _search_one_level,
     _tensor_weights,
 )
 from nisim.strategies import strategy_from_json_dict
-from nisim.util import all_assignments, power_exceeds
+from nisim.util import all_assignments, kron_power, power_exceeds
 
 TRIPLE = uniform_triple()
 THREE = FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
@@ -452,7 +452,8 @@ class TestBruteForce:
         def visit_block(rows, C, wb, caps, centers, slack):
             # the block of bound-ordered visits holding each f row (blocks double in size)
             cap = caps[1] + slack + decision.ACCEPT_TOL
-            order = np.argsort(-_box_lp_max(C, wb, cap, centers[1])[1], kind="stable")
+            bound = np.einsum("ij,ij->i", C, _box_lp_max(C, wb, cap, centers[1]))
+            order = np.argsort(-bound, kind="stable")
             block = np.log2(np.argsort(order) // first_rows + 1).astype(int)
             return block[rows]
 
@@ -500,8 +501,8 @@ def reference_alternate(weights, mean_caps, centers, seed=0):
     for f in starts:
         val = -math.inf
         for _ in range(decision.ORACLE_MAX_ROUNDS):
-            g = _box_lp_max((f @ W)[None], wb, mean_caps[1], centers[1])[0][0]
-            f = _box_lp_max((W @ g)[None], wa, mean_caps[0], centers[0])[0][0]
+            g = _box_lp_max((f @ W)[None], wb, mean_caps[1], centers[1])[0]
+            f = _box_lp_max((W @ g)[None], wa, mean_caps[0], centers[0])[0]
             new_val = float(f @ W @ g)
             if new_val <= val + 1e-12:
                 val = max(val, new_val)
@@ -525,8 +526,33 @@ def linprog_box_max(w, m, cap, center):
 
 def box_lp_row(w, m, cap, center):
     """``_box_lp_max`` on a one-row batch: the maximizer and its value."""
-    g, values = _box_lp_max(w[None], m, cap, center)
-    return g[0], float(values[0])
+    g = _box_lp_max(w[None], m, cap, center)[0]
+    return g, float(np.einsum("i,i->", w, g))
+
+
+def reference_box_lp_max(rows, m, cap, center):
+    """The knapsack before its in-place rewrite, the bitwise reference for
+    ``_box_lp_max``'s maximizers: the same operations, each into a fresh
+    array, and ``clip``."""
+    g = np.where(rows >= 0.0, 1.0, -1.0)
+    offset = g @ m - center
+    need = (np.abs(offset) - cap)[:, None]
+    if need.max() > 0.0:
+        pm = np.sign(offset)[:, None] * m
+        sign = np.sign(pm)
+        room = 1.0 + sign * g
+        supply = np.abs(pm) * room
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cost = rows / pm
+            flat = np.argsort(cost, axis=1, kind="stable")
+            flat += np.arange(0, cost.size, cost.shape[1])[:, None]
+            supply = supply.take(flat)
+            before = supply.cumsum(axis=1) - supply
+            frac = (need - before) / np.maximum(supply, np.finfo(float).tiny)
+        moved = np.empty_like(frac)
+        moved.put(flat, frac.clip(0.0, 1.0))
+        g -= sign * room * moved
+    return g
 
 
 class TestBoxLp:
@@ -571,12 +597,54 @@ class TestBoxLp:
         rows = rng.normal(size=(40, 6))
         rows[::4] = 0.0
         rows[1::4, :3] = 0.0
-        G, values = _box_lp_max(rows, m, 0.05, 0.1)
+        G = _box_lp_max(rows, m, 0.05, 0.1)
+        values = np.einsum("ij,ij->i", rows, G)
         assert G.shape == rows.shape and values.shape == (40,)
         for w, g, value in zip(rows, G, values):
             self.check_row(w, m, 0.05, 0.1, g, value)
             _, single = box_lp_row(w, m, 0.05, 0.1)
             assert value == pytest.approx(single, abs=1e-12)
+
+    def test_maximizers_match_the_reference_bitwise(self):
+        # heights 1-48 (each at some k) and every k in 1-64; rows in quarters
+        # and m from a Kronecker power make tied costs, zero rows and zero
+        # entries make 0/0 and x/0 costs
+        rng = np.random.default_rng(2024)
+        heights, checked, moved = set(), 0, 0
+        for k in range(1, 65):
+            for h in sorted({1, k % 48 + 1, 48}):
+                heights.add(h)
+                rows = rng.integers(-4, 5, size=(h, k)) / 4.0
+                rows[:: 5] = 0.0
+                smooth = rng.normal(size=(h, k))
+                tied = kron_power(rng.dirichlet(np.ones(2)), 6)[:k]
+                for m in (rng.dirichlet(np.ones(k)), tied / tied.sum()):
+                    for center, cap in ((0.0, 0.0), (0.3, 0.05), (-0.45, 0.1), (-0.2, 0.0)):
+                        for batch in (rows, smooth):
+                            want = reference_box_lp_max(batch, m, cap, center)
+                            got = _box_lp_max(batch, m, cap, center)
+                            assert got.tobytes() == want.tobytes(), (h, k, center, cap)
+                            checked += 1
+                            moved += int(np.any(np.abs(got) < 1.0))
+        assert heights == set(range(1, 49)) and moved > checked // 2
+
+    def test_maximizers_match_the_reference_at_edges(self):
+        # dyadic m: rows whose sign vector lands exactly on a window edge
+        # (need 0) next to rows that must move; an m entry that underflowed
+        # to 0 (costs of +-inf and nan) and a subnormal one
+        m = np.array([0.5, 0.25, 0.125, 0.125])
+        rows = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                         [-1.0, -1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 0.0],
+                         [1.0, -2.0, 0.5, 0.0], [-0.0, 3.0, -1.0, 2.0]])
+        under = np.array([0.5, 0.5 * 1e-300 * 1e-300, 0.25, 0.25])
+        subnormal = np.array([0.5, 5e-324, 0.25, 0.25])
+        assert under[1] == 0.0
+        for mm in (m, under, subnormal):
+            for center, cap in ((0.5, 0.5), (-0.5, 0.5), (0.25, 0.0), (0.0, 0.0),
+                                (0.75, 0.25), (-1.0, 0.0), (1.0, 0.0)):
+                want = reference_box_lp_max(rows, mm, cap, center)
+                got = _box_lp_max(rows, mm, cap, center)
+                assert got.tobytes() == want.tobytes(), (mm, center, cap)
 
     def test_empty_window_raises(self):
         m = np.array([0.25, 0.75])
@@ -668,6 +736,64 @@ class TestStartTable:
     def test_non_integer_seed_raises(self, seed):
         with pytest.raises(InputError, match="seed"):
             oracle_max_balanced_ip(TRIPLE, 1, (0.1, 0.1), seed=seed)
+
+
+class TestProbeDepth:
+    def test_single_pair_judge_matches_the_visit_path(self, monkeypatch):
+        # each row twice: the same pair goes through the knapsack-ranked visit
+        rng = np.random.default_rng(5150)
+        knapsacks = []
+
+        def counted(*args, _inner=decision._box_lp_max):
+            knapsacks.append(args)
+            return _inner(*args)
+        monkeypatch.setattr(decision, "_box_lp_max", counted)
+        outcomes = set()
+        for qa, qb in ((2, 2), (3, 3), (4, 2)):
+            dist = random_joint(rng, qa, qb)
+            for n in (1, 2):
+                weights = W, wa, wb = _tensor_weights(dist, n)
+                for _ in range(12):
+                    f = np.round(rng.uniform(-8, 8, W.shape[0])) / 8
+                    g = np.round(rng.uniform(-8, 8, W.shape[1])) / 8
+                    windows = [(float(f @ wa) + rng.uniform(-0.15, 0.15), 0.1),
+                               (float(g @ wb) + rng.uniform(-0.15, 0.15), 0.1)]
+                    floor = float(f @ W @ g) + rng.uniform(-0.05, 0.05)
+                    del knapsacks[:]
+                    one = _judge(weights, g[None], lambda: f[None], windows, floor, "oracle_probe")
+                    assert not knapsacks
+                    two = _judge(weights, np.vstack([g, g]), lambda: np.vstack([f, f]),
+                                 windows, floor, "oracle_probe")
+                    assert one.accept == two.accept and one.mode == two.mode
+                    assert np.float64(one.best_value).tobytes() == np.float64(two.best_value).tobytes()
+                    if one.f_values is None:
+                        assert two.f_values is None and two.g_values is None
+                        outcomes.add("infeasible")
+                        continue
+                    assert len(knapsacks) == 1
+                    assert one.f_values.tobytes() == two.f_values.tobytes()
+                    assert one.g_values.tobytes() == two.g_values.tobytes()
+                    outcomes.add(one.accept)
+        assert outcomes == {True, False, "infeasible"}
+
+    def test_grown_weights_match_kron_power_bitwise(self):
+        # depth by depth as the decide core grows them, up to the cell cap
+        # (a 4x4 table stops at n = 4, a 3x4 at n = 5)
+        rng = np.random.default_rng(66)
+        deepest = {}
+        for qa, qb in itertools.product((2, 3, 4), repeat=2):
+            dist = random_joint(rng, qa, qb)
+            weights = None
+            for n in range(1, 7):
+                if power_exceeds(qa * qb, n, decision.TABLE_CELL_CAP):
+                    break
+                weights = _tensor_weights(dist, n, weights)
+                factors = (dist.table, dist.row_space.probs, dist.col_space.probs)
+                for got, a in zip(weights, factors):
+                    want = kron_power(a, n)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                deepest[qa, qb] = n
+        assert deepest[2, 2] == deepest[3, 3] == 6 and deepest[4, 4] == 4
 
 
 class TestRandomizedRound:

@@ -366,9 +366,9 @@ class TestContractCoordinates:
 # call fails this list until it is classified in weighted_sum's docstring
 CLASSIFIED_BLAS_CALLS = {
     # ranking: the winner's value is recomputed in fixed order
-    "decision._judge": ["@", "@"],
-    "decision._box_lp_max": ["@", "einsum"],
-    "decision.oracle_max_balanced_ip": ["@"],
+    "decision._judge": ["@", "@", "einsum"],
+    "decision._box_lp_max": ["@"],
+    "decision.oracle_max_balanced_ip": ["@", "einsum"],
     "decision._alternate": ["@", "@", "@", "einsum"],
     # restriction products (ROADMAP item 12)
     "fourier._RestrictionPlan.columns": ["matmul"],
