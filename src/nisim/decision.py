@@ -684,18 +684,33 @@ def _calibrate_pair(
     if C <= target_corr:
         return fv, gv
     ef, eg = float(weighted_sum(fv, wa)), float(weighted_sum(gv, wb))
-    A = C - cu * eg - cv * ef + cu * cv
-    B = cu * eg + cv * ef - 2.0 * cu * cv
-    Cc = cu * cv - target_corr
-    roots = np.roots([A, B, Cc]) if abs(A) > 1e-15 else (
-        np.array([-Cc / B]) if abs(B) > 1e-15 else np.array([])
+    a = _blend_factor(
+        C - cu * eg - cv * ef + cu * cv, cu * eg + cv * ef - 2.0 * cu * cv, cu * cv - target_corr
     )
-    candidates = [float(r.real) for r in np.atleast_1d(roots)
-                  if abs(r.imag) < 1e-12 and -1e-12 <= r.real <= 1.0 + 1e-12]
-    if not candidates:
+    if a is None:
         return fv, gv
-    a = min(1.0, max(0.0, max(candidates)))
     return a * fv + (1 - a) * cu, a * gv + (1 - a) * cv
+
+
+def _blend_factor(A: float, B: float, C: float) -> float | None:
+    """The largest real root of A a^2 + B a + C within 1e-12 of [0, 1],
+    clamped to [0, 1]; None without one.
+
+    The roots come from the cancellation-free closed form
+    q = -(B + sign(B) sqrt(disc)) / 2, roots q / A and C / q, in ``math``,
+    so they round the same on every machine.  Below |A| = 1e-15 the
+    equation is taken as linear.  A negative discriminant whose roots'
+    imaginary part would be below 1e-12 gives the double root -B / 2A.
+    """
+    if abs(A) <= 1e-15:
+        roots = [-C / B] if abs(B) > 1e-15 else []
+    elif (disc := B * B - 4.0 * A * C) < 0.0:
+        roots = [-B / (2.0 * A)] if math.sqrt(-disc) / (2.0 * abs(A)) < 1e-12 else []
+    else:
+        q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+        roots = [q / A, C / q] if q != 0.0 else [0.0]  # q = 0 only when B = C = 0
+    candidates = [r for r in roots if -1e-12 <= r <= 1.0 + 1e-12]
+    return min(1.0, max(0.0, max(candidates))) if candidates else None
 
 
 def _snap_to_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -116,8 +116,7 @@ def weighted_sum(a, b) -> np.ndarray:
     - the restriction products ``fourier._RestrictionPlan.columns`` and
       ``fourier.restriction_influences_at``: about half of a spectral
       cycle's time, where a fixed-order product costs 5 to 13 times as much;
-    - LAPACK: the SVD behind rho (``maxcorr``) and
-      ``decision._calibrate_pair``'s ``np.roots``;
+    - LAPACK: the SVD behind rho (``maxcorr``);
     - ``fourier.OrthonormalBasis``' Gram check, judged to 1e-10.
     """
     return np.add.reduce(np.multiply(a, b), -1)

@@ -1099,6 +1099,58 @@ class TestDecide2x2:
         assert v.sound
 
 
+class TestBlendFactor:
+    @staticmethod
+    def exact_root(A, B, C):
+        """The largest real root in [0, 1] of A a^2 + B a + C, to 60 digits."""
+        import mpmath
+
+        with mpmath.workdps(60):
+            A, B, C = (mpmath.mpf(x) for x in (A, B, C))
+            disc = B * B - 4 * A * C
+            roots = [(-B + s) / (2 * A) for s in (mpmath.sqrt(disc), -mpmath.sqrt(disc))]
+            return max(r for r in roots if 0 <= r <= 1)
+
+    def test_closed_form_lands_within_one_step_of_the_exact_root(self):
+        # calibrations overshoot the target: the quadratic is C - target > 0
+        # at a = 1 and c_f c_g - target < 0 at a = 0
+        rng = np.random.default_rng(380)
+        exact_hits = 0
+        for _ in range(400):
+            cu, cv = rng.uniform(-0.5, 0.5, 2)
+            ef, eg = cu + rng.uniform(-0.3, 0.3), cv + rng.uniform(-0.3, 0.3)
+            C = float(rng.uniform(0.3, 1.0))
+            target = float(rng.uniform(cu * cv, C))
+            A = C - cu * eg - cv * ef + cu * cv
+            B = cu * eg + cv * ef - 2.0 * cu * cv
+            Cc = cu * cv - target
+            a = decision._blend_factor(A, B, Cc)
+            want = float(self.exact_root(A, B, Cc))
+            assert a in (want, math.nextafter(want, 0.0), math.nextafter(want, 2.0)), (A, B, Cc)
+            exact_hits += a == want
+        assert exact_hits > 200
+
+    @pytest.mark.parametrize("A, B, C, want", [
+        (0.0, 0.25, -0.125, 0.5),  # linear below |A| = 1e-15
+        (1e-16, -0.5, 0.25, 0.5),
+        (0.0, 1e-16, -0.5, None),  # neither quadratic nor linear
+        (1.0, 0.0, 0.0, 0.0),  # q = 0: the double root 0
+        (1.0, -2e-12, 1.0000001e-24, 1e-12),  # complex pair, imaginary part 3e-16
+        (1.0, -1.0, 0.26, None),  # imaginary part 0.1
+        (1.0, 1.0, -2.0, 1.0),  # roots 1 and -2
+        (1.0, 0.0, -(1.0 + 1e-13), 1.0),  # a root 5e-14 above 1, clamped
+        (1.0, 0.0, -(1.0 + 1e-11), None),  # 5e-12 above 1
+        (1.0, 1.0 + 5e-13, 5e-13, 0.0),  # a root 5e-13 below 0, clamped
+        (1.0, 3.0, 2.0, None),  # roots -1 and -2
+    ])
+    def test_edge_rules(self, A, B, C, want):
+        got = decision._blend_factor(A, B, C)
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, abs=1e-15)
+
+
 class TestCorrelationCeiling:
     def test_centered_window(self):
         assert _correlation_ceiling(0.3, (-0.1, 0.1), (-0.1, 0.1)) == pytest.approx(

@@ -375,7 +375,6 @@ CLASSIFIED_BLAS_CALLS = {
     "fourier.restriction_influences_at": ["matmul"],
     # LAPACK (ROADMAP item 10)
     "maxcorr.maximal_correlation": ["linalg.svd"],
-    "decision._calibrate_pair": ["roots"],
     # a Gram check to 1e-10
     "fourier.OrthonormalBasis.__init__": ["@"],
 }
