@@ -68,6 +68,7 @@ from .util import (
     kron_factor,
     kron_power,
     log10_from_ln,
+    log_add_exp,
     power_exceeds,
     weighted_sum,
 )
@@ -200,7 +201,7 @@ def _n0_chain(
     reg_row = regularity_params(d, tau, alpha_row, ln_tau=ln_tau)
     reg_col = regularity_params(d, tau, alpha_col, ln_tau=ln_tau)
 
-    ln_h = np.logaddexp(math.log(d) + reg_row.ln_inv_beta, math.log(d) + reg_col.ln_inv_beta)
+    ln_h = log_add_exp(math.log(d) + reg_row.ln_inv_beta, math.log(d) + reg_col.ln_inv_beta)
     if ln_h < 42 * math.log(2):
         # each side's ln h is below the sum's, so both h_bound are set
         h_int: int | None = reg_row.h_bound + reg_col.h_bound
@@ -209,7 +210,7 @@ def _n0_chain(
         h_int = None
 
     w = berry_esseen_sample_count(rho, alpha, zeta, constants.C_be)
-    ln_n0 = float(np.logaddexp(ln_h, math.log(w)))
+    ln_n0 = log_add_exp(ln_h, math.log(w))
     if not math.isfinite(ln_n0):
         raise ParameterRangeError(f"log n0 {too_large}")
     n0_int = h_int + w if h_int is not None else None
@@ -229,7 +230,7 @@ def _n0_chain(
         d=d,
         reg_row=reg_row,
         reg_col=reg_col,
-        h_log10=log10_from_ln(float(ln_h)),
+        h_log10=log10_from_ln(ln_h),
         h_int=h_int,
         w=w,
         n0_log10=log10_from_ln(ln_n0),

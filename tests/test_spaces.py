@@ -2,6 +2,7 @@
 total variation and JSON I/O; the shared helpers of ``nisim.util``."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from nisim.util import (
     draw_cells,
     flat_index,
     kron_power,
+    log_add_exp,
     place_values,
 )
 
@@ -181,6 +183,21 @@ class TestKronPower:
                 ref = np.kron(ref, a)
             out = kron_power(a, n)
             assert out.shape == ref.shape and np.array_equal(out, ref)
+
+
+class TestLogAddExp:
+    def test_bit_identical_to_numpy(self):
+        # the n0 chain's reports were summed by np.logaddexp, in the same formula
+        rng = np.random.default_rng(200)
+        xy = rng.normal(size=(5000, 2)) * 10.0 ** rng.uniform(-3, 3, (5000, 2))
+        xy[::10, 1] = xy[::10, 0]
+        xy[1::10, 1] = xy[1::10, 0] * (1 + 1e-13)
+        special = [(math.inf, math.inf), (-math.inf, -math.inf), (math.inf, 2.0),
+                   (-math.inf, 2.0), (2.0, -math.inf), (math.inf, -math.inf)]
+        for x, y in [*map(tuple, xy.tolist()), *special]:
+            want = np.logaddexp(x, y)
+            assert np.float64(log_add_exp(x, y)).tobytes() == want.tobytes(), (x, y)
+        assert math.isnan(log_add_exp(math.nan, 1.0))
 
 
 class TestDrawAtoms:
