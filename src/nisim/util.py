@@ -176,15 +176,13 @@ def log10_from_ln(ln_value: float) -> float:
 def log_add_exp(x: float, y: float) -> float:
     """log(exp(x) + exp(y)) in ``math``, by ``np.logaddexp``'s own formula:
     x + log 2 when x == y (infinities of one sign included), else the
-    larger value plus log1p(exp(-|x - y|)); a nan difference is returned."""
+    larger value plus log1p(exp(-|x - y|))."""
     if x == y:
         return x + math.log(2.0)
     diff = x - y
     if diff > 0:
         return x + math.log1p(math.exp(-diff))
-    if diff <= 0:
-        return y + math.log1p(math.exp(diff))
-    return diff
+    return y + math.log1p(math.exp(diff))  # nan when either is nan
 
 
 def kron_power(a, n: int) -> np.ndarray:
