@@ -3,7 +3,8 @@
 Subcommands: maxcorr, bounds, fourier, regularity, n0, decide, simulate,
 examples.  All reports are JSON with a ``nisim_format`` version field and
 an echoed seed where randomness is involved; byte-stable for fixed inputs
-and seeds.  Exit codes: 0 success, 1 domain error, 2 usage error.
+and seeds.  Exit codes: 0 success, 1 domain error or refused allocation,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -318,8 +319,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.func(args)
-    except (NisimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NisimError, OSError, MemoryError) as exc:
+        # a bare MemoryError (a Python list too long for the host) has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -25,18 +25,15 @@ from .errors import InputError, ParameterRangeError
 from .spaces import JointDistribution, make_dsbs, uniform_triple
 
 
-def alpha_component_graph(alpha: float, low_size: int = 6, high_size: int = 2) -> JointDistribution:
-    """Union of an independent block (mass 1-alpha) and a perfect matching (mass alpha)."""
+def alpha_component_graph(alpha: float) -> JointDistribution:
+    """Union of an independent block L0..L5 (mass 1-alpha) and a perfect
+    matching H0, H1 (mass alpha)."""
     if not 0.0 < alpha < 1.0:
         raise ParameterRangeError(f"component mass must lie in (0, 1), got {alpha}")
-    if low_size < 1 or high_size < 1:
-        raise ParameterRangeError("both components need at least one vertex pair")
-    qa = low_size + high_size
-    table = np.zeros((qa, qa))
-    table[:low_size, :low_size] = (1.0 - alpha) / (low_size * low_size)
-    for i in range(high_size):
-        table[low_size + i, low_size + i] = alpha / high_size
-    atoms = [f"L{i}" for i in range(low_size)] + [f"H{i}" for i in range(high_size)]
+    table = np.zeros((8, 8))
+    table[:6, :6] = (1.0 - alpha) / 36
+    table[6, 6] = table[7, 7] = alpha / 2
+    atoms = [f"L{i}" for i in range(6)] + ["H0", "H1"]
     return JointDistribution(atoms, atoms, table)
 
 

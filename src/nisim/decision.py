@@ -353,7 +353,7 @@ class BmipResult:
     best_value: float
     f_values: np.ndarray | None
     g_values: np.ndarray | None
-    mode: str = "enumeration"
+    mode: str
 
 
 def _tensor_weights(dist: JointDistribution, n: int, previous=None):
@@ -454,11 +454,10 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     kept g row is a point of that polytope.  The f rows are visited in
     descending bound order, in blocks that start small and double, until
     the next bound falls below the best value found less ``_BOUND_MARGIN``;
-    no row left unvisited can then reach the best value.  A single kept f
-    row has no order to rank, so it is visited without a knapsack.  A
-    single kept pair (every probe depth's snapped pair) is the winner
-    without a visit: the visit would pick it, and its value is computed
-    in fixed order either way.
+    no row left unvisited can then reach the best value.  A single kept
+    pair (every probe depth's snapped pair) is the winner without a visit:
+    the visit would pick it, and its value is computed in fixed order
+    either way.
     """
     W, wa, wb = weights
     (center_f, half_f), (center_g, half_g) = windows
@@ -475,17 +474,15 @@ def _judge(weights, G, f_rows, windows, floor, mode) -> BmipResult:
     best_key = 0  # key = f row * ng + g row: row-major order
     if len(F) * ng > 1:
         C = F @ W  # (Nf, kb), for ranking only, as are the knapsack bounds and vals
-        order, bound = np.zeros(1, dtype=np.intp), np.full(1, math.inf)
-        if len(C) > 1:
-            # the knapsack holds about a dozen temporaries the size of its input
-            chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
-            bounds = []
-            for s in range(0, len(C), chunk):
-                rows = C[s : s + chunk]
-                g_max = _box_lp_max(rows, wb, half_g, center_g)
-                bounds.append(np.einsum("ij,ij->i", rows, g_max))
-            bound = np.concatenate(bounds)
-            order = np.argsort(-bound, kind="stable")
+        # the knapsack holds about a dozen temporaries the size of its input
+        chunk = max(1, BLOCK_CELLS // (16 * C.shape[1]))
+        bounds = []
+        for s in range(0, len(C), chunk):
+            rows = C[s : s + chunk]
+            g_max = _box_lp_max(rows, wb, half_g, center_g)
+            bounds.append(np.einsum("ij,ij->i", rows, g_max))
+        bound = np.concatenate(bounds)
+        order = np.argsort(-bound, kind="stable")
         GT = np.ascontiguousarray(G.T)
         most_rows = max(1, BLOCK_CELLS // ng)
         best_val, best_key = -math.inf, -1
@@ -571,13 +568,10 @@ def _box_lp_max(rows: np.ndarray, m: np.ndarray, cap: float, center: float):
 
 
 def oracle_max_balanced_ip(
-    dist: JointDistribution,
-    n: int,
-    mean_caps: tuple[float, float],
-    mean_centers: tuple[float, float] = (0.0, 0.0),
-    seed=0,
+    dist: JointDistribution, n: int, mean_caps: tuple[float, float], seed=0
 ) -> OracleResult:
-    """Alternating maximization of E[f g] over [-1,1]-valued pairs with capped means.
+    """Alternating maximization of E[f g] over [-1,1]-valued pairs whose
+    means lie within ``mean_caps`` of 0.
 
     With one side fixed the other side is an exact box LP, solved in closed
     form as a fractional knapsack (``_box_lp_max``).  Alternation from
@@ -585,20 +579,21 @@ def oracle_max_balanced_ip(
     knapsack per half-round, certifies a lower bound only, reported with a
     rigorous upper bound: the maximal-correlation ceiling, tightened when
     ka <= ORACLE_VERTEX_START_CAP by the best g-side box LP over all +-1
-    vertices f of the box (f's mean window relaxed; one batched knapsack).  The decide probe runs the alternation only
-    (``_alternate``) and never computes this bound.  ``n`` must be positive
-    (``ParameterRangeError``), as for ``brute_force_bmip``.
+    vertices f of the box (f's mean window relaxed; one batched knapsack).
+    The decide probe runs the alternation only (``_alternate``, also
+    around other centers) and never computes this bound.  ``n`` must be
+    positive (``ParameterRangeError``), as for ``brute_force_bmip``.
     """
     weights = W, _, wb = _tensor_weights(dist, n)
     seed = as_integer(seed, "seed")
-    value, f, g = _alternate(weights, mean_caps, mean_centers, seed)
-    win_a, win_b = [(max(-1.0, c - k), min(1.0, c + k)) for c, k in zip(mean_centers, mean_caps)]
+    value, f, g = _alternate(weights, mean_caps, (0.0, 0.0), seed)
+    win_a, win_b = [(max(-1.0, -k), min(1.0, k)) for k in mean_caps]
     upper = _correlation_ceiling(maximal_correlation(dist).rho, win_a, win_b)
     if W.shape[0] <= ORACLE_VERTEX_START_CAP:
         vertices = _start_table(W.shape[0], seed)[:-ORACLE_RANDOM_STARTS]
         # BLAS: a bound, kept with the ranking sites (``util.weighted_sum``)
         rows = vertices @ W
-        g_max = _box_lp_max(rows, wb, mean_caps[1], mean_centers[1])
+        g_max = _box_lp_max(rows, wb, mean_caps[1], 0.0)
         upper = min(upper, float(np.einsum("ij,ij->i", rows, g_max).max()))
     return OracleResult(value, f, g, float(upper))
 
@@ -771,15 +766,6 @@ def _search_thresholds(delta: float) -> dict:
     }
 
 
-def _n0_report(
-    dist: JointDistribution, delta: float, constants: ChainConstants, rho: float
-) -> dict:
-    try:
-        return _n0_chain(dist, delta, constants, rho).as_dict()
-    except InputError as exc:
-        return {"error": str(exc)}
-
-
 def _verify_accept(
     fv, gv, dist, n, cap, centers, accept_floor_value
 ) -> tuple[TableStrategy, TableStrategy, dict]:
@@ -837,7 +823,12 @@ def _decide(
     thresholds = dict(th, **head, accept_floor=accept_floor, ceiling=ceiling)
 
     def verdict(**fields) -> Verdict:
-        n0 = _n0_report(dist, delta, constants, rho0) if report_n0 else None
+        n0 = None
+        if report_n0:
+            try:
+                n0 = _n0_chain(dist, delta, constants, rho0).as_dict()
+            except InputError as exc:
+                n0 = {"error": str(exc)}
         return Verdict(**fields, n0_report=n0)
 
     if ceiling < accept_floor - ACCEPT_TOL:

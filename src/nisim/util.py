@@ -158,10 +158,11 @@ def ceil_tolerant(x: float, min_value: int | None = None) -> int:
     return v
 
 
-def wilson_interval(successes: float, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: float, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion (z = 1.96)."""
     if n <= 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

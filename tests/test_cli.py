@@ -530,6 +530,26 @@ class TestCliBasics:
         code, _, err = run_cli("maxcorr", str(tmp_path))
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("callee, argv, message", [
+        ("restriction_regular_probability", ["regularity", "{f}", "--d", "1", "--tau", "0.3",
+                                             "--mc", "10000000000000"],
+         "Unable to allocate 9.09 TiB for an array"),
+        ("estimate_strategy_stats", ["simulate", "--dist", "{d}", "--f", "{f}", "--g", "{f}",
+                                     "--samples", "1000000000000000", "--force-mc"], ""),
+    ])
+    def test_memory_errors_exit_1_with_one_line(self, run_cli, monkeypatch, dsbs_path,
+                                                dict_fn_path, callee, argv, message):
+        # the callee raises as a refused allocation would: numpy names the
+        # request, a list too long for the host raises a bare MemoryError
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, callee, refuse)
+        argv = [a.format(d=dsbs_path, f=dict_fn_path) for a in argv]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message or 'out of memory'}\n"
+
     def test_simulate_stdout_is_thread_invariant(self, run_cli, dsbs_path, dict_fn_path):
         # 150000 samples span three Monte Carlo chunks
         argv = ["simulate", "--dist", dsbs_path, "--f", dict_fn_path, "--g", dict_fn_path,

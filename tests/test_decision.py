@@ -776,10 +776,18 @@ class TestProbeDepth:
                     outcomes.add(one.accept)
         assert outcomes == {True, False, "infeasible"}
 
-    def test_one_row_on_one_side_still_ranks_the_other(self):
+    def test_one_row_on_one_side_still_ranks_the_other(self, monkeypatch):
         # only a lone pair skips the visit: one f row against three g rows, or
-        # three f rows against one g row, must still find the best pair
+        # three f rows against one g row, must still find the best pair; one
+        # f row is ranked by one knapsack and answers, byte for byte, as the
+        # same rows doubled do
         rng = np.random.default_rng(5151)
+        knapsacks = []
+
+        def counted(*args, _inner=decision._box_lp_max):
+            knapsacks.append(args)
+            return _inner(*args)
+        monkeypatch.setattr(decision, "_box_lp_max", counted)
         wide = [(0.0, 2.0), (0.0, 2.0)]  # every row in [-1, 1] fits
         for qa, qb in ((2, 2), (3, 3), (4, 2)):
             weights = W, _, _ = _tensor_weights(random_joint(rng, qa, qb), 2)
@@ -787,12 +795,21 @@ class TestProbeDepth:
                 F = np.round(rng.uniform(-8, 8, (3, W.shape[0]))) / 8
                 G = np.round(rng.uniform(-8, 8, (3, W.shape[1]))) / 8
                 for f_rows, g_rows in ((F[:1], G), (F, G[:1])):
+                    del knapsacks[:]
                     res = _judge(weights, g_rows, lambda: f_rows, wide, -1.0, "oracle_probe")
+                    assert len(knapsacks) == 1
                     vals = np.array([[float(f @ W @ g) for g in g_rows] for f in f_rows])
                     assert res.best_value == pytest.approx(vals.max(), abs=1e-12)
                     i, j = np.unravel_index(vals.argmax(), vals.shape)
                     assert np.array_equal(res.f_values, f_rows[i])
                     assert np.array_equal(res.g_values, g_rows[j])
+                doubled = _judge(weights, np.vstack([G, G]), lambda: np.vstack([F[:1], F[:1]]),
+                                 wide, -1.0, "oracle_probe")
+                one = _judge(weights, G, lambda: F[:1], wide, -1.0, "oracle_probe")
+                assert one.accept == doubled.accept
+                assert np.float64(one.best_value).tobytes() == np.float64(doubled.best_value).tobytes()
+                assert one.f_values.tobytes() == doubled.f_values.tobytes()
+                assert one.g_values.tobytes() == doubled.g_values.tobytes()
 
     def test_grown_weights_match_kron_power_bitwise(self):
         # depth by depth as the decide core grows them, up to the cell cap
