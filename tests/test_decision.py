@@ -778,9 +778,9 @@ class TestProbeDepth:
 
     def test_one_row_on_one_side_still_ranks_the_other(self, monkeypatch):
         # only a lone pair skips the visit: one f row against three g rows, or
-        # three f rows against one g row, must still find the best pair; one
-        # f row is ranked by one knapsack and answers, byte for byte, as the
-        # same rows doubled do
+        # three f rows against one g row, must still find the best pair; each
+        # is ranked by one knapsack and answers, byte for byte, as the same
+        # rows doubled do
         rng = np.random.default_rng(5151)
         knapsacks = []
 
@@ -803,13 +803,12 @@ class TestProbeDepth:
                     i, j = np.unravel_index(vals.argmax(), vals.shape)
                     assert np.array_equal(res.f_values, f_rows[i])
                     assert np.array_equal(res.g_values, g_rows[j])
-                doubled = _judge(weights, np.vstack([G, G]), lambda: np.vstack([F[:1], F[:1]]),
-                                 wide, -1.0, "oracle_probe")
-                one = _judge(weights, G, lambda: F[:1], wide, -1.0, "oracle_probe")
-                assert one.accept == doubled.accept
-                assert np.float64(one.best_value).tobytes() == np.float64(doubled.best_value).tobytes()
-                assert one.f_values.tobytes() == doubled.f_values.tobytes()
-                assert one.g_values.tobytes() == doubled.g_values.tobytes()
+                    two = _judge(weights, np.vstack([g_rows, g_rows]),
+                                 lambda: np.vstack([f_rows, f_rows]), wide, -1.0, "oracle_probe")
+                    assert res.accept == two.accept
+                    assert np.float64(res.best_value).tobytes() == np.float64(two.best_value).tobytes()
+                    assert res.f_values.tobytes() == two.f_values.tobytes()
+                    assert res.g_values.tobytes() == two.g_values.tobytes()
 
     def test_grown_weights_match_kron_power_bitwise(self):
         # depth by depth as the decide core grows them, up to the cell cap
