@@ -32,7 +32,9 @@ once and visits the f rows in descending bound order, stopping once no
 row left can reach the best value.  The probe's one snapped pair needs
 no bound and no visit: the judge goes straight to its value.  The core
 adds the reduction thresholds, exact re-verification of witnesses and
-labeled bounded-depth rejections.  ``decide_gap_nis`` frames it for a
+labeled bounded-depth rejections.  One cap, ``TABLE_CELL_CAP``, ends
+the search: it bounds both the tensor table and the alternation's batch
+of starts x the wider side's values.  ``decide_gap_nis`` frames it for a
 balanced target (centers 0) and ``decide_2x2`` for any binary target
 (Case II negates the second party).
 """
@@ -57,7 +59,7 @@ from .regularity import (
 )
 from .spaces import EmpiricalJoint2x2, JointDistribution
 from .strategies import TableStrategy
-from .rounding import estimate_strategy_stats
+from .rounding import exact_moments
 # unused here: perfbench's simulate workload and tracer read these as nisim.decision.*
 from .rounding import randomized_round, round_pair  # noqa: F401
 from .util import (
@@ -602,7 +604,9 @@ def oracle_max_balanced_ip(
 def _start_table(ka: int, seed: int) -> np.ndarray:
     """The alternation's starts for ``ka`` f coordinates, read-only: the +-1
     vertices when ka <= ORACLE_VERTEX_START_CAP, then ORACLE_RANDOM_STARTS
-    random ones drawn from ``seed`` (at most 4128 x 12 floats, 396 KB)."""
+    random ones drawn from ``seed``.  ``_alternate`` asks for it only once
+    the batch fits ``TABLE_CELL_CAP``, so a table holds at most 10^6
+    floats (8 MB)."""
     rng = np.random.default_rng(seed)
     if ka <= ORACLE_VERTEX_START_CAP:
         vertices = all_assignments(2, ka) * 2.0 - 1.0
@@ -623,12 +627,18 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     with (the next round would recompute the same pair and value), or
     after ORACLE_MAX_ROUNDS rounds, keeping its latest pair and its best
     value.  A scan in start order picks the winner, replacing the best
-    only on a gain of more than 1e-12.
+    only on a gain of more than 1e-12.  Raises ``ResourceLimitError``,
+    before any start is built, when the batch of starts x max(ka, kb)
+    values exceeds ``TABLE_CELL_CAP``.
     """
     W, wa, wb = weights
     ka, kb = W.shape
-    if ka > 64 or kb > 64:
-        raise ResourceLimitError(f"oracle supports at most 64 variables per side, got {ka}x{kb}")
+    starts = ORACLE_RANDOM_STARTS + (2**ka if ka <= ORACLE_VERTEX_START_CAP else 0)
+    if starts * max(ka, kb) > TABLE_CELL_CAP:
+        raise ResourceLimitError(
+            f"oracle batch needs {starts} x {max(ka, kb)} cells, "
+            f"above the search cap {TABLE_CELL_CAP}"
+        )
     cap_f, cap_g = mean_caps
     center_f, center_g = centers
     F = _start_table(ka, as_integer(seed, "seed")).copy()
@@ -742,7 +752,7 @@ def _search_one_level(weights, grid, mean_caps, windows, floor, lattice=None) ->
     An ACCEPT from it is fully verified (grid-valued witness, thresholds
     re-checked exactly); a non-accept carries no guarantee beyond the
     depths the oracle explored.  Raises ``ResourceLimitError`` when the
-    depth is beyond the oracle too.
+    oracle's batch of starts exceeds the cell cap too.
     """
     try:
         return _enumerate(weights, grid, windows, floor, lattice)
@@ -773,13 +783,12 @@ def _verify_accept(
     ``cap`` of ``centers`` and its E[fg] reaches the floor, up to 1e-9."""
     f = TableStrategy(dist.row_space, n, fv)
     g = TableStrategy(dist.col_space, n, gv)
-    stats = estimate_strategy_stats(f, g, dist, mode="exact")
-    if abs(stats.mean_f - centers[0]) > cap + 1e-9 or abs(stats.mean_g - centers[1]) > cap + 1e-9:
+    mean_f, mean_g, corr_fg = exact_moments(f, g, dist)
+    if abs(mean_f - centers[0]) > cap + 1e-9 or abs(mean_g - centers[1]) > cap + 1e-9:
         raise AssertionError("accepted witness violates its mean caps on re-evaluation")
-    if stats.corr_fg < accept_floor_value - 1e-9:
+    if corr_fg < accept_floor_value - 1e-9:
         raise AssertionError("accepted witness violates its correlation floor on re-evaluation")
-    achieved = {"mean_f": stats.mean_f, "mean_g": stats.mean_g, "corr_fg": stats.corr_fg}
-    return f, g, achieved
+    return f, g, {"mean_f": mean_f, "mean_g": mean_g, "corr_fg": corr_fg}
 
 
 def _decide(

@@ -42,6 +42,7 @@ from .fourier import (
     truncate_degree,
 )
 from .util import (
+    SCRATCH_CELLS,
     all_assignments,
     as_integer,
     ceil_tolerant,
@@ -301,6 +302,9 @@ def restriction_regular_probability(
     ``mode="exact"`` enumerates all q^|H| assignments (weighted by the
     product measure) when they fit the cap; ``mode="monte_carlo"`` samples.
     Estimates carry a Wilson 95% interval (degenerate for exact mode).
+    Monte Carlo counts its hits over blocks of at most
+    ``util.SCRATCH_CELLS`` drawn atoms, so its memory does not grow with
+    ``samples``.
     """
     H = restricted_coordinates(poly, H)
     q = poly.q
@@ -321,9 +325,12 @@ def restriction_regular_probability(
     if samples < 1:
         raise ParameterRangeError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    xi = draw_atoms(rng, space.probs, (samples, len(H)))
-    ok = (restriction_influences_at(poly, H, xi) <= tau + 1e-12).all(axis=1)
-    hits = int(ok.sum())
+    # blocks of whole rows draw the one (samples, |H|) call's stream
+    step = max(1, SCRATCH_CELLS // max(1, len(H)))
+    hits = 0
+    for start in range(0, samples, step):
+        xi = draw_atoms(rng, space.probs, (min(step, samples - start), len(H)))
+        hits += int((restriction_influences_at(poly, H, xi) <= tau + 1e-12).all(axis=1).sum())
     lo, hi = wilson_interval(hits, samples)
     return RegularProbability(hits / samples, lo, hi, "monte_carlo", samples)
 

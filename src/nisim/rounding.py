@@ -305,7 +305,9 @@ class StrategyStats:
         }
 
 
-def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyStats:
+def exact_moments(f: Strategy, g: Strategy, dist: JointDistribution) -> tuple[float, float, float]:
+    """(E[f], E[g], E[fg]) of a deterministic pair by full enumeration; the
+    caller has checked the pair against ``dist`` and the cell cap."""
     qa, qb = dist.shape
     n = f.n
     vf = f.evaluate(all_assignments(qa, n))
@@ -314,6 +316,11 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
     corr = float(weighted_sum(vf, contract_coordinates(vg, dist.table, n)))
     mean_f = float(weighted_sum(kron_power(dist.row_space.probs, n), vf))
     mean_g = float(weighted_sum(kron_power(dist.col_space.probs, n), vg))
+    return mean_f, mean_g, corr
+
+
+def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyStats:
+    mean_f, mean_g, corr = exact_moments(f, g, dist)
     joint = EmpiricalJoint2x2.from_moments(mean_f, mean_g, corr)
     return StrategyStats(mean_f, mean_g, corr, 0.0, 0.0, 0.0, joint, 0, "exact")
 

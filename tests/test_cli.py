@@ -405,8 +405,8 @@ class TestCliBasics:
         payload = json.loads(out)
         assert (payload["decision"], payload["sound"]) == ("REJECT", False)
         assert payload["reason"] == "bounded-depth"
-        assert payload["n_used"] == 6
-        assert "search cap" in payload["caveat"]
+        assert payload["n_used"] == 9
+        assert "tensor table needs 4^10 cells" in payload["caveat"]
 
     def test_simulate_threads(self, run_cli, dsbs_path, dict_fn_path):
         code, out, _ = run_cli(

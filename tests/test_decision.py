@@ -1020,23 +1020,48 @@ class TestDecideGapNis:
         assert v.n0_report["w"] == 3600
 
     def test_depth_cap_ends_search_with_labelled_rejection(self):
-        # DSBS depth 7 needs 128 variables per side, past the oracle's 64
+        # DSBS depth 10 needs a 4^10-cell tensor table, past the cell cap
         v = decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 10)
         assert v.decision == "REJECT" and not v.sound
         assert v.reason == "bounded-depth"
-        assert v.n_used == 6
-        assert "searched n <= 6" in v.caveat
-        assert "depth 7 exceeds a search cap" in v.caveat
-        assert "at most 64 variables per side" in v.caveat
+        assert v.n_used == 9
+        assert "searched n <= 9" in v.caveat
+        assert "depth 10 exceeds a search cap" in v.caveat
+        assert "4^10 cells, above the search cap 1000000" in v.caveat
         target = EmpiricalJoint2x2.from_table([[0.415, 0.085], [0.085, 0.415]])
         w = decide_2x2(make_dsbs(0.5), target, 0.05, 9)
-        assert (w.reason, w.n_used) == ("bounded-depth", 6)
-        assert "(case I): searched n <= 6" in w.caveat
+        assert (w.reason, w.n_used) == ("bounded-depth", 9)
+        assert "(case I): searched n <= 9" in w.caveat
+        assert "search cap" not in w.caveat
 
     def test_depth_cap_at_depth_one_raises(self):
-        wide = random_joint(np.random.default_rng(8), 65, 2)
-        with pytest.raises(ResourceLimitError, match="64 variables"):
-            decide_gap_nis(wide, 0.2, 0.3, 2)
+        # 34 starts (2 vertices, 32 random) x 31,251 g values > 10^6 cells; a
+        # source that wide would first pay maximal_correlation's full SVD
+        weights = (np.full((1, 31251), 1 / 31251), np.ones(1), np.full(31251, 1 / 31251))
+        with pytest.raises(ResourceLimitError, match="oracle batch needs 34 x 31251 cells"):
+            _alternate(weights, (0.1, 0.1), (0.0, 0.0))
+
+    def test_wide_side_stops_at_the_oracle_batch_cap(self):
+        # depth 2 of a 200 x 2 source fits the tensor table (160,000 cells), but
+        # its 32 random starts x 40,000 f values do not fit the cell cap
+        t = np.random.default_rng(8).random((200, 2)) + 0.05
+        wide = JointDistribution([f"a{i}" for i in range(200)], ["x", "y"], t / t.sum())
+        v = decide_gap_nis(wide, 0.5, 0.05, 2)
+        assert (v.decision, v.reason, v.n_used) == ("REJECT", "bounded-depth", 1)
+        assert "depth 2 exceeds a search cap: oracle batch needs 32 x 40000 cells" in v.caveat
+
+    def test_two_by_four_source_accepts_at_depth_four(self):
+        # depth 4's 16 x 256 values hold a witness the probe finds and
+        # verifies; depths 1-3 hold none it finds
+        dist = JointDistribution(
+            ["a0", "a1"], ["b0", "b1", "b2", "b3"],
+            [[0.09, 0.04, 0.01, 0.01], [0.03, 0.20, 0.17, 0.45]],
+        )
+        v = decide_gap_nis(dist, 0.5, 0.02, 4)
+        assert (v.decision, v.sound, v.n_used) == ("ACCEPT", True, 4)
+        assert v.thresholds["search_mode"] == "oracle_probe"
+        assert v.achieved["corr_fg"] >= v.thresholds["accept_floor"] - 1e-9
+        assert decide_gap_nis(dist, 0.5, 0.02, 3).decision == "REJECT"
 
     def test_promise_respecting_never_accepts_beyond_ceiling(self):
         rng = np.random.default_rng(123)

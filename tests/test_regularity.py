@@ -31,7 +31,7 @@ from nisim import fourier
 from nisim.fourier import FourierPolynomial, restrict, restriction_influences_at
 from nisim.regularity import smoothing_params_from_log_eta
 from nisim.spaces import FiniteSpace
-from nisim.util import SCRATCH_CELLS, all_assignments
+from nisim.util import SCRATCH_CELLS, all_assignments, draw_atoms
 
 BIT = FiniteSpace(["+1", "-1"], [0.5, 0.5])
 BIT_BASIS = build_basis(BIT)
@@ -251,6 +251,29 @@ class TestRestrictionRegularProbability:
             p, [0, 1], tau=0.25, mode="monte_carlo", samples=4000, seed=1
         )
         assert mc.wilson_low - 1e-9 <= exact.estimate <= mc.wilson_high + 1e-9
+
+    @staticmethod
+    def _three_atom_polynomial():
+        space = FiniteSpace(["a", "b", "c"], [0.2, 0.3, 0.5])
+        return random_low_degree(np.random.default_rng(7), 8, 2, build_basis(space))
+
+    def test_monte_carlo_blocks_count_like_one_draw(self):
+        # 3 whole blocks of SCRATCH_CELLS // 6 rows and a short fourth
+        p, H = self._three_atom_polynomial(), list(range(6))
+        samples = 3 * (SCRATCH_CELLS // 6) + 11
+        r = restriction_regular_probability(
+            p, H, tau=0.1, mode="monte_carlo", samples=samples, seed=3)
+        xi = draw_atoms(np.random.default_rng(3), p.basis.space.probs, (samples, 6))
+        hits = int((restriction_influences_at(p, H, xi) <= 0.1 + 1e-12).all(axis=1).sum())
+        assert 0 < hits < samples
+        assert r.estimate == hits / samples
+
+    def test_monte_carlo_peak_does_not_grow_with_samples(self):
+        p, H = self._three_atom_polynomial(), list(range(6))
+        peaks = [traced_peak(lambda: restriction_regular_probability(
+            p, H, tau=0.1, mode="monte_carlo", samples=count, seed=3))
+            for count in (10**5, 10**6)]
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_batch_influences_match_single_restrictions(self):
         rng = np.random.default_rng(6)

@@ -321,7 +321,7 @@ class TestTvDistance:
         st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
         st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_metric_properties(self, a, b, c):
         pa = np.array(a) / np.sum(a)
         pb = np.array(b) / np.sum(b)
