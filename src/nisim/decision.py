@@ -64,6 +64,7 @@ from .rounding import exact_moments
 from .rounding import randomized_round, round_pair  # noqa: F401
 from .util import (
     BLOCK_CELLS,
+    SCRATCH_CELLS,
     all_assignments,
     as_integer,
     ceil_tolerant,
@@ -600,13 +601,20 @@ def oracle_max_balanced_ip(
     return OracleResult(value, f, g, float(upper))
 
 
-@functools.lru_cache(maxsize=16)
 def _start_table(ka: int, seed: int) -> np.ndarray:
     """The alternation's starts for ``ka`` f coordinates, read-only: the +-1
     vertices when ka <= ORACLE_VERTEX_START_CAP, then ORACLE_RANDOM_STARTS
     random ones drawn from ``seed``.  ``_alternate`` asks for it only once
     the batch fits ``TABLE_CELL_CAP``, so a table holds at most 10^6
-    floats (8 MB)."""
+    floats (8 MB).  Tables of at most ``SCRATCH_CELLS`` cells are kept
+    (``_kept_start_table``), so the cache holds at most 16 of 1 MB; larger
+    ones are built per call, to the same bits."""
+    starts = ORACLE_RANDOM_STARTS + (2**ka if ka <= ORACLE_VERTEX_START_CAP else 0)
+    build = _kept_start_table if starts * ka <= SCRATCH_CELLS else _build_start_table
+    return build(ka, seed)
+
+
+def _build_start_table(ka: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if ka <= ORACLE_VERTEX_START_CAP:
         vertices = all_assignments(2, ka) * 2.0 - 1.0
@@ -615,6 +623,9 @@ def _start_table(ka: int, seed: int) -> np.ndarray:
     table = np.vstack([vertices, rng.uniform(-1.0, 1.0, size=(ORACLE_RANDOM_STARTS, ka))])
     table.flags.writeable = False
     return table
+
+
+_kept_start_table = functools.lru_cache(maxsize=16)(_build_start_table)
 
 
 def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, np.ndarray]:

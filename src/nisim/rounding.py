@@ -23,9 +23,16 @@ enumeration when the joint table fits the cap, Monte Carlo otherwise,
 with a dedicated sufficient-statistic path for lifted strategies (the
 suffix block only enters through its joint cell counts, so a chain of
 conditional binomials, the multinomial's own factorization, replaces w
-explicit coordinates).  Monte Carlo runs fixed-size chunks,
-each on its own ``SeedSequence(seed).spawn`` stream, summed in chunk order:
-the estimate never depends on the thread count (Salmon et al., SC 2011).
+explicit coordinates).  Two lifts of equal h and w on a source with two
+atoms per side are answered exactly instead, from the law of the suffix
+counts of atom 0 (``_lifted_law``), wherever that law's grid of Wk * Wj
+cells is at most the chain's n_samples * 3 binomial draws: Wk is the
+window of N ~ Bin(w, P(x0)) and Wj the widest window of the two
+binomials that make up the column count given N.
+
+Monte Carlo runs fixed-size chunks, each on its own
+``SeedSequence(seed).spawn`` stream, summed in chunk order: the estimate
+never depends on the thread count (Salmon et al., SC 2011).
 The caller runs chunks itself beside ``threads - 1`` helper threads (no
 more than the chunks or cores allow, none at ``threads=1``), each taking
 the next chunk index in turn.  A chunk draws its row and column atoms
@@ -50,6 +57,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ParameterRangeError
 from .gaussian import std_normal_cdf, threshold_for_mean
@@ -59,6 +67,7 @@ from .strategies import Strategy
 from .util import (
     BLOCK_CELLS,
     CELL_CAP,
+    SCRATCH_CELLS,
     all_assignments,
     as_integer,
     contract_coordinates,
@@ -306,10 +315,14 @@ class StrategyStats:
 
 
 def exact_moments(f: Strategy, g: Strategy, dist: JointDistribution) -> tuple[float, float, float]:
-    """(E[f], E[g], E[fg]) of a deterministic pair by full enumeration; the
-    caller has checked the pair against ``dist`` and the cell cap."""
+    """(E[f], E[g], E[fg]) of a deterministic pair: by full enumeration while
+    the joint table fits the cell cap, else, for a two-atom lifted pair, from
+    the law of its suffix counts (``_lifted_law``).  The caller has checked
+    the pair against ``dist`` and the cap of the route it takes."""
     qa, qb = dist.shape
     n = f.n
+    if power_exceeds(qa * qb, n, CELL_CAP) and _law_pair(f, g, dist):
+        return _lifted_law(f, g, dist)[:3]
     vf = f.evaluate(all_assignments(qa, n))
     vg = g.evaluate(all_assignments(qb, n))
     # u(x) = sum_y prod_i mu(x_i, y_i) g(y)
@@ -323,6 +336,248 @@ def _exact_stats(f: Strategy, g: Strategy, dist: JointDistribution) -> StrategyS
     mean_f, mean_g, corr = exact_moments(f, g, dist)
     joint = EmpiricalJoint2x2.from_moments(mean_f, mean_g, corr)
     return StrategyStats(mean_f, mean_g, corr, 0.0, 0.0, 0.0, joint, 0, "exact")
+
+
+def _suffix_probabilities(dist: JointDistribution) -> tuple[float, float, float]:
+    """(P(x0), P(y0 | x0), P(y0 | x1)) of a source with two atoms per side,
+    as the binomial chain takes them (``_chain_probabilities``)."""
+    (p,) = _chain_probabilities(dist.table.sum(axis=1))
+    (a,), (b,) = _chain_probabilities(dist.table)
+    return float(p), float(a), float(b)
+
+
+def _lower_edges(n, p) -> np.ndarray:
+    """The lowest count the law keeps of Bin(n_r, p_r), per element: n_r
+    where p_r = 1, 0 where n_r D(0 || p_r) <= 45, else the ceiling of the
+    root j < n_r p_r of n_r D(j / n_r || p_r) = 45, D the binary relative
+    entropy.  Its mirror, n_r minus the lowest count of Bin(n_r, 1 - p_r),
+    is the highest count kept.
+
+    Between them lie the counts j with n_r D(j / n_r || p_r) <= 45: by
+    Chernoff's bound each tail beyond holds at most e^-45, and the
+    log-concave pmf stays within about 45 nats of its mode.  Both bounds
+    are nondecreasing in n_r, and rise by at most one count per trial, so
+    the union of the windows of a run of trial counts is the first count's
+    lowest to the last count's highest.
+
+    Newton's method runs on the convex excess from below the root: from
+    Bernstein's edge, which Chernoff's bound places below it (or 10^-9 where
+    that edge is not positive).  The excess falls to the root, so no step
+    passes it, and stopping early keeps more counts, not fewer.
+    """
+    nats = 45.0
+    n, p = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(p, dtype=float))
+    lo = np.where(p >= 1.0, n, 0)
+    # far from 0: n D(0 || p) = -n log(1 - p) > 45, never at p = 0 or 1
+    inner = (0.0 < p) & (p < 1.0)
+    far = inner & (n * -np.log1p(-np.where(inner, p, 0.0)) > nats)
+    if not far.any():
+        return lo
+    m, p = n[far].astype(float), p[far]
+    mu = m * p
+    c = p * nats / 3.0
+    j = np.maximum(mu - (c + np.sqrt(c * c + 2.0 * nats * mu * (1.0 - p))), 1e-9)
+    logit = np.log(p / (1.0 - p))
+    for _ in range(64):
+        d = j - mu
+        excess = j * np.log1p(d / mu) + (m - j) * np.log1p(-d / (m - mu)) - nats
+        step = excess / (np.log(j / (m - j)) - logit)
+        j -= step
+        if np.all(np.abs(step) <= 1e-3 + 1e-12 * j):
+            break
+    lo[far] = np.ceil(j)
+    return lo
+
+
+def _binomial_rows(n0: int, count: int, p: float, lo: int, width: int) -> np.ndarray:
+    """Bin(n0 + r, p) at counts lo, ..., lo + width - 1 in row r < count, each
+    row up to its own factor (zero past n0 + r; lo <= n0).
+
+    With q = 1 - p, j = lo + c and d = n0 - lo, pmf(n0 + r, j) is, up to a
+    factor per row, V[c] T[r - c]: V[c] = prod_{i=1..c} x p / (q (lo + i))
+    and T[e] = prod_{i=1..e} x / (d + i) for e >= 0, prod_{i=1..-e}
+    (d + 1 - i) / x for e < 0.  So the rows are one product of a row vector
+    with a Toeplitz view of one vector, both built by 1-D cumulative
+    products, and no logarithm is taken: the caller divides each row by its
+    sum.  Any x > 0 gives the same rows; x = q n for the middle row's n
+    puts both products' factors near 1 at that row's mean m = p n (V's are
+    m / (lo + i)), so over the law's windows (``_lower_edges``) neither
+    leaves a few tens of nats.  A point mass (p = 0 or 1) is one 1 at
+    count (n0 + r) p.
+    """
+    if not 0.0 < p < 1.0:
+        at = np.rint((n0 + np.arange(count)) * p)
+        return (np.arange(lo, lo + width) == at[:, None]).astype(float)
+    middle = max(n0 + count // 2, 1)
+    m, x = p * middle, (1.0 - p) * middle
+    d = n0 - lo
+    v = np.empty(width)
+    v[0] = 1.0
+    v[1:] = m / np.arange(lo + 1, lo + width, dtype=float)
+    np.cumprod(v, out=v)
+    # t[count - 1 - e] = T[e]; a count past n0 + r has a factor 0
+    t = np.empty(count + width - 1)
+    t[count - 1] = 1.0
+    t[: count - 1] = np.cumprod(x / np.arange(d + 1, d + count, dtype=float))[::-1]
+    falls = np.arange(d, d - width + 1, -1, dtype=float) / x
+    t[count:] = np.cumprod(np.maximum(falls, 0.0, out=falls))
+    return sliding_window_view(t, width)[::-1] * v
+
+
+def _tail_shares(n, p: float, lo, top, edges: np.ndarray, totals) -> np.ndarray:
+    """Per row, a bound on the mass of Bin(n_r, p) outside counts
+    lo_r, ..., top_r, as a share of the mass inside them (``totals``, in the
+    units of the pmf values ``edges`` at lo_r and top_r): a log-concave pmf
+    falls at least geometrically past a window edge, at the edge's own
+    ratio r, so each side holds at most edge * r / (1 - r) (infinite when
+    r >= 1)."""
+    if not 0.0 < p < 1.0:
+        return np.zeros(np.shape(n))
+    odds = p / (1.0 - p)
+    r = np.stack([lo / (n - lo + 1.0) / odds, np.maximum(n - top, 0) / (top + 1.0) * odds])
+    fits = r < 1.0
+    side = np.where(fits, edges * r / np.where(fits, 1.0 - r, 1.0), np.inf)
+    return (side[0] + side[1]) / totals
+
+
+def _count_outputs(s: LiftedStrategy, lo: int, hi: int) -> np.ndarray:
+    """Outputs of the lift ``s`` at every prefix (rows) and every suffix count
+    lo, ..., hi of atom 0 (columns), by the sampler's own predicate: int64
+    counts through ``_witness_sums`` and ``output_for``."""
+    counts = np.arange(lo, hi + 1, dtype=np.int64)
+    sums = _witness_sums(s.witness, np.stack([counts, s.w - counts]))
+    prefixes = s.space.q**s.h
+    out = s.output_for(np.repeat(np.arange(prefixes), len(counts)), np.tile(sums, prefixes))
+    return out.reshape(prefixes, len(counts))
+
+
+def _law_pair(f: Strategy, g: Strategy, dist: JointDistribution) -> bool:
+    """Whether ``_lifted_law`` serves the pair: two lifts of equal h and w on
+    a source with two atoms per side whose prefix table fits
+    ``SCRATCH_CELLS``."""
+    return (isinstance(f, LiftedStrategy) and isinstance(g, LiftedStrategy)
+            and f.h == g.h and f.w == g.w and dist.shape == (2, 2)
+            and not power_exceeds(4, f.h, SCRATCH_CELLS))
+
+
+def _law_grid(f: LiftedStrategy, dist: JointDistribution) -> tuple[int, int, int]:
+    """(klo, khi, width) of a ``_law_pair``'s law: N's window klo, ..., khi,
+    and the most counts one window of A ~ Bin(k, P(y0 | x0)) or B ~
+    Bin(w - k, P(y0 | x1)) spans, at N's top count for A and its bottom
+    count for B, where each is widest.  O(1): nothing is built, whatever w
+    is."""
+    w = f.w
+    p, a, b = _suffix_probabilities(dist)
+    lo = _lower_edges([w, w], [p, 1.0 - p])
+    klo, khi = int(lo[0]), w - int(lo[1])
+    lo = _lower_edges([khi, khi, w - klo, w - klo], [a, 1.0 - a, b, 1.0 - b])
+    return klo, khi, int(max(khi - lo[1] - lo[0], w - klo - lo[3] - lo[2])) + 1
+
+
+def _law_cells(f: LiftedStrategy, dist: JointDistribution) -> int:
+    """Wk * Wj of a ``_law_pair``: Wk counts N's window and Wj is the
+    ``_law_grid`` width."""
+    klo, khi, width = _law_grid(f, dist)
+    return (khi - klo + 1) * width
+
+
+def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
+    """(E[f], E[g], E[fg], dropped) of a ``_law_pair`` from the law of its
+    suffix counts; ``dropped`` bounds the mass the windows leave out
+    (``_tail_shares`` of N, and of A and B averaged over N), so each moment
+    is within about twice it of the exact value.
+
+    The suffix enters f only through N, the count of row atom 0, and g only
+    through M, the count of column atom 0.  N ~ Bin(w, P(x0)), and given
+    N = k, M = A + B with A ~ Bin(k, P(y0 | x0)) and B ~ Bin(w - k, P(y0 | x1)).
+    With G(m) the output at M = m, E[g | N = k] = G(top) minus, for each m*
+    where G jumps, G(m* + 1) - G(m*) times P(M <= m* | N = k) = sum_j
+    P(A = j) P(B <= m* - j).  The prefix pair follows ``kron_power`` of the
+    table, independent of the suffix.
+
+    N's counts are taken in row blocks of at most ``SCRATCH_CELLS`` cells.
+    The rows of a block share one A window and one B window, the union of
+    their windows (``_lower_edges``).  B's CDF is stored from its top count down,
+    so each sum over j is a product of two forward column ranges.  Rows are
+    normalized by their sums, which carry no log-gamma rounding, and every
+    weighted sum goes through ``weighted_sum``: no BLAS call is made.
+    """
+    w = f.w
+    p, a, b = _suffix_probabilities(dist)
+    klo, khi, width = _law_grid(f, dist)
+    ks = np.arange(klo, khi + 1, dtype=np.int64)
+    p_n = _binomial_rows(w, 1, p, klo, len(ks))[0]
+    total = p_n.sum()
+    dropped = float(_tail_shares(w, p, klo, khi, p_n[[0, -1]], total))
+    p_n /= total
+
+    # block rows: one row's A or B window spans at most `width` counts, and
+    # a block's union at most `rows - 1` more, so a block holds under
+    # rows (width + rows) cells: the most rows that keep this within
+    # SCRATCH_CELLS
+    rows = max(1, (math.isqrt(width * width + 4 * SCRATCH_CELLS) - width) // 2)
+    first = ks[::rows]
+    last = np.minimum(first + rows - 1, khi)
+    # per block: A's window from its first count's lo to its last count's hi,
+    # B's (on w - k trials, falling along the block) the other way round
+    edges = _lower_edges(np.concatenate([first, last, w - last, w - first]),
+                         np.repeat([a, 1.0 - a, b, 1.0 - b], len(first)))
+    a_lo, a_hi, b_lo, b_hi = edges.reshape(4, -1)
+    a_hi, b_hi = last - a_hi, w - first - b_hi
+
+    # g's jumps m* on every count the windows reach
+    mlo, mhi = int((a_lo + b_lo).min()), int((a_hi + b_hi).max())
+    vg = _count_outputs(g, mlo, mhi)
+    steps = np.diff(vg, axis=1)
+    cols = np.flatnonzero(steps.any(axis=0))
+    jumps = mlo + cols
+
+    # below[k, i] = P(M <= jumps[i] | N = k); tails[k]: the A and B mass
+    # the block's windows leave out
+    below = np.empty((len(ks), len(jumps)))
+    tails = np.empty(len(ks))
+    for i, lo in enumerate(range(0, len(ks), rows)):
+        block = slice(lo, lo + rows)
+        k = ks[block]
+        ja, jb = int(a_lo[i]), int(b_lo[i])
+        na, nb = int(a_hi[i]) - ja + 1, int(b_hi[i]) - jb + 1
+        pa = _binomial_rows(int(k[0]), len(k), a, ja, na)
+        a_total = pa.sum(axis=1)
+        tails[block] = _tail_shares(k, a, ja, ja + na - 1, pa[:, [0, -1]].T, a_total)
+        # rev[:, c]: P(B <= jb + nb - 1 - c), unnormalized
+        pb = _binomial_rows(w - int(k[-1]), len(k), b, jb, nb)[::-1]
+        b_edges = pb[:, [0, -1]].T
+        rev = np.empty_like(pb)
+        np.cumsum(pb, axis=1, out=rev[:, ::-1])
+        b_total = rev[:, 0]
+        tails[block] += _tail_shares(w - k, b, jb, jb + nb - 1, b_edges, b_total)
+        # for A's column t, B's bound m* - ja - t sits at column t + off of
+        # rev: the columns before -off lie past B's top (CDF 1), those from
+        # nb - off on below B's window (CDF 0)
+        for c, m in enumerate(jumps):
+            off = ja + jb + nb - 1 - m
+            t1, t2 = max(0, -off), min(na, nb - off)
+            inside = weighted_sum(pa[:, t1:t2], rev[:, t1 + off : t2 + off]) if t1 < t2 else 0.0
+            below[block, c] = (pa[:, :t1].sum(axis=1) + inside / b_total) / a_total
+    dropped += float(weighted_sum(p_n, tails))
+
+    # E[g | N = k] per prefix (rows) and count (columns), in row chunks that
+    # keep the products with the prefix table within SCRATCH_CELLS
+    table = kron_power(dist.table, f.h)
+    vf = _count_outputs(f, klo, khi)
+    rises, g_top = steps[:, cols], vg[:, -1]
+    mean_f = float(weighted_sum(p_n, weighted_sum(vf.T, kron_power(dist.row_space.probs, f.h))))
+    wb = kron_power(dist.col_space.probs, f.h)
+    mean_g = corr = 0.0
+    chunk = max(1, SCRATCH_CELLS // (table.size + rises.size))
+    for lo in range(0, len(ks), chunk):
+        part = slice(lo, lo + chunk)
+        cond_g = g_top[:, None] - weighted_sum(rises[:, None, :], below[None, part, :])
+        mean_g += float(weighted_sum(p_n[part], weighted_sum(cond_g.T, wb)))
+        # sum_x sum_y table[x, y] f(x, k) E[g(y) | N = k]
+        inner = weighted_sum(table[:, None, :], cond_g.T[None, :, :])
+        corr += float(weighted_sum(p_n[part], weighted_sum(vf[:, part].T, inner.T)))
+    return mean_f, mean_g, corr, dropped
 
 
 def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
@@ -477,7 +732,15 @@ def estimate_strategy_stats(
     """Means, correlation, and the induced 2x2 table of a strategy pair.
 
     ``mode="auto"`` enumerates exactly when the full joint table fits the
-    cap and falls back to seeded Monte Carlo otherwise.  Monte Carlo
+    cap.  Beyond it, a lifted pair of equal h and w on a source with two
+    atoms per side is answered exactly from the law of its suffix counts
+    when that law's grid, Wk * Wj cells (``_law_cells``), is at most the
+    binomial chain's draw count, n_samples * (qa - 1 + qa (qb - 1)) =
+    3 n_samples, and the cell cap: the law then costs less than the chain.
+    The comparison takes O(1), so a huge w goes to the chain at once.
+    Every other pair falls back to seeded Monte Carlo.  ``mode="exact"`` takes the same law
+    up to ``CELL_CAP`` cells, and ``mode="monte_carlo"`` always samples.
+    Exact results carry standard errors 0 and ``n_samples`` 0.  Monte Carlo
     results are unbiased with standard errors; identical seeds give
     identical estimates whatever ``threads``, which only sets how many
     chunks run at once: the caller and up to ``threads - 1`` helper
@@ -496,14 +759,19 @@ def estimate_strategy_stats(
     randomized = isinstance(f, RngRoundedStrategy) or isinstance(g, RngRoundedStrategy)
     if mode == "exact" and randomized:
         raise InputError("exact enumeration is undefined for randomized strategies")
+    law = mode != "monte_carlo" and too_large and _law_pair(f, g, dist)
+    law_cells = _law_cells(f, dist) if law else None
     if mode == "exact" or (mode == "auto" and not too_large and not randomized):
-        if too_large:
+        if too_large and (law_cells is None or law_cells > CELL_CAP):
             raise ParameterRangeError(
                 f"exact enumeration needs {qa * qb}^{f.n} cells, above the cap {CELL_CAP}"
             )
         return _exact_stats(f, g, dist)
     if as_integer(n_samples, "sample count") < 1:
         raise ParameterRangeError("Monte Carlo needs at least one sample")
+    chain_draws = n_samples * (qa - 1 + qa * (qb - 1))
+    if mode == "auto" and law_cells is not None and law_cells <= min(chain_draws, CELL_CAP):
+        return _exact_stats(f, g, dist)
 
     lifted = (
         isinstance(f, LiftedStrategy)

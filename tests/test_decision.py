@@ -3,6 +3,7 @@ and verdict soundness."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,9 +272,11 @@ class TestWorkCap:
             (lambda: inverse_transform(FourierPolynomial(build_basis(THREE), 10**4, {})),
              ResourceLimitError, r"3\^10000"),
             (lambda: TableStrategy(THREE, 10**4, [1.0]), InputError, r"3\^10000"),
+            # the suffix-count law answers exact mode up to the cell cap on its
+            # own grid, which this w exceeds
             (lambda: estimate_strategy_stats(
-                *gaussian_simulator_strategy(make_dsbs(0.5), 0.0, 10**4), make_dsbs(0.5),
-                mode="exact"), ParameterRangeError, r"4\^10000"),
+                *gaussian_simulator_strategy(make_dsbs(0.5), 0.0, 10**7), make_dsbs(0.5),
+                mode="exact"), ParameterRangeError, r"4\^10000000"),
             (lambda: restriction_regular_probability(
                 FourierPolynomial(build_basis(THREE), 10**4, {}), range(10**4), 0.1),
              ParameterRangeError, r"3\^10000"),
@@ -709,7 +712,7 @@ class TestStartTable:
         weights = _tensor_weights(random_joint(np.random.default_rng(8), 3, 2), 2)
         runs = []
         for _ in range(2):
-            decision._start_table.cache_clear()
+            decision._kept_start_table.cache_clear()
             cold = _alternate(weights, (0.1, 0.1), (0.0, 0.2), 4)
             warm = _alternate(weights, (0.1, 0.1), (0.0, 0.2), 4)
             runs += [cold, warm]
@@ -725,12 +728,28 @@ class TestStartTable:
             table[0, 0] = 2.0
 
     def test_repeated_decides_build_each_table_once(self):
-        decision._start_table.cache_clear()
+        decision._kept_start_table.cache_clear()
         decide_gap_nis(make_dsbs(0.5), 0.66, 0.05, 2)
-        built = decision._start_table.cache_info().misses
+        built = decision._kept_start_table.cache_info().misses
         decide_gap_nis(make_dsbs(0.4), 0.66, 0.05, 2)
         assert built == 2  # ka = 2 and 4
-        assert decision._start_table.cache_info().misses == built
+        assert decision._kept_start_table.cache_info().misses == built
+
+    def test_large_tables_are_not_kept(self):
+        # 32 random starts of 31,234-31,249 values: 8 MB a table, which a
+        # cache of 16 would keep
+        decision._kept_start_table.cache_clear()
+        tracemalloc.start()
+        try:
+            for ka in range(31_234, 31_250):
+                table = decision._start_table(ka, 0)
+                assert table.shape == (decision.ORACLE_RANDOM_STARTS, ka)
+            del table
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 20 * 2**20
+        assert decision._start_table(31_234, 0).tobytes() == decision._start_table(31_234, 0).tobytes()
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
     def test_non_integer_seed_raises(self, seed):

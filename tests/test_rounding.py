@@ -1,6 +1,7 @@
 """Strategies, the Gaussian simulator, the threshold lift, and the
 empirical statistics harness."""
 
+import functools
 import inspect
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -449,13 +451,13 @@ class TestEstimateStats:
             estimate_strategy_stats(f, g, DSBS5)
 
 
-def _lifted_pair(dist, h, w, seed):
-    """Lifts of random threshold forms with an h-coordinate prefix, the second
-    antipodal."""
+def _lifted_pair(dist, h, w, seed, polarity=(1, -1)):
+    """Lifts of random threshold forms with an h-coordinate prefix, by default
+    the second antipodal."""
     rng = np.random.default_rng(seed)
     qa, qb = dist.shape
-    f = HybridStrategy(dist.row_space, h, rng.uniform(-0.6, 0.6, qa**h))
-    g = HybridStrategy(dist.col_space, h, rng.uniform(-0.6, 0.6, qb**h), polarity=-1)
+    f = HybridStrategy(dist.row_space, h, rng.uniform(-0.6, 0.6, qa**h), polarity=polarity[0])
+    g = HybridStrategy(dist.col_space, h, rng.uniform(-0.6, 0.6, qb**h), polarity=polarity[1])
     return lift_hybrid(f, dist, w, side="row"), lift_hybrid(g, dist, w, side="col")
 
 
@@ -513,9 +515,9 @@ class TestLiftedCountChain:
         # BTPE sampler on most rows
         d = LIFTED_SOURCES[source]
         f, g = _lifted_pair(d, h, 300, h)
-        chain = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h)
+        chain = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h, mode="monte_carlo")
         monkeypatch.setattr(rounding, "_lifted_pair_mc", multinomial_lifted_chunk)
-        ref = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h + 100)
+        ref = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=h + 100, mode="monte_carlo")
         for est, se in ESTIMATES:
             spread = 4 * math.hypot(getattr(chain, se), getattr(ref, se))
             assert abs(getattr(chain, est) - getattr(ref, est)) <= spread, est
@@ -531,12 +533,15 @@ class TestLiftedCountChain:
             "for d in (make_dsbs(0.5), uniform_triple(), _seeded_3x3()):",
             "    for h in (0, 1, 2):",
             "        f, g = _lifted_pair(d, h, 300, h)",
-            "        stats = estimate_strategy_stats(f, g, d, 3 * 10**5, seed=h)",
-            "        print(json.dumps(stats.as_dict()))",
+            "        for mode in ('monte_carlo', 'auto'):",
+            "            stats = estimate_strategy_stats(f, g, d, 3 * 10**5, seed=h, mode=mode)",
+            "            print(json.dumps(stats.as_dict()))",
         ])
         outs = outputs_at_blas_threads(code)
         assert outs[0] == outs[1]
-        assert outs[0].count(b"lifted_monte_carlo") == 9
+        # auto answers the two-atom sources from their suffix-count law
+        assert outs[0].count(b"lifted_monte_carlo") == 12
+        assert outs[0].count(b'"mode": "exact"') == 6
 
     def test_chain_probabilities_with_zero_mass(self):
         t = np.array([[0.2, 0.0, 0.3], [0.0, 0.0, 0.0], [0.1, 0.4, 0.0]])
@@ -555,6 +560,207 @@ class TestLiftedCountChain:
                 rebuilt.append(left * pj)
                 left -= rebuilt[-1]
             np.testing.assert_allclose([*rebuilt, left], m, atol=1e-12)
+
+
+def _random_2x2(seed):
+    t = np.random.default_rng(seed).uniform(0.05, 1.0, (2, 2))
+    return JointDistribution(["a", "b"], ["a", "b"], t / t.sum())
+
+
+# two atoms per side: symmetric, with an empty cell (P(y0 | x1) = 1), a
+# perfect copy (every conditional a point mass), and two random tables
+LAW_SOURCES = {"dsbs": make_dsbs(0.3), "triple": uniform_triple(),
+               "copy": JointDistribution(["a", "b"], ["a", "b"], np.eye(2) / 2),
+               "2x2a": _random_2x2(41), "2x2b": _random_2x2(42)}
+POLARITIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+_TRUE_SUFFIX_PROBABILITIES = rounding._suffix_probabilities
+
+
+def _broken_suffix_probabilities(dist):
+    """The suffix law with p(y | x) replaced by the column marginal: M then
+    ignores N."""
+    p, _, _ = _TRUE_SUFFIX_PROBABILITIES(dist)
+    (col,) = rounding._chain_probabilities(dist.table.sum(axis=0))
+    return p, float(col), float(col)
+
+
+def _enumeration_gap(dist, h):
+    """Largest gap between the law's moments and exact enumeration's over
+    w <= 6 and every polarity pair."""
+    gap = 0.0
+    for w in range(1, 7):
+        for pol in POLARITIES:
+            f, g = _lifted_pair(dist, h, w, 10 * h + w, pol)
+            exact = estimate_strategy_stats(f, g, dist, mode="exact")
+            law = rounding._lifted_law(f, g, dist)
+            ref = (exact.mean_f, exact.mean_g, exact.corr_fg)
+            gap = max(gap, *(abs(x - y) for x, y in zip(law[:3], ref)))
+    return gap
+
+
+def _mp_binomial(n, p, lo, hi):
+    """Bin(n, p) at counts lo..hi in mpmath."""
+    if p in (0, 1):
+        return [mpmath.mpf(int(j == n * p)) for j in range(lo, hi + 1)]
+    v = mpmath.binomial(n, lo) * p**lo * (1 - p) ** (n - lo)
+    out = [v]
+    for j in range(lo, hi):
+        v = v * (n - j) / (j + 1) * p / (1 - p)
+        out.append(v)
+    return out
+
+
+def _mp_span(n, p):
+    """Counts within 12 standard deviations of the mean (mass beyond: e^-70)."""
+    s, c = float(mpmath.sqrt(n * p * (1 - p))), float(n * p)
+    return max(0, int(c - 12 * s) - 2), min(n, int(c + 12 * s) + 2)
+
+
+def _mp_moments(f, g, dist):
+    """(E[f], E[g], E[fg]) as a 20-digit double sum over the joint law of
+    (N, M), the suffix counts of row and column atom 0: sum_k P(N = k)
+    sum_m P(M = m | N = k) with P(M <= m | N = k) = sum_j P(A = j)
+    P(B <= m - j), from the table's own entries.  The outputs come from the
+    program's predicate at every count."""
+    mpmath.mp.dps = 20
+    t = [[mpmath.mpf(float(v)) for v in row] for row in dist.table]
+    p = t[0][0] + t[0][1]
+    a, b = t[0][0] / p, t[1][0] / (t[1][0] + t[1][1])
+    w = f.w
+    F, G = rounding._count_outputs(f, 0, w), rounding._count_outputs(g, 0, w)
+    jumps = [m for m in range(w) if np.any(G[:, m + 1] != G[:, m])]
+    T = [[mpmath.mpf(float(v)) for v in row] for row in rounding.kron_power(dist.table, f.h)]
+    col_w = [mpmath.fsum(row[y] for row in T) for y in range(len(T[0]))]
+    klo, khi = _mp_span(w, p)
+    ef = eg = efg = mpmath.mpf(0)
+    for k, pk in zip(range(klo, khi + 1), _mp_binomial(w, p, klo, khi)):
+        alo, ahi = _mp_span(k, a)
+        blo, bhi = _mp_span(w - k, b)
+        pa = _mp_binomial(k, a, alo, ahi)
+        cdf = np.cumsum(np.array(_mp_binomial(w - k, b, blo, bhi), dtype=object))
+        below = [mpmath.fdot(pa, [cdf[min(m - j, bhi) - blo] if m - j >= blo else 0
+                                  for j in range(alo, ahi + 1)]) for m in jumps]
+        cond = [G[y, -1] - mpmath.fsum((G[y, m + 1] - G[y, m]) * c for m, c in zip(jumps, below))
+                for y in range(G.shape[0])]
+        for x in range(F.shape[0]):
+            ef += pk * mpmath.fsum(T[x]) * int(F[x, k])
+            efg += pk * int(F[x, k]) * mpmath.fdot(T[x], cond)
+        eg += pk * mpmath.fdot(col_w, cond)
+    return float(ef), float(eg), float(efg)
+
+
+# (source, h, w) of each mpmath case
+MP_CASES = [("dsbs", 2, 300), ("2x2a", 1, 300), ("triple", 0, 2000)]
+
+
+def _mp_pair(case):
+    source, h, w = case
+    d = LAW_SOURCES[source]
+    return (*_lifted_pair(d, h, w, w + h), d)
+
+
+@functools.cache
+def _mp_reference(case):
+    """The case's mpmath moments, computed once per session."""
+    return _mp_moments(*_mp_pair(case))
+
+
+def _mp_gap(case, law):
+    """Largest gap between ``law``'s moments and the mpmath ones, and the
+    mass ``law`` reports dropped."""
+    got = law(*_mp_pair(case))
+    return max(abs(x - y) for x, y in zip(got[:3], _mp_reference(case))), got[3]
+
+
+# (source, h, w) of each chain case: the law's own sources, at a w each
+CHAIN_CASES = [("dsbs", 0, 300), ("2x2a", 1, 5000), ("2x2b", 2, 25000)]
+
+
+def _chain_z(case, law):
+    """Largest gap, in standard errors, between the chain's estimates and the
+    law's moments."""
+    source, h, w = case
+    d = LAW_SOURCES[source]
+    f, g = _lifted_pair(d, h, w, h)
+    mc = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=w, mode="monte_carlo")
+    exact = law(f, g, d)
+    return max(abs(getattr(mc, est) - x) / getattr(mc, se)
+               for (est, se), x in zip(ESTIMATES, exact[:3]))
+
+
+class TestLiftedLaw:
+    """Two lifts of equal h and w on a source with two atoms per side: the
+    law of the suffix counts gives their exact moments, which ``auto`` takes
+    wherever its grid costs less than the binomial chain's draws."""
+
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    @pytest.mark.parametrize("source", sorted(LAW_SOURCES))
+    def test_matches_exact_enumeration(self, source, h):
+        assert _enumeration_gap(LAW_SOURCES[source], h) <= 1e-12
+
+    @pytest.mark.parametrize("case", MP_CASES, ids=lambda c: f"{c[0]}-h{c[1]}-w{c[2]}")
+    def test_matches_an_mpmath_double_sum(self, case):
+        gap, dropped = _mp_gap(case, rounding._lifted_law)
+        assert gap <= 1e-12
+        assert 0.0 <= dropped <= 1e-15
+
+    @pytest.mark.parametrize("case", CHAIN_CASES, ids=lambda c: f"{c[0]}-h{c[1]}-w{c[2]}")
+    def test_chain_lies_within_four_standard_errors(self, case):
+        assert _chain_z(case, rounding._lifted_law) <= 4.0
+
+    def test_a_broken_law_fails_each_check(self, monkeypatch):
+        # p(y | x) replaced by the column marginal: the moments of a pair of
+        # independent suffixes
+        monkeypatch.setattr(rounding, "_suffix_probabilities", _broken_suffix_probabilities)
+        for source in LAW_SOURCES:
+            assert _enumeration_gap(LAW_SOURCES[source], 1) > 1e-6, source
+        for case in MP_CASES:
+            assert _mp_gap(case, rounding._lifted_law)[0] > 1e-6, case
+        for case in CHAIN_CASES:
+            assert _chain_z(case, rounding._lifted_law) > 4.0, case
+
+    def test_auto_takes_the_law_up_to_the_chain_draws(self):
+        d = LAW_SOURCES["2x2a"]
+        f, g = _lifted_pair(d, 1, 3000, 5)
+        cells = rounding._law_cells(f, d)
+        # a 2x2 chain draws 3 binomials per sample
+        n = -(-cells // 3)
+        law = estimate_strategy_stats(f, g, d, n)
+        assert law.mode == "exact" and law.n_samples == 0 and law.stderr_corr == 0.0
+        assert (law.mean_f, law.mean_g, law.corr_fg) == rounding._lifted_law(f, g, d)[:3]
+        assert estimate_strategy_stats(f, g, d, n - 1).mode == "lifted_monte_carlo"
+        assert estimate_strategy_stats(f, g, d, n, mode="monte_carlo").mode == "lifted_monte_carlo"
+
+    def test_auto_keeps_the_law_within_the_cell_cap(self, monkeypatch):
+        d = LAW_SOURCES["2x2a"]
+        f, g = _lifted_pair(d, 1, 3000, 5)
+        cells = rounding._law_cells(f, d)
+        monkeypatch.setattr(rounding, "CELL_CAP", cells - 1)
+        assert estimate_strategy_stats(f, g, d, cells).mode == "lifted_monte_carlo"
+
+    def test_exact_mode_takes_the_law_up_to_the_cell_cap(self):
+        d = LAW_SOURCES["dsbs"]
+        f, g = gaussian_simulator_strategy(d, 0.1, 10**4)
+        assert rounding._law_cells(f, d) <= 10**8
+        stats = estimate_strategy_stats(f, g, d, mode="exact")
+        assert stats.mode == "exact"
+        assert (stats.mean_f, stats.mean_g, stats.corr_fg) == rounding.exact_moments(f, g, d)
+        f, g = gaussian_simulator_strategy(d, 0.1, 10**7)
+        assert rounding._law_cells(f, d) > 10**8
+        with pytest.raises(ParameterRangeError, match=r"4\^10000000 cells"):
+            estimate_strategy_stats(f, g, d, mode="exact")
+
+    def test_other_pairs_keep_monte_carlo(self):
+        # unequal prefixes (the generic sampler); three atoms per side
+        d = LAW_SOURCES["dsbs"]
+        f, _ = _lifted_pair(d, 1, 300, 0, (1, 1))
+        _, g = _lifted_pair(d, 0, 301, 0, (1, 1))
+        assert estimate_strategy_stats(f, g, d, 1000).mode == "monte_carlo"
+        d = _seeded_3x3()
+        f, g = _lifted_pair(d, 0, 300, 0)
+        assert estimate_strategy_stats(f, g, d, 10**6).mode == "lifted_monte_carlo"
 
 
 class TestChunkWorkingSet:
