@@ -609,9 +609,14 @@ def _start_table(ka: int, seed: int) -> np.ndarray:
     floats (8 MB).  Tables of at most ``SCRATCH_CELLS`` cells are kept
     (``_kept_start_table``), so the cache holds at most 16 of 1 MB; larger
     ones are built per call, to the same bits."""
-    starts = ORACLE_RANDOM_STARTS + (2**ka if ka <= ORACLE_VERTEX_START_CAP else 0)
-    build = _kept_start_table if starts * ka <= SCRATCH_CELLS else _build_start_table
+    build = _kept_start_table if _start_count(ka) * ka <= SCRATCH_CELLS else _build_start_table
     return build(ka, seed)
+
+
+def _start_count(ka: int) -> int:
+    """Rows of ``_start_table(ka, seed)``: the 2^ka +-1 vertices when
+    ka <= ORACLE_VERTEX_START_CAP, and ORACLE_RANDOM_STARTS random starts."""
+    return ORACLE_RANDOM_STARTS + (2**ka if ka <= ORACLE_VERTEX_START_CAP else 0)
 
 
 def _build_start_table(ka: int, seed: int) -> np.ndarray:
@@ -644,7 +649,7 @@ def _alternate(weights, mean_caps, centers, seed=0) -> tuple[float, np.ndarray, 
     """
     W, wa, wb = weights
     ka, kb = W.shape
-    starts = ORACLE_RANDOM_STARTS + (2**ka if ka <= ORACLE_VERTEX_START_CAP else 0)
+    starts = _start_count(ka)
     if starts * max(ka, kb) > TABLE_CELL_CAP:
         raise ResourceLimitError(
             f"oracle batch needs {starts} x {max(ka, kb)} cells, "

@@ -88,7 +88,9 @@ def maximal_correlation(dist: JointDistribution) -> CorrelationReport:
         )
 
     m = dist.table / np.sqrt(np.outer(mu_a, mu_b))
-    u, s, vt = np.linalg.svd(m)
+    # reduced factors: a full u is qa x qa and a full vt qb x qb, which a long
+    # side cannot afford before any search cap is checked
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     if abs(s[0] - 1.0) > TOP_SV_TOL:
         raise AssertionError(
             f"top singular value of the normalized operator is {s[0]:.17g}, expected 1"

@@ -23,12 +23,10 @@ enumeration when the joint table fits the cap, Monte Carlo otherwise,
 with a dedicated sufficient-statistic path for lifted strategies (the
 suffix block only enters through its joint cell counts, so a chain of
 conditional binomials, the multinomial's own factorization, replaces w
-explicit coordinates).  Two lifts of equal h and w on a source with two
-atoms per side are answered exactly instead, from the law of the suffix
-counts of atom 0 (``_lifted_law``), wherever that law's grid of Wk * Wj
-cells is at most the chain's n_samples * 3 binomial draws: Wk is the
-window of N ~ Bin(w, P(x0)) and Wj the widest window of the two
-binomials that make up the column count given N.
+explicit coordinates).  On a source with two atoms per side such a pair
+may be answered exactly instead, from the law of the suffix counts of
+atom 0 (``_lifted_law``); ``estimate_strategy_stats`` states which
+route each pair takes.
 
 Monte Carlo runs fixed-size chunks, each on its own
 ``SeedSequence(seed).spawn`` stream, summed in chunk order: the estimate
@@ -322,7 +320,7 @@ def exact_moments(f: Strategy, g: Strategy, dist: JointDistribution) -> tuple[fl
     qa, qb = dist.shape
     n = f.n
     if power_exceeds(qa * qb, n, CELL_CAP) and _law_pair(f, g, dist):
-        return _lifted_law(f, g, dist)[:3]
+        return _lifted_law(f, g, dist)
     vf = f.evaluate(all_assignments(qa, n))
     vg = g.evaluate(all_assignments(qb, n))
     # u(x) = sum_y prod_i mu(x_i, y_i) g(y)
@@ -424,22 +422,6 @@ def _binomial_rows(n0: int, count: int, p: float, lo: int, width: int) -> np.nda
     return sliding_window_view(t, width)[::-1] * v
 
 
-def _tail_shares(n, p: float, lo, top, edges: np.ndarray, totals) -> np.ndarray:
-    """Per row, a bound on the mass of Bin(n_r, p) outside counts
-    lo_r, ..., top_r, as a share of the mass inside them (``totals``, in the
-    units of the pmf values ``edges`` at lo_r and top_r): a log-concave pmf
-    falls at least geometrically past a window edge, at the edge's own
-    ratio r, so each side holds at most edge * r / (1 - r) (infinite when
-    r >= 1)."""
-    if not 0.0 < p < 1.0:
-        return np.zeros(np.shape(n))
-    odds = p / (1.0 - p)
-    r = np.stack([lo / (n - lo + 1.0) / odds, np.maximum(n - top, 0) / (top + 1.0) * odds])
-    fits = r < 1.0
-    side = np.where(fits, edges * r / np.where(fits, 1.0 - r, 1.0), np.inf)
-    return (side[0] + side[1]) / totals
-
-
 def _count_outputs(s: LiftedStrategy, lo: int, hi: int) -> np.ndarray:
     """Outputs of the lift ``s`` at every prefix (rows) and every suffix count
     lo, ..., hi of atom 0 (columns), by the sampler's own predicate: int64
@@ -451,12 +433,17 @@ def _count_outputs(s: LiftedStrategy, lo: int, hi: int) -> np.ndarray:
     return out.reshape(prefixes, len(counts))
 
 
-def _law_pair(f: Strategy, g: Strategy, dist: JointDistribution) -> bool:
-    """Whether ``_lifted_law`` serves the pair: two lifts of equal h and w on
-    a source with two atoms per side whose prefix table fits
-    ``SCRATCH_CELLS``."""
+def _lifted_twins(f: Strategy, g: Strategy) -> bool:
+    """Whether the pair is two lifts of equal h and w: the pairs the binomial
+    chain (``_lifted_pair_mc``) serves."""
     return (isinstance(f, LiftedStrategy) and isinstance(g, LiftedStrategy)
-            and f.h == g.h and f.w == g.w and dist.shape == (2, 2)
+            and f.h == g.h and f.w == g.w)
+
+
+def _law_pair(f: Strategy, g: Strategy, dist: JointDistribution) -> bool:
+    """Whether ``_lifted_law`` serves the pair: ``_lifted_twins`` on a source
+    with two atoms per side whose prefix table fits ``SCRATCH_CELLS``."""
+    return (_lifted_twins(f, g) and dist.shape == (2, 2)
             and not power_exceeds(4, f.h, SCRATCH_CELLS))
 
 
@@ -474,18 +461,10 @@ def _law_grid(f: LiftedStrategy, dist: JointDistribution) -> tuple[int, int, int
     return klo, khi, int(max(khi - lo[1] - lo[0], w - klo - lo[3] - lo[2])) + 1
 
 
-def _law_cells(f: LiftedStrategy, dist: JointDistribution) -> int:
-    """Wk * Wj of a ``_law_pair``: Wk counts N's window and Wj is the
-    ``_law_grid`` width."""
-    klo, khi, width = _law_grid(f, dist)
-    return (khi - klo + 1) * width
-
-
 def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
-    """(E[f], E[g], E[fg], dropped) of a ``_law_pair`` from the law of its
-    suffix counts; ``dropped`` bounds the mass the windows leave out
-    (``_tail_shares`` of N, and of A and B averaged over N), so each moment
-    is within about twice it of the exact value.
+    """(E[f], E[g], E[fg]) of a ``_law_pair`` from the law of its suffix
+    counts, each binomial kept on its ``_lower_edges`` window: every tail
+    left out holds at most e^-45 by Chernoff's bound.
 
     The suffix enters f only through N, the count of row atom 0, and g only
     through M, the count of column atom 0.  N ~ Bin(w, P(x0)), and given
@@ -507,9 +486,7 @@ def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
     klo, khi, width = _law_grid(f, dist)
     ks = np.arange(klo, khi + 1, dtype=np.int64)
     p_n = _binomial_rows(w, 1, p, klo, len(ks))[0]
-    total = p_n.sum()
-    dropped = float(_tail_shares(w, p, klo, khi, p_n[[0, -1]], total))
-    p_n /= total
+    p_n /= p_n.sum()
 
     # block rows: one row's A or B window spans at most `width` counts, and
     # a block's union at most `rows - 1` more, so a block holds under
@@ -532,10 +509,8 @@ def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
     cols = np.flatnonzero(steps.any(axis=0))
     jumps = mlo + cols
 
-    # below[k, i] = P(M <= jumps[i] | N = k); tails[k]: the A and B mass
-    # the block's windows leave out
+    # below[k, i] = P(M <= jumps[i] | N = k)
     below = np.empty((len(ks), len(jumps)))
-    tails = np.empty(len(ks))
     for i, lo in enumerate(range(0, len(ks), rows)):
         block = slice(lo, lo + rows)
         k = ks[block]
@@ -543,14 +518,11 @@ def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
         na, nb = int(a_hi[i]) - ja + 1, int(b_hi[i]) - jb + 1
         pa = _binomial_rows(int(k[0]), len(k), a, ja, na)
         a_total = pa.sum(axis=1)
-        tails[block] = _tail_shares(k, a, ja, ja + na - 1, pa[:, [0, -1]].T, a_total)
         # rev[:, c]: P(B <= jb + nb - 1 - c), unnormalized
         pb = _binomial_rows(w - int(k[-1]), len(k), b, jb, nb)[::-1]
-        b_edges = pb[:, [0, -1]].T
         rev = np.empty_like(pb)
         np.cumsum(pb, axis=1, out=rev[:, ::-1])
         b_total = rev[:, 0]
-        tails[block] += _tail_shares(w - k, b, jb, jb + nb - 1, b_edges, b_total)
         # for A's column t, B's bound m* - ja - t sits at column t + off of
         # rev: the columns before -off lie past B's top (CDF 1), those from
         # nb - off on below B's window (CDF 0)
@@ -559,7 +531,6 @@ def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
             t1, t2 = max(0, -off), min(na, nb - off)
             inside = weighted_sum(pa[:, t1:t2], rev[:, t1 + off : t2 + off]) if t1 < t2 else 0.0
             below[block, c] = (pa[:, :t1].sum(axis=1) + inside / b_total) / a_total
-    dropped += float(weighted_sum(p_n, tails))
 
     # E[g | N = k] per prefix (rows) and count (columns), in row chunks that
     # keep the products with the prefix table within SCRATCH_CELLS
@@ -577,7 +548,7 @@ def _lifted_law(f: LiftedStrategy, g: LiftedStrategy, dist: JointDistribution):
         # sum_x sum_y table[x, y] f(x, k) E[g(y) | N = k]
         inner = weighted_sum(table[:, None, :], cond_g.T[None, :, :])
         corr += float(weighted_sum(p_n[part], weighted_sum(vf[:, part].T, inner.T)))
-    return mean_f, mean_g, corr, dropped
+    return mean_f, mean_g, corr
 
 
 def _chunk_sums(vf: np.ndarray, vg: np.ndarray) -> np.ndarray:
@@ -731,15 +702,18 @@ def estimate_strategy_stats(
 ) -> StrategyStats:
     """Means, correlation, and the induced 2x2 table of a strategy pair.
 
-    ``mode="auto"`` enumerates exactly when the full joint table fits the
-    cap.  Beyond it, a lifted pair of equal h and w on a source with two
-    atoms per side is answered exactly from the law of its suffix counts
-    when that law's grid, Wk * Wj cells (``_law_cells``), is at most the
-    binomial chain's draw count, n_samples * (qa - 1 + qa (qb - 1)) =
-    3 n_samples, and the cell cap: the law then costs less than the chain.
-    The comparison takes O(1), so a huge w goes to the chain at once.
-    Every other pair falls back to seeded Monte Carlo.  ``mode="exact"`` takes the same law
-    up to ``CELL_CAP`` cells, and ``mode="monte_carlo"`` always samples.
+    Routes: ``mode="monte_carlo"`` always samples.  Otherwise a pair whose
+    full joint table fits ``CELL_CAP`` is enumerated (``mode="auto"``
+    samples a randomized one instead).  Beyond the cap, two lifts of equal
+    h and w (``_lifted_twins``) on a source with two atoms per side are
+    answered exactly from the law of their suffix counts (``_lifted_law``)
+    when its grid is small enough: Wk * Wj cells, Wk the window of N ~
+    Bin(w, P(x0)) and Wj the widest window of the two binomials that make
+    up the column count given N (``_law_grid``; O(1), so a huge w is
+    routed at once).  ``mode="exact"`` takes the law up to ``CELL_CAP``
+    cells and raises beyond; ``mode="auto"`` takes it up to the binomial
+    chain's draw count, 3 n_samples on a 2x2 source, and ``CELL_CAP``,
+    where the law costs less than the chain, and samples every other pair.
     Exact results carry standard errors 0 and ``n_samples`` 0.  Monte Carlo
     results are unbiased with standard errors; identical seeds give
     identical estimates whatever ``threads``, which only sets how many
@@ -759,26 +733,23 @@ def estimate_strategy_stats(
     randomized = isinstance(f, RngRoundedStrategy) or isinstance(g, RngRoundedStrategy)
     if mode == "exact" and randomized:
         raise InputError("exact enumeration is undefined for randomized strategies")
-    law = mode != "monte_carlo" and too_large and _law_pair(f, g, dist)
-    law_cells = _law_cells(f, dist) if law else None
+    # the law's grid, Wk * Wj cells; infinite where the law does not serve
+    law_cells = math.inf
+    if too_large and mode != "monte_carlo" and _law_pair(f, g, dist):
+        klo, khi, wj = _law_grid(f, dist)
+        law_cells = (khi - klo + 1) * wj
     if mode == "exact" or (mode == "auto" and not too_large and not randomized):
-        if too_large and (law_cells is None or law_cells > CELL_CAP):
+        if too_large and law_cells > CELL_CAP:
             raise ParameterRangeError(
                 f"exact enumeration needs {qa * qb}^{f.n} cells, above the cap {CELL_CAP}"
             )
         return _exact_stats(f, g, dist)
     if as_integer(n_samples, "sample count") < 1:
         raise ParameterRangeError("Monte Carlo needs at least one sample")
-    chain_draws = n_samples * (qa - 1 + qa * (qb - 1))
-    if mode == "auto" and law_cells is not None and law_cells <= min(chain_draws, CELL_CAP):
+    if mode == "auto" and law_cells <= min(3 * n_samples, CELL_CAP):
         return _exact_stats(f, g, dist)
 
-    lifted = (
-        isinstance(f, LiftedStrategy)
-        and isinstance(g, LiftedStrategy)
-        and f.h == g.h
-        and f.w == g.w
-    )
+    lifted = _lifted_twins(f, g)
     worker = _lifted_pair_mc if lifted else _generic_pair_mc
     width = f.h + qa * qb if lifted else f.n
     chunk = max(1, min(MC_CHUNK_SAMPLES, BLOCK_CELLS // max(1, width)))

@@ -4,7 +4,7 @@ tensorization/data-processing properties."""
 import numpy as np
 import pytest
 
-from conftest import merge_rows
+from conftest import merge_rows, traced_peak
 from nisim import (
     JointDistribution,
     ParameterRangeError,
@@ -95,6 +95,12 @@ class TestWitnessContracts:
                 f = f / np.sqrt(mu_a @ f**2)
                 g = g / np.sqrt(mu_b @ g**2)
                 assert f @ dist.table @ g <= rho + 1e-8
+
+    @pytest.mark.parametrize("shape", [(3000, 2), (2, 3000)])
+    def test_a_long_side_builds_no_square_factor(self, shape):
+        # the reduced SVD: a full one builds a 3000 x 3000 factor (72 MB)
+        dist = random_joint(np.random.default_rng(4), *shape)
+        assert traced_peak(lambda: maximal_correlation(dist)) < 5 * 2**20
 
 
 class TestProperties:

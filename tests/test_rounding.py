@@ -1,6 +1,7 @@
 """Strategies, the Gaussian simulator, the threshold lift, and the
 empirical statistics harness."""
 
+import fractions
 import functools
 import inspect
 import json
@@ -596,7 +597,7 @@ def _enumeration_gap(dist, h):
             exact = estimate_strategy_stats(f, g, dist, mode="exact")
             law = rounding._lifted_law(f, g, dist)
             ref = (exact.mean_f, exact.mean_g, exact.corr_fg)
-            gap = max(gap, *(abs(x - y) for x, y in zip(law[:3], ref)))
+            gap = max(gap, *(abs(x - y) for x, y in zip(law, ref)))
     return gap
 
 
@@ -668,10 +669,8 @@ def _mp_reference(case):
 
 
 def _mp_gap(case, law):
-    """Largest gap between ``law``'s moments and the mpmath ones, and the
-    mass ``law`` reports dropped."""
-    got = law(*_mp_pair(case))
-    return max(abs(x - y) for x, y in zip(got[:3], _mp_reference(case))), got[3]
+    """Largest gap between ``law``'s moments and the mpmath ones."""
+    return max(abs(x - y) for x, y in zip(law(*_mp_pair(case)), _mp_reference(case)))
 
 
 # (source, h, w) of each chain case: the law's own sources, at a w each
@@ -687,7 +686,13 @@ def _chain_z(case, law):
     mc = estimate_strategy_stats(f, g, d, 2 * 10**5, seed=w, mode="monte_carlo")
     exact = law(f, g, d)
     return max(abs(getattr(mc, est) - x) / getattr(mc, se)
-               for (est, se), x in zip(ESTIMATES, exact[:3]))
+               for (est, se), x in zip(ESTIMATES, exact))
+
+
+def _grid_cells(f, dist):
+    """Wk * Wj, the cells of the law's grid (``_law_grid``)."""
+    klo, khi, wj = rounding._law_grid(f, dist)
+    return (khi - klo + 1) * wj
 
 
 class TestLiftedLaw:
@@ -702,9 +707,7 @@ class TestLiftedLaw:
 
     @pytest.mark.parametrize("case", MP_CASES, ids=lambda c: f"{c[0]}-h{c[1]}-w{c[2]}")
     def test_matches_an_mpmath_double_sum(self, case):
-        gap, dropped = _mp_gap(case, rounding._lifted_law)
-        assert gap <= 1e-12
-        assert 0.0 <= dropped <= 1e-15
+        assert _mp_gap(case, rounding._lifted_law) <= 1e-12
 
     @pytest.mark.parametrize("case", CHAIN_CASES, ids=lambda c: f"{c[0]}-h{c[1]}-w{c[2]}")
     def test_chain_lies_within_four_standard_errors(self, case):
@@ -717,38 +720,38 @@ class TestLiftedLaw:
         for source in LAW_SOURCES:
             assert _enumeration_gap(LAW_SOURCES[source], 1) > 1e-6, source
         for case in MP_CASES:
-            assert _mp_gap(case, rounding._lifted_law)[0] > 1e-6, case
+            assert _mp_gap(case, rounding._lifted_law) > 1e-6, case
         for case in CHAIN_CASES:
             assert _chain_z(case, rounding._lifted_law) > 4.0, case
 
     def test_auto_takes_the_law_up_to_the_chain_draws(self):
         d = LAW_SOURCES["2x2a"]
         f, g = _lifted_pair(d, 1, 3000, 5)
-        cells = rounding._law_cells(f, d)
+        cells = _grid_cells(f, d)
         # a 2x2 chain draws 3 binomials per sample
         n = -(-cells // 3)
         law = estimate_strategy_stats(f, g, d, n)
         assert law.mode == "exact" and law.n_samples == 0 and law.stderr_corr == 0.0
-        assert (law.mean_f, law.mean_g, law.corr_fg) == rounding._lifted_law(f, g, d)[:3]
+        assert (law.mean_f, law.mean_g, law.corr_fg) == rounding._lifted_law(f, g, d)
         assert estimate_strategy_stats(f, g, d, n - 1).mode == "lifted_monte_carlo"
         assert estimate_strategy_stats(f, g, d, n, mode="monte_carlo").mode == "lifted_monte_carlo"
 
     def test_auto_keeps_the_law_within_the_cell_cap(self, monkeypatch):
         d = LAW_SOURCES["2x2a"]
         f, g = _lifted_pair(d, 1, 3000, 5)
-        cells = rounding._law_cells(f, d)
+        cells = _grid_cells(f, d)
         monkeypatch.setattr(rounding, "CELL_CAP", cells - 1)
         assert estimate_strategy_stats(f, g, d, cells).mode == "lifted_monte_carlo"
 
     def test_exact_mode_takes_the_law_up_to_the_cell_cap(self):
         d = LAW_SOURCES["dsbs"]
         f, g = gaussian_simulator_strategy(d, 0.1, 10**4)
-        assert rounding._law_cells(f, d) <= 10**8
+        assert _grid_cells(f, d) <= 10**8
         stats = estimate_strategy_stats(f, g, d, mode="exact")
         assert stats.mode == "exact"
         assert (stats.mean_f, stats.mean_g, stats.corr_fg) == rounding.exact_moments(f, g, d)
         f, g = gaussian_simulator_strategy(d, 0.1, 10**7)
-        assert rounding._law_cells(f, d) > 10**8
+        assert _grid_cells(f, d) > 10**8
         with pytest.raises(ParameterRangeError, match=r"4\^10000000 cells"):
             estimate_strategy_stats(f, g, d, mode="exact")
 
@@ -761,6 +764,104 @@ class TestLiftedLaw:
         d = _seeded_3x3()
         f, g = _lifted_pair(d, 0, 300, 0)
         assert estimate_strategy_stats(f, g, d, 10**6).mode == "lifted_monte_carlo"
+
+
+def _relative_entropy(x, p):
+    """D(x || p), the binary relative entropy, in mpmath."""
+    def term(a, b):
+        return 0 if a == 0 else mpmath.inf if b == 0 else a * mpmath.log(a / b)
+    return term(x, p) + term(1 - x, 1 - p)
+
+
+class TestLawWindows:
+    """Each binomial the law keeps on its ``_lower_edges`` window: the window
+    holds the mode, and each tail it leaves out holds at most e^-45."""
+
+    @pytest.mark.parametrize("n", [1, 45, 10**3, 10**6, 2**40])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-9, 0.05, 0.5, 1 - 1e-9])
+    def test_each_dropped_tail_holds_at_most_e_to_the_minus_45(self, p, n):
+        mpmath.mp.dps = 30
+        # the lowest count kept, and through the mirror the highest
+        for p_side in (p, 1.0 - p):
+            lo, mirror = (int(v) for v in rounding._lower_edges([n, n], [p_side, 1.0 - p_side]))
+            mode = min(n, math.floor((n + 1) * fractions.Fraction(p_side)))
+            assert lo <= mode <= n - mirror
+            if lo == 0:
+                continue
+            q = mpmath.mpf(p_side)
+            assert n * _relative_entropy(mpmath.mpf(lo - 1) / n, q) >= 45 * (1 - 1e-9)
+            if n <= 10**4:
+                tail = mpmath.fsum(mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j)
+                                   for j in range(lo))
+                assert tail <= mpmath.exp(-45)
+
+
+def _route_cap_pair(monkeypatch):
+    """A 2x2 lift whose law's grid exceeds a cell cap patched to 10^4."""
+    d = LAW_SOURCES["2x2a"]
+    f, g = _lifted_pair(d, 1, 300, 5)
+    monkeypatch.setattr(rounding, "CELL_CAP", 10**4)
+    assert _grid_cells(f, d) > 10**4
+    return f, g, d
+
+
+def _route_law_pair(w, below):
+    """A 2x2 lift whose law's grid lies ``below`` (or above) 3 * ROUTE_SAMPLES
+    cells, the draws of the binomial chain."""
+    d = LAW_SOURCES["2x2a"]
+    f, g = _lifted_pair(d, 1, w, 5)
+    assert (_grid_cells(f, d) <= 3 * ROUTE_SAMPLES) == below
+    return f, g, d
+
+
+def _route_unequal_h_pair(_monkeypatch):
+    d = LAW_SOURCES["dsbs"]
+    f, _ = _lifted_pair(d, 1, 300, 0)
+    _, g = _lifted_pair(d, 0, 301, 0)
+    return f, g, d
+
+
+ROUTE_SAMPLES = 2000
+RANDOMIZED_ERROR = (InputError, "exact enumeration is undefined for randomized strategies")
+
+
+def _cap_error(base, n, cap=10**8):
+    return (ParameterRangeError, f"exact enumeration needs {base}^{n} cells, above the cap {cap}")
+
+
+# pair kind: (builder given monkeypatch, the route of mode auto, exact and
+# monte_carlo: the result's mode string or the (type, message) raised)
+ROUTES = {
+    "table": (lambda mp: _table_pair(), "exact", "exact", "monte_carlo"),
+    "rng_rounded_table": (lambda mp: _rounded_pair(), "monte_carlo", RANDOMIZED_ERROR,
+                          "monte_carlo"),
+    "small_lift": (lambda mp: (*_lifted_pair(LAW_SOURCES["2x2a"], 1, 3, 5), LAW_SOURCES["2x2a"]),
+                   "exact", "exact", "lifted_monte_carlo"),
+    "lift_below_chain": (lambda mp: _route_law_pair(84, True), "exact", "exact",
+                         "lifted_monte_carlo"),
+    "lift_above_chain": (lambda mp: _route_law_pair(88, False), "lifted_monte_carlo", "exact",
+                         "lifted_monte_carlo"),
+    "lift_past_cap": (_route_cap_pair, "lifted_monte_carlo", _cap_error(4, 301, 10**4),
+                      "lifted_monte_carlo"),
+    "lift_3x3": (lambda mp: (*_lifted_pair(_seeded_3x3(), 0, 300, 0), _seeded_3x3()),
+                 "lifted_monte_carlo", _cap_error(9, 300), "lifted_monte_carlo"),
+    "lifts_of_unequal_h": (_route_unequal_h_pair, "monte_carlo", _cap_error(4, 301),
+                           "monte_carlo"),
+}
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "monte_carlo"])
+@pytest.mark.parametrize("kind", sorted(ROUTES))
+def test_route_matrix(kind, mode, monkeypatch):
+    build, *routes = ROUTES[kind]
+    f, g, d = build(monkeypatch)
+    route = dict(zip(("auto", "exact", "monte_carlo"), routes))[mode]
+    if isinstance(route, str):
+        assert estimate_strategy_stats(f, g, d, ROUTE_SAMPLES, seed=3, mode=mode).mode == route
+        return
+    with pytest.raises(route[0]) as err:
+        estimate_strategy_stats(f, g, d, ROUTE_SAMPLES, seed=3, mode=mode)
+    assert type(err.value) is route[0] and str(err.value) == route[1]
 
 
 class TestChunkWorkingSet:
